@@ -6,25 +6,27 @@ at position (i, j) is ``bands[j - i].weight_at(i)``.  Under this convention a
 bilateral shift is the single band at offset -1 and the unweighted shift F is
 that band filled with identities.
 
-All verification routines work on an explicit index window [lo, hi].
-Conditions that would touch indices outside a windowed sequence are skipped
-and recorded, never failed.
+All verifiers are tables for one engine, run on an explicit index window
+[lo, hi].  A condition at row n equates a sum of products of entries
+``W_{n+j}`` or ``W_{n+j}*`` with the identity, zero or another such sum; its
+residual is the Frobenius norm of the difference.  Where a windowed sequence
+lacks an entry that a group of conditions needs, the group is skipped and
+recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS`` with
+batched ``matmul``, so working memory does not grow with the window, and
+reports list checks row by row or condition by condition.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .matrices import (
-    DEFAULT_TOL,
-    Tolerance,
-    frob,
-    herm,
-    is_partial_isometry,
-)
+from .matrices import DEFAULT_TOL, Tolerance, herm
 from .shifts import (
     BilateralShift,
     WeightSequence,
@@ -47,7 +49,7 @@ class ConditionCheck:
 class SkippedCheck:
     condition: str
     index: int
-    reason: str
+    reason: str = "index outside a stored window"
 
 
 @dataclass
@@ -94,34 +96,6 @@ class WindowReport:
             "skipped": [vars(s) for s in self.skipped],
             "context": self.context,
         }
-
-
-class _Reporter:
-    """Accumulates condition checks against one tolerance."""
-
-    def __init__(self, lo: int, hi: int, tol: Tolerance):
-        self.report = WindowReport(lo, hi)
-        self.tol = tol
-
-    def check_close(self, condition: str, index: int, x, y, scale=None):
-        res = frob(np.asarray(x) - np.asarray(y))
-        if scale is None:
-            scale = max(frob(x), frob(y))
-        ok = res <= self.tol.bound(scale)
-        self.report.checks.append(ConditionCheck(condition, index, res, ok))
-        return ok
-
-    def check_zero(self, condition: str, index: int, x, scale: float = 1.0):
-        res = frob(x)
-        ok = res <= self.tol.bound(scale)
-        self.report.checks.append(ConditionCheck(condition, index, res, ok))
-        return ok
-
-    def record(self, condition: str, index: int, residual: float, passed: bool):
-        self.report.checks.append(ConditionCheck(condition, index, residual, passed))
-
-    def skip(self, condition: str, index: int, reason: str):
-        self.report.skipped.append(SkippedCheck(condition, index, reason))
 
 
 class BandedOperator:
@@ -224,9 +198,163 @@ def apply_banded(u: BandedOperator, x: WindowedVector) -> WindowedVector:
     return WindowedVector(lo, out)
 
 
-def _band_pair_available(seq: WeightSequence, *indices) -> bool:
-    return all(seq.has_index(i) for i in indices)
+# --- the windowed-condition engine -------------------------------------------
 
+_BLOCK_ROWS = 512        # rows evaluated at once; keeps working memory flat
+
+
+class _At(NamedTuple):
+    """Factor at row n: entry n + shift of ``seq``, or its adjoint."""
+
+    seq: WeightSequence
+    shift: int = 0
+    adjoint: bool = False
+
+    @property
+    def H(self) -> "_At":
+        return self._replace(adjoint=not self.adjoint)
+
+
+# Sums are tuples of products, products tuples of factors.
+_ZERO, _ONE = (), ((),)      # the empty sum; the sum of the empty product
+
+
+class _Cond(NamedTuple):
+    """``lhs = rhs`` within ``tol.bound`` of the largest of the numbers and
+    sum norms in ``scale``."""
+
+    name: str
+    lhs: tuple
+    rhs: tuple = _ZERO
+    scale: tuple = (1.0,)
+
+
+class _Group(NamedTuple):
+    """Conditions skipped together, once, as ``skip``; with ``within`` only
+    on rows where that earlier group ran."""
+
+    skip: str
+    conds: tuple
+    within: int | None = None
+
+
+def _gather(seq: WeightSequence, lo: int, hi: int, dim: int):
+    """Entries of ``seq`` on rows lo..hi as an (N, d, d) stack, zero where
+    absent, and the ``has_index`` mask."""
+    rows = range(lo, hi + 1)
+    has = np.fromiter(map(seq.has_index, rows), dtype=bool, count=len(rows))
+    out = np.zeros((len(rows), dim, dim), dtype=complex)
+    if has.any():
+        out[has] = [seq.weight_at(n) for n in itertools.compress(rows, has)]
+    return out, has
+
+
+def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
+              keep: int | None = None):
+    """(C, N) arrays of residuals, their acceptance under ``tol`` and
+    availability (every factor stored) on rows lo..hi, and the (N, d, d)
+    values of ``conds[keep].lhs`` when ``keep`` is given."""
+    count = max(hi - lo + 1, 0)
+    res = np.zeros((len(conds), count))
+    passed = np.zeros((len(conds), count), dtype=bool)
+    has = np.ones((len(conds), count), dtype=bool)
+    kept = None if keep is None else np.zeros((count, dim, dim), dtype=complex)
+    reach = {}                          # least and greatest shift of each sequence
+    for cond in conds:
+        for f in (x for s in (cond.lhs, cond.rhs, *cond.scale)
+                  if isinstance(s, tuple) for product in s for x in product):
+            first, last = reach.get(f.seq, (f.shift, f.shift))
+            reach[f.seq] = min(first, f.shift), max(last, f.shift)
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
+        # each sequence once per block, over the block's rows plus its reach
+        stacks = {seq: (first, *_gather(seq, lo + start + first, lo + stop - 1 + last, dim))
+                  for seq, (first, last) in reach.items()}
+
+        def factor(f, mask):
+            first, w, present = stacks[f.seq]
+            rows = slice(f.shift - first, f.shift - first + stop - start)
+            mask &= present[rows]
+            return w[rows].conj().swapaxes(-1, -2) if f.adjoint else w[rows]
+
+        def total(terms, mask):
+            out = np.zeros_like(eye)
+            for product in terms:
+                out = out + functools.reduce(
+                    np.matmul, [factor(f, mask) for f in product] or [eye])
+            return out
+
+        for c, cond in enumerate(conds):
+            mask = has[c, start:stop]
+            lhs = total(cond.lhs, mask)
+            res[c, start:stop] = np.linalg.norm(lhs - total(cond.rhs, mask), axis=(-2, -1))
+            scale = functools.reduce(np.maximum, [
+                s if isinstance(s, float) else np.linalg.norm(total(s, mask), axis=(-2, -1))
+                for s in cond.scale])
+            passed[c, start:stop] = res[c, start:stop] <= tol.abs + tol.rel * scale
+            if c == keep:
+                kept[start:stop] = lhs
+    return res, passed, has, kept
+
+
+def _emit(out: list, make, lo: int, names, mask, row_major: bool, *columns):
+    """Append ``make(name, index, *column values)`` wherever the (C, N)
+    ``mask`` holds, row by row or condition by condition, in chunks so the
+    index arrays stay small; each row index is one shared int."""
+    index = list(range(lo, lo + mask.shape[1]))
+    if row_major:
+        chunks = ((c, r + s) for s in range(0, mask.shape[1], _BLOCK_ROWS)
+                  for r, c in [np.nonzero(mask[:, s:s + _BLOCK_ROWS].T)])
+    else:
+        chunks = ((np.full(r.size, c), r) for c, r in enumerate(map(np.flatnonzero, mask)))
+    for c, r in chunks:
+        out.extend(map(make, map(names.__getitem__, c), map(index.__getitem__, r),
+                       *(col[c, r].tolist() for col in columns)))
+
+
+def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
+            row_major: bool = True) -> WindowReport:
+    """Evaluate condition groups, a bare condition being a group of its own,
+    on the report's window and record them."""
+    groups = [g if isinstance(g, _Group) else _Group(g.name, (g,)) for g in groups]
+    conds = [c for g in groups for c in g.conds]
+    res, passed, has, _ = _evaluate(conds, rep.lo, rep.hi, dim, tol)
+    sizes = [len(g.conds) for g in groups]
+    ran, missed = [], []
+    for g, end in zip(groups, np.cumsum(sizes)):
+        ready = has[end - len(g.conds):end].all(axis=0)
+        gate = True if g.within is None else ran[g.within]
+        ran.append(ready & gate)
+        missed.append(~ready & gate)
+    _emit(rep.checks, ConditionCheck, rep.lo, [c.name for c in conds],
+          np.repeat(np.array(ran), sizes, axis=0), row_major, res, passed)
+    _emit(rep.skipped, SkippedCheck, rep.lo, [g.skip for g in groups], np.array(missed),
+          row_major)
+    return rep
+
+
+def _require(rep: WindowReport, failure: str):
+    """Raise PreconditionError naming the first failed check of ``rep``."""
+    bad = rep.first_failure()
+    if bad is not None:
+        raise PreconditionError(f"{failure} ({bad.condition} at n={bad.index})",
+                                residual=bad.residual, index=bad.index)
+
+
+def _gram(u: BandedOperator, side: str, d: int, row: int = 0) -> tuple:
+    """Entry (i, i+d) of ``U U*`` (side "UU*") or ``U* U`` (side "U*U") at
+    row i = n + row, summed over the bands k in ascending order."""
+    offs = u.offsets
+    if side == "UU*":      # sum_k U_{i, i+k} (U_{i+d, i+k})*
+        return tuple((_At(u.band(k), row), _At(u.band(k - d), row + d).H)
+                     for k in offs if k - d in offs)
+    # sum_k (U_{i-k, i})* U_{i-k, i+d}
+    return tuple((_At(u.band(k), row - k).H, _At(u.band(k + d), row - k))
+                 for k in offs if k + d in offs)
+
+
+# --- verifiers ---------------------------------------------------------------
 
 def verify_intertwining(a: BandedOperator, s: BilateralShift, t: BilateralShift,
                         lo: int, hi: int, tol: Tolerance = DEFAULT_TOL) -> WindowReport:
@@ -234,23 +362,16 @@ def verify_intertwining(a: BandedOperator, s: BilateralShift, t: BilateralShift,
 
     For each stored band offset k and each row i in [lo, hi] the condition is
     ``A_{i,i+k} S_{i+k} = T_i A_{i-1, i-1+k}``; every other entry of A S and
-    T A is structurally zero on both sides.
+    T A is structurally zero on both sides.  Checks are listed band by band.
     """
     if not (a.dim == s.dim == t.dim):
         raise DimensionError("operator and shifts must share the block dimension")
-    rep = _Reporter(lo, hi, tol)
+    conds = []
     for k in a.offsets:
-        band = a.band(k)
-        name = f"band{k:+d}"
-        for i in range(lo, hi + 1):
-            if not (_band_pair_available(band, i, i - 1)
-                    and s.has_weight(i + k) and t.has_weight(i)):
-                rep.skip(name, i, "index outside a stored window")
-                continue
-            lhs = band.weight_at(i) @ s.weight(i + k)
-            rhs = t.weight(i) @ band.weight_at(i - 1)
-            rep.check_close(name, i, lhs, rhs)
-    return rep.report
+        lhs = ((_At(a.band(k)), _At(s.weights, k)),)
+        rhs = ((_At(t.weights), _At(a.band(k), -1)),)
+        conds.append(_Cond(f"band{k:+d}", lhs, rhs, scale=(lhs, rhs)))
+    return _verify(WindowReport(lo, hi), conds, a.dim, tol, row_major=False)
 
 
 def verify_unitary_banded(u: BandedOperator, lo: int, hi: int,
@@ -261,46 +382,10 @@ def verify_unitary_banded(u: BandedOperator, lo: int, hi: int,
     verifiers below report the same conditions under structural names.
     """
     offs = u.offsets
-    rep = _Reporter(lo, hi, tol)
-    eye = np.eye(u.dim)
-    deltas = sorted({k - kk for k in offs for kk in offs})
-    for i in range(lo, hi + 1):
-        for d in deltas:
-            # (U U*)_{i, i+d} = sum_k U_{i, i+k} (U_{i+d, i+k})*
-            terms, ok = [], True
-            for k in offs:
-                kk = k - d
-                if kk not in offs:
-                    continue
-                if not (u.band(k).has_index(i) and u.band(kk).has_index(i + d)):
-                    ok = False
-                    break
-                terms.append(u.band(k).weight_at(i) @ herm(u.band(kk).weight_at(i + d)))
-            name = f"UU*[{d:+d}]"
-            if not ok:
-                rep.skip(name, i, "index outside a stored window")
-            else:
-                total = sum(terms) if terms else np.zeros((u.dim, u.dim))
-                target = eye if d == 0 else 0.0 * eye
-                rep.check_close(name, i, total, target, scale=1.0)
-            # (U* U)_{i, i+d} = sum_k (U_{i-k, i})* U_{i-k, i+d}
-            terms, ok = [], True
-            for k in offs:
-                kk = k + d
-                if kk not in offs:
-                    continue
-                if not (u.band(k).has_index(i - k) and u.band(kk).has_index(i - k)):
-                    ok = False
-                    break
-                terms.append(herm(u.band(k).weight_at(i - k)) @ u.band(kk).weight_at(i - k))
-            name = f"U*U[{d:+d}]"
-            if not ok:
-                rep.skip(name, i, "index outside a stored window")
-            else:
-                total = sum(terms) if terms else np.zeros((u.dim, u.dim))
-                target = eye if d == 0 else 0.0 * eye
-                rep.check_close(name, i, total, target, scale=1.0)
-    return rep.report
+    return _verify(WindowReport(lo, hi), [
+        _Cond(f"{side}[{d:+d}]", _gram(u, side, d), _ONE if d == 0 else _ZERO)
+        for d in sorted({k - kk for k in offs for kk in offs})
+        for side in ("UU*", "U*U")], u.dim, tol)
 
 
 def verify_unitary_two_band(u: BandedOperator, lo: int, hi: int,
@@ -320,26 +405,14 @@ def verify_unitary_two_band(u: BandedOperator, lo: int, hi: int,
         raise PreconditionError(f"expected exactly 2 bands, found {len(offs)}")
     k1, k2 = offs
     k = k2 - k1
-    a, b = u.band(k1), u.band(k2)
-    rep = _Reporter(lo, hi, tol)
-    rep.report.context["offsets"] = [k1, k2]
-    eye = np.eye(u.dim)
-    for n in range(lo, hi + 1):
-        if _band_pair_available(a, n) and _band_pair_available(b, n):
-            an, bn = a.weight_at(n), b.weight_at(n)
-            rep.check_close("rows_identity", n,
-                            an @ herm(an) + bn @ herm(bn), eye, scale=1.0)
-            rep.check_zero("same_row_orthogonality", n, herm(an) @ bn)
-        else:
-            rep.skip("rows_identity", n, "index outside a stored window")
-        if _band_pair_available(a, n + k) and _band_pair_available(b, n):
-            ank, bn = a.weight_at(n + k), b.weight_at(n)
-            rep.check_close("columns_identity", n,
-                            herm(ank) @ ank + herm(bn) @ bn, eye, scale=1.0)
-            rep.check_zero("staggered_orthogonality", n, ank @ herm(bn))
-        else:
-            rep.skip("columns_identity", n, "index outside a stored window")
-    return rep.report
+    return _verify(WindowReport(lo, hi, context={"offsets": [k1, k2]}), [
+        _Group("rows_identity", (
+            _Cond("rows_identity", _gram(u, "UU*", 0), _ONE),
+            _Cond("same_row_orthogonality", _gram(u, "U*U", k, k1)))),
+        _Group("columns_identity", (
+            _Cond("columns_identity", _gram(u, "U*U", 0, k2), _ONE),
+            _Cond("staggered_orthogonality", _gram(u, "UU*", -k, k)))),
+    ], u.dim, tol)
 
 
 def verify_unitary_three_band(u: BandedOperator, lo: int, hi: int,
@@ -360,44 +433,16 @@ def verify_unitary_three_band(u: BandedOperator, lo: int, hi: int,
     if u.offsets != (-1, 0, 1):
         raise PreconditionError(
             f"expected bands exactly at offsets (-1, 0, +1), found {u.offsets}")
-    a, b, c = u.band(-1), u.band(0), u.band(1)
-    rep = _Reporter(lo, hi, tol)
-    eye = np.eye(u.dim)
-
-    def have(seq_indices):
-        return all(seq.has_index(i) for seq, i in seq_indices)
-
-    for n in range(lo, hi + 1):
-        if have([(a, n), (b, n), (c, n)]):
-            an, bn, cn = a.weight_at(n), b.weight_at(n), c.weight_at(n)
-            rep.check_close("rows_identity", n,
-                            an @ herm(an) + bn @ herm(bn) + cn @ herm(cn),
-                            eye, scale=1.0)
-            rep.check_zero("same_row_orthogonality", n, herm(an) @ cn)
-        else:
-            rep.skip("rows_identity", n, "index outside a stored window")
-        if have([(c, n), (a, n + 2)]):
-            rep.check_zero("gap_two_orthogonality", n,
-                           c.weight_at(n) @ herm(a.weight_at(n + 2)))
-        else:
-            rep.skip("gap_two_orthogonality", n, "index outside a stored window")
-        if have([(a, n + 1), (b, n), (b, n + 1), (c, n)]):
-            rep.check_zero("gap_one_rows", n,
-                           a.weight_at(n + 1) @ herm(b.weight_at(n))
-                           + b.weight_at(n + 1) @ herm(c.weight_at(n)))
-            rep.check_zero("gap_one_columns", n,
-                           herm(b.weight_at(n)) @ c.weight_at(n)
-                           + herm(a.weight_at(n + 1)) @ b.weight_at(n + 1))
-        else:
-            rep.skip("gap_one_rows", n, "index outside a stored window")
-        if have([(a, n + 1), (b, n), (c, n - 1)]):
-            an1, bn, cn1 = a.weight_at(n + 1), b.weight_at(n), c.weight_at(n - 1)
-            rep.check_close("columns_identity", n,
-                            herm(an1) @ an1 + herm(bn) @ bn + herm(cn1) @ cn1,
-                            eye, scale=1.0)
-        else:
-            rep.skip("columns_identity", n, "index outside a stored window")
-    return rep.report
+    return _verify(WindowReport(lo, hi), [
+        _Group("rows_identity", (
+            _Cond("rows_identity", _gram(u, "UU*", 0), _ONE),
+            _Cond("same_row_orthogonality", _gram(u, "U*U", 2, -1)))),
+        _Cond("gap_two_orthogonality", _gram(u, "UU*", 2)),
+        _Group("gap_one_rows", (
+            _Cond("gap_one_rows", _gram(u, "UU*", -1, 1)),
+            _Cond("gap_one_columns", _gram(u, "U*U", 1)))),
+        _Cond("columns_identity", _gram(u, "U*U", 0), _ONE),
+    ], u.dim, tol)
 
 
 def check_two_band_structure(u: BandedOperator, lo: int, hi: int,
@@ -408,33 +453,17 @@ def check_two_band_structure(u: BandedOperator, lo: int, hi: int,
     that every band entry is a partial isometry, that same-row entries have
     orthogonal ranges, and that staggered co-ranges are orthogonal.
     """
-    pre = verify_unitary_two_band(u, lo, hi, tol)
-    if not pre.passed:
-        bad = pre.first_failure()
-        raise PreconditionError(
-            f"operator is not unitary on the window "
-            f"({bad.condition} at n={bad.index})", residual=bad.residual,
-            index=bad.index)
+    _require(verify_unitary_two_band(u, lo, hi, tol),
+             "operator is not unitary on the window")
     k1, k2 = u.offsets
-    k = k2 - k1
-    a, b = u.band(k1), u.band(k2)
-    rep = _Reporter(lo, hi, tol)
-    for n in range(lo, hi + 1):
-        if not (_band_pair_available(a, n) and _band_pair_available(b, n)):
-            rep.skip("partial_isometry", n, "index outside a stored window")
-            continue
-        an, bn = a.weight_at(n), b.weight_at(n)
-        rep.check_zero(f"partial_isometry[{k1:+d}]", n,
-                       an @ herm(an) @ an - an, scale=max(frob(an), 1.0))
-        rep.check_zero(f"partial_isometry[{k2:+d}]", n,
-                       bn @ herm(bn) @ bn - bn, scale=max(frob(bn), 1.0))
-        rep.check_zero("range_orthogonality", n, herm(an) @ bn)
-        if _band_pair_available(a, n + k):
-            rep.check_zero("corange_orthogonality", n,
-                           a.weight_at(n + k) @ herm(bn))
-        else:
-            rep.skip("corange_orthogonality", n, "index outside a stored window")
-    return rep.report
+    a, b = _At(u.band(k1)), _At(u.band(k2))
+    isometry = [_Cond(f"partial_isometry[{k:+d}]", ((w, w.H, w),), ((w,),),
+                      scale=(((w,),), 1.0)) for k, w in ((k1, a), (k2, b))]
+    return _verify(WindowReport(lo, hi), [
+        _Group("partial_isometry", (*isometry, _Cond("range_orthogonality", ((a.H, b),)))),
+        _Group("corange_orthogonality", (_Cond(
+            "corange_orthogonality", ((_At(a.seq, k2 - k1), b.H),)),), within=0),
+    ], u.dim, tol)
 
 
 def check_diagonal_propagation(a: BandedOperator,
@@ -455,31 +484,26 @@ def check_diagonal_propagation(a: BandedOperator,
     if s is not None:
         if not (s.quasi_invertible and t.quasi_invertible):
             raise PreconditionError("shifts must have quasi-invertible weights")
-        pre = verify_intertwining(a, s, t, lo, hi, tol)
-        if not pre.passed:
-            bad = pre.first_failure()
-            raise PreconditionError(
-                f"intertwining fails on the window ({bad.condition} at "
-                f"n={bad.index})", residual=bad.residual, index=bad.index)
-    rep = _Reporter(lo, hi, tol)
+        _require(verify_intertwining(a, s, t, lo, hi, tol),
+                 "intertwining fails on the window")
+    names = [f"support[{k:+d}]" for k in a.offsets]
+    norms, _, has, _ = _evaluate([_Cond(name, ((_At(a.band(k)),),))
+                                  for name, k in zip(names, a.offsets)], lo, hi, a.dim, tol)
+    rep = WindowReport(lo, hi)
+    _emit(rep.skipped, SkippedCheck, lo, names, ~has, False)
     counts = {}
-    for k in a.offsets:
-        band = a.band(k)
-        zero_idx, nonzero_idx = [], []
-        for n in range(lo, hi + 1):
-            if not band.has_index(n):
-                rep.skip(f"support[{k:+d}]", n, "index outside a stored window")
-                continue
-            (nonzero_idx if frob(band.weight_at(n)) > tol.abs else zero_idx).append(n)
-        counts[k] = {"nonzero": len(nonzero_idx), "zero": len(zero_idx)}
-        if zero_idx and nonzero_idx:
-            # name the first index of the minority class
-            minority = nonzero_idx if len(nonzero_idx) <= len(zero_idx) else zero_idx
-            rep.record(f"support[{k:+d}]", minority[0], 0.0, False)
+    for k, name, norm, stored in zip(a.offsets, names, norms, has):
+        nonzero = norm > tol.abs
+        classes = (np.flatnonzero(stored & nonzero), np.flatnonzero(stored & ~nonzero))
+        counts[k] = {"nonzero": len(classes[0]), "zero": len(classes[1])}
+        if all(map(len, classes)):
+            # name the first index of the minority class (nonzero on a tie)
+            bad = min(classes, key=len)[0]
+            rep.checks.append(ConditionCheck(name, int(bad) + lo, 0.0, False))
         else:
-            rep.record(f"support[{k:+d}]", lo, 0.0, True)
-    rep.report.context["band_support"] = counts
-    return rep.report
+            rep.checks.append(ConditionCheck(name, lo, 0.0, True))
+    rep.context["band_support"] = counts
+    return rep
 
 
 def check_band_count_bound(u: BandedOperator, bound: int, lo: int, hi: int,
@@ -493,48 +517,31 @@ def check_band_count_bound(u: BandedOperator, bound: int, lo: int, hi: int,
     number of effectively nonzero bands to be at most the block dimension.
     The effective count is reported in ``context``.
     """
-    rep = _Reporter(lo, hi, tol)
-    eye = np.eye(u.dim)
-    effective = []
-    for k in u.offsets:
-        band = u.band(k)
-        nonzero = False
-        for n in range(lo, hi + 1):
-            if not band.has_index(n):
-                continue
-            w = band.weight_at(n)
-            if frob(w) > tol.abs:
-                nonzero = True
-                if not is_partial_isometry(w, tol):
-                    raise PreconditionError(
-                        f"entry on band {k:+d} at n={n} is not a partial isometry",
-                        index=n, residual=frob(w @ herm(w) @ w - w))
-        if nonzero:
-            effective.append(k)
-    for n in range(lo, hi + 1):
-        projections = []
-        ok = True
-        for k in effective:
-            if not u.band(k).has_index(n):
-                ok = False
-                break
-            w = u.band(k).weight_at(n)
-            projections.append((k, w @ herm(w)))
-        if not ok:
-            rep.skip("projection_sum", n, "index outside a stored window")
-            continue
-        total = sum(p for _, p in projections)
-        rep.check_close("projection_sum", n, total, eye, scale=1.0)
-        for idx in range(len(projections)):
-            for jdx in range(idx + 1, len(projections)):
-                ki, pi = projections[idx]
-                kj, pj = projections[jdx]
-                rep.check_zero(f"mutual_orthogonality[{ki:+d},{kj:+d}]", n, pi @ pj)
-    rep.record("band_count", lo, float(max(len(effective) - bound, 0)),
-               len(effective) <= bound)
-    rep.report.context["effective_band_count"] = len(effective)
-    rep.report.context["bound"] = bound
-    return rep.report
+    offs = u.offsets
+    bands = [_At(u.band(k)) for k in offs]
+    # rows 2j and 2j + 1: entry norms of band j, and their distance from
+    # being partial isometries under ``tol.close``
+    res, passed, has, _ = _evaluate([cond for w in bands for cond in (
+        _Cond("norm", ((w,),)),
+        _Cond("partial_isometry", ((w, w.H, w),), ((w,),), scale=(((w, w.H, w),), ((w,),))))],
+        lo, hi, u.dim, tol)
+    nonzero = has[::2] & (res[::2] > tol.abs)
+    broken = np.argwhere(nonzero & ~passed[1::2])
+    if broken.size:
+        j, r = broken[0]
+        raise PreconditionError(
+            f"entry on band {offs[j]:+d} at n={lo + r} is not a partial isometry",
+            index=int(lo + r), residual=float(res[2 * j + 1, r]))
+    effective = [(k, w) for k, w, nz in zip(offs, bands, nonzero) if nz.any()]
+    rep = _verify(WindowReport(lo, hi), [_Group("projection_sum", (
+        _Cond("projection_sum", tuple((w, w.H) for _, w in effective), _ONE),
+        *(_Cond(f"mutual_orthogonality[{ki:+d},{kj:+d}]", ((wi, wi.H, wj, wj.H),))
+          for (ki, wi), (kj, wj) in itertools.combinations(effective, 2))))],
+        u.dim, tol)
+    excess = len(effective) - bound
+    rep.checks.append(ConditionCheck("band_count", lo, float(max(excess, 0)), excess <= 0))
+    rep.context.update(effective_band_count=len(effective), bound=bound)
+    return rep
 
 
 @dataclass
@@ -555,7 +562,7 @@ def conjugate_to_shift(u: BandedOperator, s: BilateralShift, lo: int, hi: int,
 
     Succeeds when the conjugated operator has all its weight concentrated on
     the shift band (offset -1) with every weight nonzero; otherwise returns
-    a failure report listing the off-band residuals.
+    a failure report listing the off-band residuals, diagonal by diagonal.
 
     Raises
     ------
@@ -564,53 +571,30 @@ def conjugate_to_shift(u: BandedOperator, s: BilateralShift, lo: int, hi: int,
     """
     if u.dim != s.dim:
         raise DimensionError("operator and shift must share the block dimension")
-    unit = verify_unitary_banded(u, lo, hi, tol)
-    if not unit.passed:
-        bad = unit.first_failure()
-        raise PreconditionError(
-            f"operator is not unitary on the window ({bad.condition} at "
-            f"n={bad.index})", residual=bad.residual, index=bad.index)
-
+    _require(verify_unitary_banded(u, lo, hi, tol),
+             "operator is not unitary on the window")
     offs = u.offsets
     deltas = sorted({k - kk - 1 for k in offs for kk in offs})
-    entries = {d: {} for d in deltas}
-    rep = _Reporter(lo, hi, tol)
-    for i in range(lo, hi + 1):
-        for d in deltas:
-            total = np.zeros((u.dim, u.dim), dtype=complex)
-            ok = True
-            for k in offs:
-                kk = k - 1 - d
-                if kk not in offs:
-                    continue
-                if not (u.band(k).has_index(i) and s.has_weight(i + k)
-                        and u.band(kk).has_index(i + d)):
-                    ok = False
-                    break
-                total += (u.band(k).weight_at(i) @ s.weight(i + k)
-                          @ herm(u.band(kk).weight_at(i + d)))
-            if ok:
-                entries[d][i] = total
-            else:
-                rep.skip(f"conjugated[{d:+d}]", i, "index outside a stored window")
-
-    scale = max((frob(m) for m in entries.get(-1, {}).values()), default=1.0)
-    scale = max(scale, 1.0)
-    for d in deltas:
-        if d == -1:
-            continue
-        for i, m in sorted(entries[d].items()):
-            rep.check_zero(f"off_band[{d:+d}]", i, m, scale=scale)
-    rows = sorted(entries.get(-1, {}))
-    for i in rows:
-        w = entries[-1][i]
-        rep.record("shift_weight_nonzero", i, frob(w), frob(w) > tol.abs)
-    report = rep.report
-    report.context["row_range"] = [rows[0], rows[-1]] if rows else None
-
+    # (U S U*)_{i, i+d} = sum_k U_{i, i+k} S_{i+k} (U_{i+d, i+k-1})*
+    conds = [_Cond(f"off_band[{d:+d}]", tuple(
+        (_At(u.band(k)), _At(s.weights, k), _At(u.band(k - 1 - d), d).H)
+        for k in offs if k - 1 - d in offs)) for d in deltas]
+    main = deltas.index(-1)
+    norms, _, has, values = _evaluate(conds, lo, hi, u.dim, tol, keep=main)
+    rep = WindowReport(lo, hi)
+    _emit(rep.skipped, SkippedCheck, lo, [f"conjugated[{d:+d}]" for d in deltas], ~has, True)
+    scale = norms[main][has[main]].max(initial=1.0)
+    off_band = has & (np.arange(len(deltas)) != main)[:, None]
+    _emit(rep.checks, ConditionCheck, lo, [c.name for c in conds], off_band, False,
+          norms, norms <= tol.bound(scale))
+    band = slice(main, main + 1)
+    _emit(rep.checks, ConditionCheck, lo, ["shift_weight_nonzero"], has[band], False,
+          norms[band], norms[band] > tol.abs)
+    rows = np.flatnonzero(has[main])
+    rep.context["row_range"] = [int(rows[0]) + lo, int(rows[-1]) + lo] if rows.size else None
     shift = None
-    if report.passed and rows and rows == list(range(rows[0], rows[-1] + 1)):
-        weights = [entries[-1][i] for i in rows]
-        shift = BilateralShift(WindowedWeights(rows[0], weights),
-                               label=f"conj({s.label})" if s.label else "")
-    return ConjugationResult(shift, report)
+    if rep.passed and rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        shift = BilateralShift(
+            WindowedWeights(int(rows[0]) + lo, values[rows[0]:rows[-1] + 1]),
+            label=f"conj({s.label})" if s.label else "")
+    return ConjugationResult(shift, rep)

@@ -266,6 +266,12 @@ def cli_main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for key in ("window", "m_range"):
+            pair = getattr(args, key, None)
+            if pair is not None and pair[0] > pair[1]:
+                parser.error(f"--{key.replace('_', '-')} LO HI needs LO <= HI")
+        if getattr(args, "depth", None) is not None and args.depth < 1:
+            parser.error("--depth must be a positive integer")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     tol = Tolerance(rel=args.tol_rel, abs=args.tol_abs)

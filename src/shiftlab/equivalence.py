@@ -173,7 +173,7 @@ class ConjugatorResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _eigen_mismatch(g_s, g_t, tol: Tolerance):
+def _eigen_mismatch(g_s, g_t):
     """Largest gap between the sorted spectra of two Hermitian matrices."""
     es = np.sort(np.linalg.eigvalsh(0.5 * (g_s + herm(g_s))))
     et = np.sort(np.linalg.eigvalsh(0.5 * (g_t + herm(g_t))))
@@ -201,7 +201,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL, seed: int = 0,
     for i, (gs, gt) in enumerate(pairs):
         if gs.shape != (dim, dim) or gt.shape != (dim, dim):
             raise DimensionError(f"pair {i} has inconsistent shapes")
-        gap, scale = _eigen_mismatch(gs, gt, tol)
+        gap, scale = _eigen_mismatch(gs, gt)
         if gap > tol.bound(scale):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
@@ -348,8 +348,7 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     rep = WindowReport(lo, hi)
     for n in range(lo, hi + 1):
         if not (s.has_weight(n + k) and t.has_weight(n)):
-            rep.skipped.append(SkippedCheck("eigen_moduli", n,
-                                            "index outside a stored window"))
+            rep.skipped.append(SkippedCheck("eigen_moduli", n))
             continue
         ws, wt = s.weight(n + k), t.weight(n)
         for name, w in (("S", ws), ("T", wt)):
@@ -434,13 +433,6 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     return single_band(m, WindowedWeights(lo - 1, mats), label="diagonal witness")
 
 
-def _described_span(shift: BilateralShift):
-    rng = shift.weights.described_range()
-    if rng is None:
-        return None
-    return rng
-
-
 def _combined_period(s, t):
     periods = [seq.period for seq in (s.weights, t.weights)
                if isinstance(seq, PeriodicWeights)]
@@ -451,7 +443,7 @@ def _auto_window(s, t, m):
     period = _combined_period(s, t)
     spans = []
     for shift, delta in ((s, -m), (t, 0)):
-        rng = _described_span(shift)
+        rng = shift.weights.described_range()
         if rng is not None:
             spans.append((rng[0] + delta, rng[1] + delta))
     lo = min((a for a, _ in spans), default=0) - 2
@@ -482,7 +474,7 @@ def _auto_depth(s, t, m):
     """
     reaches = []
     for shift, base in ((s, m), (t, 0)):
-        rng = _described_span(shift)
+        rng = shift.weights.described_range()
         if rng is not None:
             reaches.append(max(rng[1] - base, base - rng[0], 0))
     period = _combined_period(s, t)
@@ -607,7 +599,8 @@ def _periodic_witness_certificate(s, t, witness, m, period, lo, hi, tol):
     for every index.  Empty margins mean the window is too small to certify.
     """
     band = witness.band(m)
-    spans = [rng for rng in (_described_span(s), _described_span(t)) if rng is not None]
+    spans = [rng for rng in (s.weights.described_range(), t.weights.described_range())
+             if rng is not None]
     upper_start = max([r[1] for r in spans], default=lo - 1) + 1
     lower_end = min([r[0] for r in spans], default=hi + 1) - 1
 
@@ -643,7 +636,14 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     Returns the first Equivalent verdict (offsets ordered by |m|, positive
     first on ties); otherwise Inconclusive if any offset was inconclusive;
     otherwise NotEquivalent with the scan summary as obstruction.
+
+    Raises
+    ------
+    ValueError
+        when ``k_min > k_max``: an empty range refutes nothing.
     """
+    if k_min > k_max:
+        raise ValueError(f"empty offset range [{k_min}, {k_max}]")
     if window is None:
         base_lo, base_hi = _auto_window(s, t, 0)
         spread = max(abs(k_min), abs(k_max))

@@ -188,7 +188,7 @@ def metric_unitary_from_pair(s, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def _commutator_ok(a, b, tol: Tolerance) -> float:
+def _commutator_ok(a, b) -> float:
     """Residual of [A, B] against the scale ||A||_F ||B||_F."""
     return frob(a @ b - b @ a)
 
@@ -228,7 +228,7 @@ def simultaneous_diagonalize(ms, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
                                     residual=frob(herm(m) @ m - m @ herm(m)))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            res = _commutator_ok(mats[i], mats[j], tol)
+            res = _commutator_ok(mats[i], mats[j])
             if res > tol.bound(frob(mats[i]) * frob(mats[j])):
                 raise PreconditionError(
                     f"matrices {i} and {j} do not commute", index=(i, j), residual=res)

@@ -25,6 +25,7 @@ operators, and task blocks to run::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,21 @@ def encode_matrix(m) -> list:
             for i in range(a.shape[0])]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number other than a boolean, NaN or an infinity."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
 def decode_matrix(data, path: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SpecFormatError("matrix must be a nonempty nested array", path=path)
@@ -92,9 +108,9 @@ def decode_matrix(data, path: str, dim: int | None = None) -> np.ndarray:
         out = []
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or not all(map(_is_finite_number, cell))):
                 raise SpecFormatError(
-                    "matrix entry must be a [re, im] pair of numbers",
+                    "matrix entry must be a [re, im] pair of finite numbers",
                     path=f"{path}[{i}][{j}]")
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
@@ -131,7 +147,7 @@ def decode_sequence(data, path: str, dim: int) -> WeightSequence:
         return PeriodicWeights(mats)
     if variant in ("eventually_identity", "windowed"):
         lo = data.get("lo")
-        if not isinstance(lo, int):
+        if not _is_int(lo):
             raise SpecFormatError(f"variant {variant!r} requires integer 'lo'",
                                   path=f"{path}.lo")
         cls = (EventuallyIdentityWeights if variant == "eventually_identity"
@@ -179,6 +195,19 @@ def _validate_task(task, index: int, model: SpecModel):
     if name is not None and name not in model.operators:
         raise SpecFormatError(f"undefined operator {name!r}",
                               path=f"{path}.operator")
+    for key in ("window", "k_range", "m_range"):
+        pair = task.get(key)
+        if key in task and not (isinstance(pair, list) and len(pair) == 2
+                                and all(map(_is_int, pair)) and pair[0] <= pair[1]):
+            raise SpecFormatError(f"'{key}' must be two integers [lo, hi] with "
+                                  f"lo <= hi", path=f"{path}.{key}")
+    for key in ("m", "k", "bound"):
+        if key in task and not _is_int(task[key]):
+            raise SpecFormatError(f"'{key}' must be an integer", path=f"{path}.{key}")
+    depth = task.get("depth")
+    if depth is not None and not (_is_int(depth) and depth >= 1):
+        raise SpecFormatError("'depth' must be a positive integer or null",
+                              path=f"{path}.depth")
 
 
 def parse_shift_spec(text: str) -> SpecModel:
@@ -196,7 +225,7 @@ def parse_shift_spec(text: str) -> SpecModel:
     if not isinstance(doc, dict):
         raise SpecFormatError("document must be a JSON object", path="$")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SpecFormatError("'dim' must be a positive integer", path="dim")
     model = SpecModel(dim=dim)
     shifts = doc.get("shifts", {})

@@ -145,3 +145,49 @@ def _random_composition(rng, total, parts):
         if parts > 1 else []
     bounds = [0] + list(cuts) + [total]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
+
+
+def _weight_cell(cell):
+    return {"shifts": {"S": {"variant": "periodic", "weights": [[[cell]]]}}}
+
+
+def _task(**fields):
+    return {"tasks": [{"op": "norms", "shift": "S", "window": [0, 1], **fields}]}
+
+
+#: Top-level overrides of a valid dim-1 document with one shift S, each
+#: making it malformed, and the JSON path its SpecFormatError must name.
+MALFORMED_SPECS = {
+    "nan-weight": (_weight_cell([float("nan"), 0.0]), "shifts.S.weights[0][0][0]"),
+    "inf-weight": (_weight_cell([0.0, float("inf")]), "shifts.S.weights[0][0][0]"),
+    "minus-inf-weight": (_weight_cell([float("-inf"), 0.0]), "shifts.S.weights[0][0][0]"),
+    "bool-weight": (_weight_cell([True, False]), "shifts.S.weights[0][0][0]"),
+    "overflowing-int-weight": (_weight_cell([10 ** 400, 0]), "shifts.S.weights[0][0][0]"),
+    "dim-true": ({"dim": True}, "dim"),
+    "lo-false": ({"shifts": {"S": {"variant": "windowed", "lo": False,
+                                   "weights": [[[[2.0, 0.0]]]]}}}, "shifts.S.lo"),
+    "window-one-entry": (_task(window=[1]), "tasks[0].window"),
+    "window-string": (_task(window=["a", 2]), "tasks[0].window"),
+    "window-bool": (_task(window=[True, 2]), "tasks[0].window"),
+    "window-not-array": (_task(window=3), "tasks[0].window"),
+    "window-reversed": (_task(window=[3, 1]), "tasks[0].window"),
+    "k-range-reversed": ({"tasks": [{"op": "norm_offset_screen", "s": "S", "t": "S",
+                                     "k_range": [2, -2]}]}, "tasks[0].k_range"),
+    "m-range-reversed": ({"tasks": [{"op": "decide", "s": "S", "t": "S",
+                                     "m_range": [2, -2]}]}, "tasks[0].m_range"),
+    "m-string": ({"tasks": [{"op": "decide", "s": "S", "t": "S", "m": "a"}]},
+                 "tasks[0].m"),
+    "m-true": ({"tasks": [{"op": "decide", "s": "S", "t": "S", "m": True}]}, "tasks[0].m"),
+    "depth-zero": ({"tasks": [{"op": "decide", "s": "S", "t": "S", "m": 0, "depth": 0}]},
+                   "tasks[0].depth"),
+    "k-float": ({"tasks": [{"op": "eigen_moduli_screen", "s": "S", "t": "S", "k": 0.5}]},
+                "tasks[0].k"),
+}
+
+
+def malformed_spec(name):
+    """(document, path) for one entry of MALFORMED_SPECS."""
+    override, path = MALFORMED_SPECS[name]
+    doc = {"dim": 1, "shifts": {"S": {"variant": "periodic", "weights": [[[[2.0, 0.0]]]]}}}
+    doc.update(override)
+    return doc, path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
+from shiftlab.bands import _BLOCK_ROWS
 from shiftlab.corpus import (
     isolated_rotation_block,
     nondiagonal_equivalence_pair,
@@ -13,10 +14,12 @@ from shiftlab.corpus import (
 from shiftlab.matrices import frob, herm
 
 from conftest import (
+    conjugated_shift,
     ei_shift,
     multi_band_unitary,
     random_diag_unitary,
     random_invertible,
+    random_matrix,
     random_unitary,
     two_band_unitary,
 )
@@ -455,3 +458,145 @@ def _three_band_small_middle_instance(rng):
     zero = sl.PeriodicWeights([np.zeros((2, 2), dtype=complex)])
     bands = {0: band_mid, k_other: band_other, -k_other: zero}
     return sl.BandedOperator(bands)
+
+
+# --- dense-matrix oracle for the windowed-condition engine -------------------
+
+def dense_section(u, lo, hi):
+    """Block matrix of u on rows and columns lo..hi; unstored entries zero."""
+    d, n = u.dim, hi - lo + 1
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for k in u.offsets:
+        for i in range(max(lo, lo - k), min(hi, hi - k) + 1):
+            if u.band(k).has_index(i):
+                out[(i - lo) * d:(i - lo + 1) * d,
+                    (i + k - lo) * d:(i + k - lo + 1) * d] = u.band(k).weight_at(i)
+    return out
+
+
+def block_norm(mat, lo, d, i, j):
+    return np.linalg.norm(mat[(i - lo) * d:(i - lo + 1) * d, (j - lo) * d:(j - lo + 1) * d])
+
+
+def with_perturbed_entry(rng, u, k, n, size=1e-3):
+    """Copy of u, all bands windowed, with entry n of band k moved by ``size``."""
+    bands = {}
+    for kk in u.offsets:
+        lo, hi = u.band(kk).described_range()
+        bands[kk] = sl.WindowedWeights(lo, [
+            u.band(kk).weight_at(i) + (size * random_matrix(rng, u.dim) if (kk, i) == (k, n) else 0)
+            for i in range(lo, hi + 1)])
+    return sl.BandedOperator(bands)
+
+
+# (U U*)_{n+r, n+c} or (U* U)_{n+r, n+c} behind each named unitarity check
+def two_band_blocks(k1, k2):
+    k = k2 - k1
+    return {"rows_identity": ("UU*", 0, 0), "same_row_orthogonality": ("U*U", k1, k2),
+            "columns_identity": ("U*U", k2, k2), "staggered_orthogonality": ("UU*", k, 0)}
+
+
+THREE_BAND_BLOCKS = {
+    "rows_identity": ("UU*", 0, 0), "same_row_orthogonality": ("U*U", -1, 1),
+    "gap_two_orthogonality": ("UU*", 0, 2), "gap_one_rows": ("UU*", 1, 0),
+    "gap_one_columns": ("U*U", 0, 1), "columns_identity": ("U*U", 0, 0)}
+
+
+def banded_block(name):
+    side, d = name[:3], int(name[4:-1])
+    return side, 0, d
+
+
+def assert_unitarity_matches_dense(u, rep, block_of):
+    reach = 2 * max(map(abs, u.offsets)) + 2
+    lo, hi = rep.lo - reach, rep.hi + reach
+    m = dense_section(u, lo, hi)
+    eye = np.eye(m.shape[0])
+    gram = {"UU*": m @ m.conj().T - eye, "U*U": m.conj().T @ m - eye}
+    assert rep.checks
+    for c in rep.checks:
+        side, r, col = block_of(c.condition)
+        expected = block_norm(gram[side], lo, u.dim, c.index + r, c.index + col)
+        assert abs(c.residual - expected) <= 1e-12, (c, expected)
+
+
+class TestEngineDenseOracle:
+    """Every residual equals the Frobenius norm of the matching block of
+    ``UU* - I``, ``U*U - I`` or ``AS - TA`` on a dense finite section."""
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_two_band(self, rng, perturb):
+        for k1, k2 in ((-1, 1), (0, 2), (-2, -1)):
+            u = two_band_unitary(rng, dim=3, k1=k1, k2=k2, span=(-14, 14))
+            if perturb:
+                u = with_perturbed_entry(rng, u, k1, 1)
+            rep = sl.verify_unitary_two_band(u, -5, 5)
+            assert rep.passed != perturb
+            assert_unitarity_matches_dense(u, rep, two_band_blocks(k1, k2).get)
+            assert_unitarity_matches_dense(u, sl.verify_unitary_banded(u, -5, 5),
+                                           banded_block)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_three_band(self, rng, perturb):
+        u = multi_band_unitary(rng, 3, [-1, 0, 1], span=(-14, 14))
+        if perturb:
+            u = with_perturbed_entry(rng, u, 0, 2)
+        rep = sl.verify_unitary_three_band(u, -5, 5)
+        assert rep.passed != perturb
+        assert_unitarity_matches_dense(u, rep, THREE_BAND_BLOCKS.get)
+        assert_unitarity_matches_dense(u, sl.verify_unitary_banded(u, -5, 5),
+                                       banded_block)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_general_banded(self, rng, perturb):
+        u = multi_band_unitary(rng, 4, [-2, 0, 1, 3], span=(-16, 16))
+        if perturb:
+            u = with_perturbed_entry(rng, u, 3, -1)
+        rep = sl.verify_unitary_banded(u, -5, 5)
+        assert rep.passed != perturb
+        assert_unitarity_matches_dense(u, rep, banded_block)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_diagonal_intertwiner(self, rng, perturb):
+        for m in (-1, 0, 2):
+            s = ei_shift(rng, lo=-2, length=5)
+            t, vat = conjugated_shift(rng, s, m=m)
+            a = sl.single_band(m, sl.WindowedWeights(-12, [vat(n) for n in range(-12, 13)]))
+            if perturb:
+                a = with_perturbed_entry(rng, a, m, 0)
+            rep = sl.verify_intertwining(a, s, t, -5, 5)
+            assert rep.passed != perturb
+            lo, hi = -10, 10
+            dense_a = dense_section(a, lo, hi)
+            shift = {x: dense_section(sl.single_band(-1, x.weights), lo, hi) for x in (s, t)}
+            defect = dense_a @ shift[s] - shift[t] @ dense_a
+            for c in rep.checks:
+                expected = block_norm(defect, lo, 2, c.index, c.index + m - 1)
+                assert abs(c.residual - expected) <= 1e-12, (c, expected)
+
+    def test_window_longer_than_a_block(self, rng):
+        # storage ends past the first block, so checks and skips both cross
+        # a block boundary; the order stays row by row
+        hi, stored_hi = _BLOCK_ROWS + 8, _BLOCK_ROWS + 4
+        full = two_band_unitary(rng, dim=2, k1=-1, k2=1, span=(-4, hi + 4))
+        u = sl.BandedOperator({k: sl.WindowedWeights(-3, [
+            full.band(k).weight_at(n) for n in range(-3, stored_hi + 1)]) for k in (-1, 1)})
+        rep = sl.verify_unitary_two_band(u, 0, hi)
+
+        def stored(n):
+            return -3 <= n <= stored_hi
+
+        checks, skipped = [], []
+        for n in range(0, hi + 1):
+            if stored(n):
+                checks += [("rows_identity", n), ("same_row_orthogonality", n)]
+            else:
+                skipped.append(("rows_identity", n))
+            if stored(n + 2):
+                checks += [("columns_identity", n), ("staggered_orthogonality", n)]
+            else:
+                skipped.append(("columns_identity", n))
+        assert [(c.condition, c.index) for c in rep.checks] == checks
+        assert [(s.condition, s.index) for s in rep.skipped] == skipped
+        assert rep.passed
+        assert_unitarity_matches_dense(u, rep, two_band_blocks(-1, 1).get)

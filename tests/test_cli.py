@@ -9,7 +9,7 @@ import shiftlab as sl
 from shiftlab.cli import cli_main
 from shiftlab.corpus import moduli_screen_gap_pair, nondiagonal_equivalence_pair
 
-from conftest import conjugated_shift, ei_shift
+from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
 
 
 def write_spec(tmp_path, model, name="model.json"):
@@ -74,6 +74,14 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert cli_main(["verify", "/nonexistent/spec.json"]) == 2
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_exits_two_naming_path(self, tmp_path, capsys, name):
+        doc, path = malformed_spec(name)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["verify", str(spec)]) == 2
+        assert f"(at {path})" in capsys.readouterr().err
+
     def test_failed_expectation_exits_one(self, tmp_path, rng, capsys):
         s, t = moduli_screen_gap_pair()
         model = sl.SpecModel(dim=2, shifts={"S": s, "T": t})
@@ -118,6 +126,34 @@ class TestDecideCommand:
         spec = write_spec(tmp_path, model)
         assert cli_main(["decide", spec, "--s", "S", "--t", "Zed",
                          "--m", "0"]) == 2
+
+
+class TestBadNumericArguments:
+    @pytest.fixture
+    def spec(self, tmp_path, rng):
+        _, _, u, _ = nondiagonal_equivalence_pair(half_width=4)
+        s = ei_shift(rng, lo=0, length=2)
+        model = sl.SpecModel(dim=2, shifts={"S": s}, operators={"U": u})
+        return write_spec(tmp_path, model)
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--s", "S", "--t", "S", "--m-range", "2", "-2"],
+        ["decide", "--s", "S", "--t", "S", "--m", "0", "--window", "3", "1"],
+        ["norms", "--shift", "S", "--window", "3", "1"],
+        ["positive-form", "--shift", "S", "--window", "3", "1"],
+        ["bands", "--op", "U", "--mode", "two", "--window", "3", "1"],
+    ])
+    def test_usage_error(self, spec, capsys, argv):
+        assert cli_main([argv[0], spec, *argv[1:]]) == 2
+        assert "LO <= HI" in capsys.readouterr().err
+
+    def test_zero_depth_is_usage_error(self, spec, capsys):
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S", "--m", "0",
+                         "--depth", "0"]) == 2
+
+    def test_single_offset_range_still_decides(self, spec, capsys):
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S",
+                         "--m-range", "0", "0"]) == 0
 
 
 class TestOtherCommands:

@@ -364,6 +364,12 @@ class TestDecideScan:
         assert verdict.is_not_equivalent
         assert verdict.obstruction.kind == "norm-profile"
 
+    def test_reversed_range_refutes_nothing(self, rng):
+        # an empty offset range must not come back as a certified verdict
+        s = ei_shift(rng, lo=0, length=2)
+        with pytest.raises(ValueError):
+            sl.decide_diagonal_equivalence_scan(s, s, 2, -2)
+
     def test_deterministic_for_fixed_seed(self, rng):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s)

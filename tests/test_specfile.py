@@ -8,6 +8,8 @@ import pytest
 import shiftlab as sl
 from shiftlab.specfile import decode_matrix, encode_matrix
 
+from conftest import MALFORMED_SPECS, malformed_spec
+
 I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
@@ -90,6 +92,22 @@ class TestParse:
         }
         model = sl.parse_shift_spec(json.dumps(doc))
         assert model.operators["U"].offsets == (-1, 2)
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+    def test_rejected_at_its_json_path(self, name):
+        doc, path = malformed_spec(name)
+        with pytest.raises(sl.SpecFormatError) as err:
+            sl.parse_shift_spec(json.dumps(doc))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("key,pair", [("window", [-3, -3]), ("k_range", [-2, 2]),
+                                          ("m_range", [0, 0])])
+    def test_integer_ranges_accepted(self, key, pair):
+        doc = minimal_doc()
+        doc["tasks"] = [{"op": "decide", "s": "S", "t": "S", key: pair}]
+        assert sl.parse_shift_spec(json.dumps(doc)).tasks[0][key] == pair
 
 
 class TestRoundTrip:
