@@ -6,6 +6,10 @@ predicates the constructions need, windowed verification of intertwining and
 unitarity for banded operators, canonical positive-weight forms, a decision
 procedure for unitary equivalence by single-band (diagonal-form) operators
 with constructive witnesses, and a CLI over a JSON specification format.
+
+Spec documents run through one task runner, ``run_spec``: ``shiftlab
+verify``, the other CLI commands and the bundled examples, which are spec
+files under ``shiftlab/examples`` (``load_example``, ``run_example``).
 """
 
 from .bands import (
@@ -29,7 +33,7 @@ from .bands import (
     verify_unitary_three_band,
     verify_unitary_two_band,
 )
-from .corpus import EXAMPLE_NAMES, run_example
+from .corpus import EXAMPLE_NAMES, load_example, run_example
 from .equivalence import (
     ConjugatorResult,
     EquivalenceVerdict,
@@ -88,7 +92,13 @@ from .shifts import (
     reindex_weights,
     weight_norm_profile,
 )
-from .specfile import SpecModel, load_spec_file, parse_shift_spec, serialize_model
+from .specfile import (
+    SpecModel,
+    load_spec_file,
+    parse_shift_spec,
+    run_spec,
+    serialize_model,
+)
 
 __version__ = "0.1.0"
 

@@ -20,31 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from .bands import (
-    check_band_count_bound,
-    check_diagonal_propagation,
-    check_two_band_structure,
-    conjugate_to_shift,
-    verify_intertwining,
-    verify_unitary_banded,
-    verify_unitary_three_band,
-    verify_unitary_two_band,
-)
 from .corpus import EXAMPLE_NAMES, run_example
-from .equivalence import (
-    VerdictStatus,
-    decide_diagonal_equivalence,
-    decide_diagonal_equivalence_scan,
-    eigen_moduli_screen,
-    norm_offset_screen,
-    positive_form,
-)
+from .equivalence import VerdictStatus
 from .errors import ShiftLabError, SpecFormatError
 from .matrices import Tolerance
-from .reports import ReportCheck, RunReport
-from .shifts import weight_norm_profile
-from .specfile import encode_operator, encode_shift, load_spec_file
+from .reports import RunReport
+from .specfile import load_spec_file, run_spec
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -125,132 +108,6 @@ def _verdict_exit(status: VerdictStatus) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _verification_check(report, name, rep, expect_pass=True):
-    report.add(ReportCheck(
-        name=name, kind="verification", passed=rep.passed,
-        expected="pass" if expect_pass else "fail",
-        observed=rep.summary(), expectation_met=(rep.passed == expect_pass),
-        details={"report": rep.to_jsonable()}))
-
-
-def _verdict_check(report, name, verdict, expect: str | None = None):
-    met = True if expect is None else verdict.status.value == expect
-    details = {"summary": verdict.summary()}
-    if verdict.witness is not None:
-        details["witness"] = encode_operator(verdict.witness)
-        report.witnesses[name] = details["witness"]
-    if verdict.obstruction is not None:
-        details["obstruction"] = vars(verdict.obstruction)
-    report.add(ReportCheck(name=name, kind="verdict", passed=None,
-                           expected=expect or "any verdict",
-                           observed=verdict.status.value,
-                           expectation_met=met, details=details))
-    return verdict
-
-
-def _run_task(task, model, report, tol, seed):
-    op = task["op"]
-    window = task.get("window", [-8, 8])
-    lo, hi = int(window[0]), int(window[1])
-    label = task.get("label", op)
-    shifts = model.shifts
-    operators = model.operators
-
-    if op == "verify_intertwining":
-        rep = verify_intertwining(operators[task["operator"]],
-                                  shifts[task["s"]], shifts[task["t"]],
-                                  lo, hi, tol)
-        _verification_check(report, label, rep,
-                            task.get("expect", "pass") == "pass")
-    elif op == "verify_unitary":
-        u = operators[task["operator"]]
-        mode = task.get("mode", "banded")
-        fn = {"two_band": verify_unitary_two_band,
-              "three_band": verify_unitary_three_band,
-              "banded": verify_unitary_banded}[mode]
-        _verification_check(report, label, fn(u, lo, hi, tol),
-                            task.get("expect", "pass") == "pass")
-    elif op == "two_band_structure":
-        rep = check_two_band_structure(operators[task["operator"]], lo, hi, tol)
-        _verification_check(report, label, rep,
-                            task.get("expect", "pass") == "pass")
-    elif op == "diagonal_propagation":
-        s = shifts[task["s"]] if "s" in task else None
-        t = shifts[task["t"]] if "t" in task else None
-        rep = check_diagonal_propagation(operators[task["operator"]],
-                                         s, t, lo, hi, tol)
-        _verification_check(report, label, rep,
-                            task.get("expect", "pass") == "pass")
-    elif op == "band_count_bound":
-        u = operators[task["operator"]]
-        bound = task.get("bound", u.dim)
-        rep = check_band_count_bound(u, bound, lo, hi, tol)
-        _verification_check(report, label, rep,
-                            task.get("expect", "pass") == "pass")
-    elif op == "conjugate_to_shift":
-        res = conjugate_to_shift(operators[task["operator"]],
-                                 shifts[task["s"]], lo, hi, tol)
-        expect = task.get("expect", "shift")
-        met = res.is_shift == (expect == "shift")
-        details = {"report": res.report.to_jsonable()}
-        if res.is_shift:
-            details["shift"] = encode_shift(res.shift)
-            report.witnesses[label] = details["shift"]
-        report.add(ReportCheck(name=label, kind="verification",
-                               passed=res.is_shift, expected=expect,
-                               observed="shift" if res.is_shift else "not a shift",
-                               expectation_met=met, details=details))
-    elif op == "positive_form":
-        form = positive_form(shifts[task["shift"]], lo, hi, tol)
-        report.witnesses[label] = {
-            "shift": encode_shift(form.shift),
-            "diagonal": encode_operator(form.diagonal),
-        }
-        report.add(ReportCheck(
-            name=label, kind="value", passed=True,
-            expected="positive-weight form",
-            observed=f"max intertwining residual {form.max_residual:.3e}",
-            expectation_met=True,
-            details={"max_residual": form.max_residual}))
-    elif op == "norms":
-        profile = weight_norm_profile(shifts[task["shift"]], lo, hi)
-        report.add(ReportCheck(
-            name=label, kind="value", passed=True, expected="profile",
-            observed=f"norms on [{lo}, {hi}]", expectation_met=True,
-            details={"norms": profile}))
-    elif op == "norm_offset_screen":
-        k_lo, k_hi = task.get("k_range", [-4, 4])
-        feasible = sorted(norm_offset_screen(shifts[task["s"]], shifts[task["t"]],
-                                             int(k_lo), int(k_hi), lo, hi, tol))
-        expect = task.get("expect_feasible")
-        met = True if expect is None else feasible == sorted(expect)
-        report.add(ReportCheck(
-            name=label, kind="screen", passed=None,
-            expected=str(sorted(expect)) if expect is not None else "any",
-            observed=f"feasible offsets {feasible}", expectation_met=met,
-            details={"feasible": feasible}))
-    elif op == "eigen_moduli_screen":
-        rep = eigen_moduli_screen(shifts[task["s"]], shifts[task["t"]],
-                                  int(task.get("k", 0)), lo, hi, tol)
-        _verification_check(report, label, rep,
-                            task.get("expect", "pass") == "pass")
-    elif op == "decide":
-        s, t = shifts[task["s"]], shifts[task["t"]]
-        depth = task.get("depth")
-        if "m" in task:
-            verdict = decide_diagonal_equivalence(
-                s, t, int(task["m"]), depth=depth, window=(lo, hi),
-                tol=tol, seed=seed)
-        else:
-            m_lo, m_hi = task["m_range"]
-            verdict = decide_diagonal_equivalence_scan(
-                s, t, int(m_lo), int(m_hi), depth=depth, window=(lo, hi),
-                tol=tol, seed=seed)
-        _verdict_check(report, label, verdict, task.get("expect"))
-    else:  # pragma: no cover - guarded by the spec parser
-        raise ValueError(f"unhandled task op {op!r}")
-
-
 def _emit(report: RunReport, args) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -281,78 +138,15 @@ def cli_main(argv) -> int:
 
     try:
         if args.command == "example":
-            report = run_example(args.name, tol=tol, seed=seed)
-            return _emit(report, args)
-
+            return _emit(run_example(args.name, tol=tol, seed=seed), args)
         model = load_spec_file(args.spec)
-        report = RunReport(name=args.command, title=args.spec, seed=seed,
-                           tolerance={"rel": tol.rel, "abs": tol.abs})
-        if args.command == "verify":
-            for task in model.tasks:
-                _run_task(task, model, report, tol, seed)
-            return _emit(report, args)
-        if args.command == "positive-form":
-            _require_name(model.shifts, args.shift, "shift")
-            lo, hi = args.window
-            _run_task({"op": "positive_form", "shift": args.shift,
-                       "window": [lo, hi], "label": f"positive-form {args.shift}"},
-                      model, report, tol, seed)
-            return _emit(report, args)
-        if args.command == "norms":
-            _require_name(model.shifts, args.shift, "shift")
-            lo, hi = args.window
-            _run_task({"op": "norms", "shift": args.shift, "window": [lo, hi],
-                       "label": f"norms {args.shift}"}, model, report, tol, seed)
-            return _emit(report, args)
-        if args.command == "decide":
-            _require_name(model.shifts, args.s, "shift")
-            _require_name(model.shifts, args.t, "shift")
-            task = {"op": "decide", "s": args.s, "t": args.t,
-                    "label": f"decide {args.s} vs {args.t}"}
-            if args.depth is not None:
-                task["depth"] = args.depth
-            if args.window is not None:
-                task["window"] = list(args.window)
-            else:
-                from .equivalence import _auto_window
-                base = args.m if args.m is not None else 0
-                task["window"] = list(_auto_window(model.shifts[args.s],
-                                                   model.shifts[args.t], base))
-            if args.m is not None:
-                task["m"] = args.m
-            else:
-                task["m_range"] = list(args.m_range)
-            _run_task(task, model, report, tol, seed)
-            code = _emit(report, args)
-            if code == EXIT_OK:
-                observed = report.checks[-1].observed
-                return _verdict_exit(VerdictStatus(observed))
-            return code
-        if args.command == "bands":
-            _require_name(model.operators, args.op, "operator")
-            lo, hi = args.window
-            u = model.operators[args.op]
-            if args.mode == "two":
-                _run_task({"op": "verify_unitary", "operator": args.op,
-                           "mode": "two_band", "window": [lo, hi],
-                           "label": f"two-band unitarity {args.op}"},
-                          model, report, tol, seed)
-                _run_task({"op": "two_band_structure", "operator": args.op,
-                           "window": [lo, hi],
-                           "label": f"two-band structure {args.op}"},
-                          model, report, tol, seed)
-            elif args.mode == "three":
-                _run_task({"op": "verify_unitary", "operator": args.op,
-                           "mode": "three_band", "window": [lo, hi],
-                           "label": f"three-band unitarity {args.op}"},
-                          model, report, tol, seed)
-            else:
-                _run_task({"op": "band_count_bound", "operator": args.op,
-                           "bound": args.bound or u.dim, "window": [lo, hi],
-                           "label": f"band count {args.op}"},
-                          model, report, tol, seed)
-            return _emit(report, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.command != "verify":
+            model = replace(model, tasks=_command_tasks(args, model))
+        report = run_spec(model, args.command, args.spec, tol, seed)
+        code = _emit(report, args)
+        if args.command == "decide" and code == EXIT_OK:
+            return _verdict_exit(VerdictStatus(report.checks[-1].observed))
+        return code
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -365,6 +159,46 @@ def cli_main(argv) -> int:
     except ShiftLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+
+
+def _command_tasks(args, model):
+    """The task blocks a subcommand other than ``verify`` stands for."""
+    if args.command in ("positive-form", "norms"):
+        _require_name(model.shifts, args.shift, "shift")
+        op = args.command.replace("-", "_")
+        return [{"op": op, "shift": args.shift, "window": list(args.window),
+                 "label": f"{args.command} {args.shift}"}]
+    if args.command == "decide":
+        _require_name(model.shifts, args.s, "shift")
+        _require_name(model.shifts, args.t, "shift")
+        task = {"op": "decide", "s": args.s, "t": args.t,
+                "label": f"decide {args.s} vs {args.t}"}
+        if args.depth is not None:
+            task["depth"] = args.depth
+        if args.window is not None:
+            task["window"] = list(args.window)
+        if args.m is not None:
+            task["m"] = args.m
+        else:
+            task["m_range"] = list(args.m_range)
+        return [task]
+    if args.command == "bands":
+        _require_name(model.operators, args.op, "operator")
+        common = {"operator": args.op, "window": list(args.window)}
+        if args.mode == "two":
+            return [{"op": "verify_unitary", "mode": "two_band",
+                     "label": f"two-band unitarity {args.op}", **common},
+                    {"op": "two_band_structure",
+                     "label": f"two-band structure {args.op}", **common}]
+        if args.mode == "three":
+            return [{"op": "verify_unitary", "mode": "three_band",
+                     "label": f"three-band unitarity {args.op}", **common}]
+        task = {"op": "band_count_bound", "label": f"band count {args.op}",
+                **common}
+        if args.bound is not None:
+            task["bound"] = args.bound
+        return [task]
+    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _require_name(table, name, what):

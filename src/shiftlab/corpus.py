@@ -1,332 +1,37 @@
-"""Built-in demonstration instances and their verification pipelines.
+"""Bundled demonstration instances, shipped as spec documents.
 
-Each instance bundles concrete shifts and banded operators together with the
-facts its report is expected to show; surd entries like 1/sqrt(2) are
-computed at load time so residuals stay at machine epsilon.
+Each example is a file ``examples/<name>.json`` whose task blocks assert
+the facts its report is expected to show; ``run_example`` runs it through
+the same task runner as ``shiftlab verify``.  Weights are stored as JSON
+floats, which round-trip exactly, so surd entries like 1/sqrt(2) keep their
+residuals at machine epsilon.
 """
 
 from __future__ import annotations
 
-import math
+from pathlib import Path
 
-import numpy as np
+from .matrices import DEFAULT_TOL, Tolerance
+from .reports import RunReport
+from .specfile import SpecModel, load_spec_file, run_spec
 
-from .bands import (
-    BandedOperator,
-    check_diagonal_propagation,
-    check_two_band_structure,
-    conjugate_to_shift,
-    verify_intertwining,
-    verify_unitary_banded,
-    verify_unitary_three_band,
-    verify_unitary_two_band,
-)
-from .equivalence import (
-    VerdictStatus,
-    decide_diagonal_equivalence,
-    decide_diagonal_equivalence_scan,
-    eigen_moduli_screen,
-    norm_offset_screen,
-)
-from .matrices import DEFAULT_TOL, Tolerance, is_orthogonal_projection
-from .reports import ReportCheck, RunReport
-from .shifts import (
-    BilateralShift,
-    EventuallyIdentityWeights,
-    PeriodicWeights,
-    WindowedWeights,
-    weight_norm_profile,
-)
-from .specfile import encode_operator, encode_shift
+_EXAMPLES = Path(__file__).with_name("examples")
 
-EXAMPLE_NAMES = (
-    "ex31",
-    "ex33-two-band",
-    "ex33-three-band",
-    "counterexample-sec2",
-    "five-entry-block",
-)
+EXAMPLE_NAMES = tuple(sorted(path.stem for path in _EXAMPLES.glob("*.json")))
 
 
-def nondiagonal_equivalence_pair(half_width: int = 12):
-    """Two equivalent 2x2 shifts whose intertwiners need two bands.
-
-    Scalar profile: 1 at index 0, 1/n elsewhere.  S carries that profile on
-    a rotation-like block; T mixes the neighbors of each index, so the two
-    weight-norm plateaus have different lengths (3 versus 5) and no single
-    diagonal can intertwine them.  The two-band unitary U built from the
-    complementary projections A (upper band) and B (lower band) does.
-    """
-
-    def s_val(n: int) -> float:
-        return 1.0 if n == 0 else 1.0 / n
-
-    w = 0.5 - 0.5j
-    block = np.array([[1, 1], [-1, 1]], dtype=complex)
-
-    def s_weight(n: int) -> np.ndarray:
-        return s_val(n) * block
-
-    def t_weight(n: int) -> np.ndarray:
-        a, b = s_val(n - 1), s_val(n + 1)
-        return np.array([
-            [a * w + b * np.conj(w), a * np.conj(w) + b * w],
-            [-a * np.conj(w) - b * w, a * w + b * np.conj(w)],
-        ])
-
-    hw = half_width
-    s = BilateralShift(
-        WindowedWeights(-hw, [s_weight(n) for n in range(-hw, hw + 1)]),
-        label="S")
-    t = BilateralShift(
-        WindowedWeights(-hw, [t_weight(n) for n in range(-hw, hw + 1)]),
-        label="T")
-    proj_a = 0.5 * np.array([[1, -1j], [1j, 1]])
-    proj_b = 0.5 * np.array([[1, 1j], [-1j, 1]])
-    u = BandedOperator({-1: PeriodicWeights([proj_b]),
-                        1: PeriodicWeights([proj_a])}, label="U")
-    return s, t, u, s_val
-
-
-def two_band_shift_conjugation():
-    """A two-band unitary carrying a diagonal-weight shift to another shift.
-
-    The band entries are nilpotent partial isometries (not projections), so
-    the structure check must accept partial isometries that fail to be
-    orthogonal projections.
-    """
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    b = np.array([[0, 0], [1, 0]], dtype=complex)
-    u = BandedOperator({-1: PeriodicWeights([a]), 1: PeriodicWeights([b])},
-                       label="U")
-    s = BilateralShift(PeriodicWeights([np.diag([2.0, 1.0]).astype(complex),
-                                        np.diag([1.0, 3.0]).astype(complex)]),
-                       label="S")
-    return u, s
-
-
-def three_band_commutant():
-    """A genuinely three-band unitary commuting with a swap-weight shift."""
-    r = 1.0 / math.sqrt(2.0)
-    a0 = np.diag([r, 0.0]).astype(complex)
-    a1 = np.diag([0.0, -r]).astype(complex)
-    band_a = PeriodicWeights([a0, a1])
-    band_b = PeriodicWeights([r * np.eye(2, dtype=complex)])
-    band_c = PeriodicWeights([-a1, -a0])  # C_n = -A_{n-1}
-    u = BandedOperator({-1: band_a, 0: band_b, 1: band_c}, label="U")
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    s = BilateralShift(PeriodicWeights([swap, -swap]), label="S")
-    return u, s
-
-
-def moduli_screen_gap_pair():
-    """Diagonal-weight shifts where matching eigenvalue moduli do not
-    suffice: the depth-2 product Gram spectra already disagree."""
-    s = BilateralShift(EventuallyIdentityWeights(0, [
-        np.diag([2.0, 1.0]).astype(complex),
-        np.diag([3.0, 2.0]).astype(complex)]), label="S")
-    t = BilateralShift(EventuallyIdentityWeights(0, [
-        np.diag([1.0, 2.0]).astype(complex),
-        np.diag([3.0, 2.0]).astype(complex)]), label="T")
-    return s, t
-
-
-def isolated_rotation_block(half_width: int = 6):
-    """Unitary equal to the identity except for one 2x2 block rotation
-    across rows -1 and +1.  Its offset +/-2 diagonals each carry a single
-    nonzero entry, so it cannot intertwine shifts with invertible weights.
-    """
-    dim = 2
-    r = 1.0 / math.sqrt(2.0)
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    hw = half_width
-
-    def seq(entries: dict) -> WindowedWeights:
-        mats = [entries.get(n, entries["default"]) for n in range(-hw, hw + 1)]
-        return WindowedWeights(-hw, mats)
-
-    band0 = seq({-1: r * eye, 1: -r * eye, "default": eye})
-    band_up = seq({-1: r * eye, "default": zero})
-    band_down = seq({1: r * eye, "default": zero})
-    return BandedOperator({0: band0, 2: band_up, -2: band_down}, label="U")
-
-
-def _check_verification(report, rep, name, expect_pass=True, details=None):
-    observed = rep.summary()
-    det = dict(details or {})
-    det["report"] = rep.to_jsonable()
-    report.add(ReportCheck(
-        name=name, kind="verification", passed=rep.passed,
-        expected="pass" if expect_pass else "fail",
-        observed=observed, expectation_met=(rep.passed == expect_pass),
-        details=det))
-    return rep
-
-
-def _check_value(report, name, observed_text, ok, expected_text, details=None):
-    report.add(ReportCheck(
-        name=name, kind="value", passed=ok, expected=expected_text,
-        observed=observed_text, expectation_met=ok,
-        details=dict(details or {})))
-
-
-def _check_verdict(report, name, verdict, expect: VerdictStatus):
-    report.add(ReportCheck(
-        name=name, kind="verdict", passed=None,
-        expected=expect.value, observed=verdict.status.value,
-        expectation_met=(verdict.status is expect),
-        details={"summary": verdict.summary()}))
-    return verdict
-
-
-def _new_report(name, title, seed, tol):
-    return RunReport(name=name, title=title, seed=seed,
-                     tolerance={"rel": tol.rel, "abs": tol.abs})
-
-
-def _run_ex31(tol: Tolerance, seed: int) -> RunReport:
-    report = _new_report(
-        "ex31",
-        "equivalent 2x2 shifts admitting only non-diagonal intertwiners",
-        seed, tol)
-    s, t, u, s_val = nondiagonal_equivalence_pair()
-    hw = 12
-    _check_verification(report, verify_unitary_two_band(u, -hw, hw, tol),
-                        "two_band_unitarity")
-    _check_verification(report, verify_intertwining(u, s, t, -hw, hw, tol),
-                        "intertwining US=TU")
-
-    sqrt2 = math.sqrt(2.0)
-    s_norms = weight_norm_profile(s, -10, 10)
-    s_gap = max(abs(v - sqrt2 * abs(s_val(n)))
-                for v, n in zip(s_norms, range(-10, 11)))
-    _check_value(report, "norm_profile_S",
-                 f"max deviation {s_gap:.3e}", s_gap < 1e-10,
-                 "||S_n|| = sqrt(2)|s_n| within 1e-10")
-    t_norms = weight_norm_profile(t, -10, 10)
-    t_gap = max(abs(v - sqrt2 * max(abs(s_val(n - 1)), abs(s_val(n + 1))))
-                for v, n in zip(t_norms, range(-10, 11)))
-    _check_value(report, "norm_profile_T",
-                 f"max deviation {t_gap:.3e}", t_gap < 1e-10,
-                 "||T_n|| = sqrt(2) max(|s_{n-1}|, |s_{n+1}|) within 1e-10")
-
-    feasible = norm_offset_screen(s, t, -8, 8, -4, 4, tol)
-    _check_value(report, "norm_offset_screen",
-                 f"feasible offsets {sorted(feasible)}", not feasible,
-                 "empty set", details={"k_range": [-8, 8], "window": [-4, 4]})
-    verdict = decide_diagonal_equivalence_scan(s, t, -5, 5, window=(-4, 4),
-                                               tol=tol, seed=seed)
-    _check_verdict(report, "decide_scan[-5,5]", verdict,
-                   VerdictStatus.NOT_EQUIVALENT)
-    return report
-
-
-def _run_ex33_two_band(tol: Tolerance, seed: int) -> RunReport:
-    report = _new_report(
-        "ex33-two-band",
-        "two-band unitary conjugating a diagonal-weight shift to a shift",
-        seed, tol)
-    u, s = two_band_shift_conjugation()
-    _check_verification(report, verify_unitary_two_band(u, -8, 8, tol),
-                        "two_band_unitarity")
-    _check_verification(report, check_two_band_structure(u, -8, 8, tol),
-                        "band_structure")
-    a = u.band(-1).weight_at(0)
-    b = u.band(1).weight_at(0)
-    neither = (not is_orthogonal_projection(a, tol)
-               and not is_orthogonal_projection(b, tol))
-    _check_value(report, "bands_not_projections",
-                 "both band entries are non-projection partial isometries",
-                 neither, "neither entry is an orthogonal projection")
-    res = conjugate_to_shift(u, s, -8, 8, tol)
-    _check_value(report, "conjugation_is_shift",
-                 "single nonzero band at the shift offset" if res.is_shift
-                 else res.report.summary(),
-                 res.is_shift, "conjugated operator is again a shift",
-                 details={"report": res.report.to_jsonable()})
-    if res.is_shift:
-        inner = res.shift.weights.described_range()
-        _check_verification(
-            report,
-            verify_intertwining(u, s, res.shift, inner[0] + 1, inner[1] - 1, tol),
-            "intertwining US=T'U")
-        report.witnesses["conjugated_shift"] = encode_shift(res.shift)
-    return report
-
-
-def _run_ex33_three_band(tol: Tolerance, seed: int) -> RunReport:
-    report = _new_report(
-        "ex33-three-band",
-        "three-band unitary commuting with an alternating swap-weight shift",
-        seed, tol)
-    u, s = three_band_commutant()
-    _check_verification(report, verify_unitary_three_band(u, -10, 10, tol),
-                        "three_band_unitarity")
-    _check_verification(report, verify_intertwining(u, s, s, -10, 10, tol),
-                        "intertwining US=SU")
-    return report
-
-
-def _run_counterexample_sec2(tol: Tolerance, seed: int) -> RunReport:
-    report = _new_report(
-        "counterexample-sec2",
-        "matching eigenvalue moduli without diagonal-form equivalence",
-        seed, tol)
-    s, t = moduli_screen_gap_pair()
-    feasible = norm_offset_screen(s, t, -4, 4, -3, 4, tol)
-    _check_value(report, "norm_screen_offset0",
-                 f"feasible offsets {sorted(feasible)}", 0 in feasible,
-                 "offset 0 passes the weight-norm screen")
-    moduli = eigen_moduli_screen(s, t, 0, -3, 4, tol)
-    _check_verification(report, moduli, "eigen_moduli_screen")
-    verdict = decide_diagonal_equivalence(s, t, 0, tol=tol, seed=seed)
-    _check_verdict(report, "decide[m=0]", verdict, VerdictStatus.NOT_EQUIVALENT)
-    ok = (verdict.obstruction is not None
-          and verdict.obstruction.kind == "gram-spectrum")
-    _check_value(report, "obstruction_kind",
-                 verdict.obstruction.kind if verdict.obstruction else "none",
-                 ok, "product Gram spectra mismatch")
-    return report
-
-
-def _run_five_entry_block(tol: Tolerance, seed: int) -> RunReport:
-    report = _new_report(
-        "five-entry-block",
-        "block-rotation unitary whose mixed-support diagonals cannot "
-        "intertwine shifts", seed, tol)
-    u = isolated_rotation_block()
-    _check_verification(report, verify_unitary_banded(u, -4, 4, tol),
-                        "unitarity")
-    prop = check_diagonal_propagation(u, lo=-4, hi=4, tol=tol)
-    _check_verification(report, prop, "diagonal_propagation",
-                        expect_pass=False)
-    bad = prop.first_failure()
-    _check_value(report, "named_index",
-                 f"{bad.condition} at n={bad.index}" if bad else "none",
-                 bad is not None,
-                 "a mixed-support band is named with an index")
-    report.witnesses["operator"] = encode_operator(u)
-    return report
-
-
-_RUNNERS = {
-    "ex31": _run_ex31,
-    "ex33-two-band": _run_ex33_two_band,
-    "ex33-three-band": _run_ex33_three_band,
-    "counterexample-sec2": _run_counterexample_sec2,
-    "five-entry-block": _run_five_entry_block,
-}
+def load_example(name: str) -> SpecModel:
+    """The parsed spec document of a bundled example."""
+    if name not in EXAMPLE_NAMES:
+        raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    return load_spec_file(_EXAMPLES / f"{name}.json")
 
 
 def run_example(name: str, tol: Tolerance = DEFAULT_TOL,
                 seed: int = 0) -> RunReport:
-    """Rebuild a named bundled instance and run its verification pipeline.
+    """Run the task blocks of a bundled example.
 
-    The report lists every asserted fact as a check; asserted obstructions
-    are expected failures, so a report can be fully "as expected" while its
-    exit code still signals that an obstruction was found.
+    The report equals that of ``shiftlab verify`` on the example's file,
+    except for its name and title.
     """
-    if name not in _RUNNERS:
-        raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    return _RUNNERS[name](tol, seed)
+    return run_spec(load_example(name), name, f"examples/{name}.json", tol, seed)

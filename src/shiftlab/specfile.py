@@ -20,6 +20,10 @@ operators, and task blocks to run::
          "window": [-8, 8]}
       ]
     }
+
+``run_spec`` runs the task blocks into a run report.  It is the one task
+runner: ``shiftlab verify``, the other CLI commands (each states its own
+task blocks) and the bundled examples of ``corpus`` all go through it.
 """
 
 from __future__ import annotations
@@ -30,14 +34,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import BandedOperator
+from .bands import (
+    BandedOperator,
+    check_band_count_bound,
+    check_diagonal_propagation,
+    check_two_band_structure,
+    conjugate_to_shift,
+    verify_intertwining,
+    verify_unitary_banded,
+    verify_unitary_three_band,
+    verify_unitary_two_band,
+)
+from .equivalence import (
+    decide_diagonal_equivalence,
+    decide_diagonal_equivalence_scan,
+    eigen_moduli_screen,
+    norm_offset_screen,
+    positive_form,
+)
 from .errors import SpecFormatError
+from .matrices import DEFAULT_TOL, Tolerance
+from .reports import ReportCheck, RunReport
 from .shifts import (
     BilateralShift,
     EventuallyIdentityWeights,
     PeriodicWeights,
     WeightSequence,
     WindowedWeights,
+    weight_norm_profile,
 )
 
 KNOWN_TASK_OPS = (
@@ -268,3 +292,129 @@ def serialize_model(model: SpecModel, indent: int = 2) -> str:
 def load_spec_file(path) -> SpecModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_shift_spec(fh.read())
+
+
+def run_spec(model: SpecModel, name: str, title: str,
+             tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> RunReport:
+    """Run the task blocks of ``model`` in order; one report check per task.
+
+    A task without a ``window`` runs on ``[-8, 8]``, except ``decide``,
+    which leaves the window to the decision procedure.  Asserted
+    obstructions are expected failures, so a report can be fully "as
+    expected" while its exit code still signals that an obstruction was found.
+    """
+    report = RunReport(name=name, title=title, seed=seed,
+                       tolerance={"rel": tol.rel, "abs": tol.abs})
+    for task in model.tasks:
+        _run_task(task, model, report, tol, seed)
+    return report
+
+
+_UNITARITY = {"two_band": verify_unitary_two_band,
+              "three_band": verify_unitary_three_band,
+              "banded": verify_unitary_banded}
+
+
+def _run_task(task, model, report, tol, seed):
+    op = task["op"]
+    lo, hi = task.get("window", (-8, 8))
+    label = task.get("label", op)
+    shifts = model.shifts
+    operators = model.operators
+
+    if op == "verify_intertwining":
+        rep = verify_intertwining(operators[task["operator"]],
+                                  shifts[task["s"]], shifts[task["t"]],
+                                  lo, hi, tol)
+    elif op == "verify_unitary":
+        fn = _UNITARITY[task.get("mode", "banded")]
+        rep = fn(operators[task["operator"]], lo, hi, tol)
+    elif op == "two_band_structure":
+        rep = check_two_band_structure(operators[task["operator"]], lo, hi, tol)
+    elif op == "diagonal_propagation":
+        s = shifts[task["s"]] if "s" in task else None
+        t = shifts[task["t"]] if "t" in task else None
+        rep = check_diagonal_propagation(operators[task["operator"]],
+                                         s, t, lo, hi, tol)
+    elif op == "band_count_bound":
+        u = operators[task["operator"]]
+        rep = check_band_count_bound(u, task.get("bound", u.dim), lo, hi, tol)
+    elif op == "eigen_moduli_screen":
+        rep = eigen_moduli_screen(shifts[task["s"]], shifts[task["t"]],
+                                  task.get("k", 0), lo, hi, tol)
+    elif op == "conjugate_to_shift":
+        res = conjugate_to_shift(operators[task["operator"]],
+                                 shifts[task["s"]], lo, hi, tol)
+        expect = task.get("expect", "shift")
+        details = {"report": res.report.to_jsonable()}
+        if res.is_shift:
+            details["shift"] = encode_shift(res.shift)
+            report.witnesses[label] = details["shift"]
+        report.add(ReportCheck(name=label, kind="verification",
+                               passed=res.is_shift, expected=expect,
+                               observed="shift" if res.is_shift else "not a shift",
+                               expectation_met=res.is_shift == (expect == "shift"),
+                               details=details))
+        return
+    elif op == "positive_form":
+        form = positive_form(shifts[task["shift"]], lo, hi, tol)
+        report.witnesses[label] = {
+            "shift": encode_shift(form.shift),
+            "diagonal": encode_operator(form.diagonal),
+        }
+        report.add(ReportCheck(
+            name=label, kind="value", passed=True,
+            expected="positive-weight form",
+            observed=f"max intertwining residual {form.max_residual:.3e}",
+            expectation_met=True,
+            details={"max_residual": form.max_residual}))
+        return
+    elif op == "norms":
+        profile = weight_norm_profile(shifts[task["shift"]], lo, hi)
+        report.add(ReportCheck(
+            name=label, kind="value", passed=True, expected="profile",
+            observed=f"norms on [{lo}, {hi}]", expectation_met=True,
+            details={"norms": profile}))
+        return
+    elif op == "norm_offset_screen":
+        k_lo, k_hi = task.get("k_range", (-4, 4))
+        feasible = sorted(norm_offset_screen(shifts[task["s"]], shifts[task["t"]],
+                                             k_lo, k_hi, lo, hi, tol))
+        expect = task.get("expect_feasible")
+        met = True if expect is None else feasible == sorted(expect)
+        report.add(ReportCheck(
+            name=label, kind="screen", passed=None,
+            expected=str(sorted(expect)) if expect is not None else "any",
+            observed=f"feasible offsets {feasible}", expectation_met=met,
+            details={"feasible": feasible}))
+        return
+    elif op == "decide":
+        s, t = shifts[task["s"]], shifts[task["t"]]
+        kwargs = dict(depth=task.get("depth"), window=task.get("window"),
+                      tol=tol, seed=seed)
+        if "m" in task:
+            verdict = decide_diagonal_equivalence(s, t, task["m"], **kwargs)
+        else:
+            m_lo, m_hi = task["m_range"]
+            verdict = decide_diagonal_equivalence_scan(s, t, m_lo, m_hi, **kwargs)
+        expect = task.get("expect")
+        details = {"summary": verdict.summary()}
+        if verdict.witness is not None:
+            details["witness"] = encode_operator(verdict.witness)
+            report.witnesses[label] = details["witness"]
+        if verdict.obstruction is not None:
+            details["obstruction"] = vars(verdict.obstruction)
+        report.add(ReportCheck(
+            name=label, kind="verdict", passed=None,
+            expected=expect or "any verdict", observed=verdict.status.value,
+            expectation_met=expect is None or verdict.status.value == expect,
+            details=details))
+        return
+    else:  # pragma: no cover - guarded by the spec parser
+        raise ValueError(f"unhandled task op {op!r}")
+    expect_pass = task.get("expect", "pass") == "pass"
+    report.add(ReportCheck(
+        name=label, kind="verification", passed=rep.passed,
+        expected="pass" if expect_pass else "fail", observed=rep.summary(),
+        expectation_met=rep.passed == expect_pass,
+        details={"report": rep.to_jsonable()}))

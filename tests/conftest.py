@@ -13,6 +13,11 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def s_val(n):
+    """Scalar profile of the ``ex31`` example shifts: 1 at 0, 1/n elsewhere."""
+    return 1.0 if n == 0 else 1.0 / n
+
+
 def random_matrix(rng, dim=2, scale=1.0):
     return scale * (rng.standard_normal((dim, dim))
                     + 1j * rng.standard_normal((dim, dim)))

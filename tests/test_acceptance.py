@@ -12,11 +12,6 @@ import pytest
 
 import shiftlab as sl
 from shiftlab.cli import cli_main
-from shiftlab.corpus import (
-    moduli_screen_gap_pair,
-    nondiagonal_equivalence_pair,
-    three_band_commutant,
-)
 from shiftlab.matrices import frob, herm
 
 from conftest import (
@@ -24,6 +19,7 @@ from conftest import (
     ei_shift,
     multi_band_unitary,
     perturb_one_singular_value,
+    s_val,
     two_band_unitary,
 )
 from u2_oracle import oracle_decide, oracle_depth, oracle_gram_pairs, spectra_gap
@@ -37,7 +33,8 @@ def _announce(number, text):
 
 def test_criterion_1_two_band_intertwiner_reproduction():
     start = time.perf_counter()
-    s, t, u, _ = nondiagonal_equivalence_pair(half_width=12)
+    ex = sl.load_example("ex31")
+    s, t, u = ex.shifts["S"], ex.shifts["T"], ex.operators["U"]
     unit = sl.verify_unitary_two_band(u, -12, 12)
     inter = sl.verify_intertwining(u, s, t, -12, 12)
     elapsed = time.perf_counter() - start
@@ -50,7 +47,8 @@ def test_criterion_1_two_band_intertwiner_reproduction():
 
 
 def test_criterion_2_norm_obstruction():
-    s, t, _, s_val = nondiagonal_equivalence_pair(half_width=12)
+    ex = sl.load_example("ex31")
+    s, t = ex.shifts["S"], ex.shifts["T"]
     sqrt2 = np.sqrt(2.0)
     s_norms = sl.weight_norm_profile(s, -10, 10)
     s_gap = max(abs(v - sqrt2 * abs(s_val(n)))
@@ -113,7 +111,8 @@ def test_criterion_3_positive_form():
 
 
 def test_criterion_4_three_band_example():
-    u, s = three_band_commutant()
+    ex = sl.load_example("ex33-three-band")
+    u, s = ex.operators["U"], ex.shifts["S"]
     unit = sl.verify_unitary_three_band(u, -10, 10)
     assert unit.passed
     assert unit.max_residual < 1e-12
@@ -197,7 +196,8 @@ def test_criterion_6_oracle_agreement():
 
 
 def test_criterion_7_moduli_screen_not_sufficient():
-    s, t = moduli_screen_gap_pair()
+    ex = sl.load_example("counterexample-sec2")
+    s, t = ex.shifts["S"], ex.shifts["T"]
     np.testing.assert_allclose(s.weight(0), np.diag([2.0, 1.0]))
     np.testing.assert_allclose(t.weight(0), np.diag([1.0, 2.0]))
     np.testing.assert_allclose(s.weight(1), np.diag([3.0, 2.0]))

@@ -5,12 +5,6 @@ import pytest
 
 import shiftlab as sl
 from shiftlab.bands import _BLOCK_ROWS
-from shiftlab.corpus import (
-    isolated_rotation_block,
-    nondiagonal_equivalence_pair,
-    three_band_commutant,
-    two_band_shift_conjugation,
-)
 from shiftlab.matrices import frob, herm
 
 from conftest import (
@@ -71,7 +65,7 @@ class TestDiagonalForm:
 
 class TestApplyBanded:
     def test_two_band_on_basis_vector(self):
-        _, _, u, _ = nondiagonal_equivalence_pair()
+        u = sl.load_example("ex31").operators["U"]
         proj_a = u.band(1).weight_at(0)
         proj_b = u.band(-1).weight_at(0)
         x = sl.WindowedVector.basis(2, 0, 0)
@@ -149,13 +143,14 @@ def _conjugate_by_diag(rng, s):
 
 class TestDiagonalPropagation:
     def test_constant_bands_pass_with_shifts(self):
-        s, t, u, _ = nondiagonal_equivalence_pair()
+        ex = sl.load_example("ex31")
+        s, t, u = ex.shifts["S"], ex.shifts["T"], ex.operators["U"]
         rep = sl.check_diagonal_propagation(u, s, t, lo=-8, hi=8)
         assert rep.passed
         assert rep.context["band_support"][1]["nonzero"] == 17
 
     def test_mixed_support_band_fails_structurally(self):
-        u = isolated_rotation_block()
+        u = sl.load_example("five-entry-block").operators["U"]
         rep = sl.check_diagonal_propagation(u, lo=-4, hi=4)
         assert not rep.passed
         fails = {c.condition for c in rep.failures()}
@@ -182,12 +177,12 @@ class TestDiagonalPropagation:
 
 class TestTwoBandUnitarity:
     def test_complementary_projections_pass(self):
-        _, _, u, _ = nondiagonal_equivalence_pair()
+        u = sl.load_example("ex31").operators["U"]
         rep = sl.verify_unitary_two_band(u, -10, 10)
         assert rep.passed and rep.max_residual < 1e-14
 
     def test_nilpotent_pair_passes(self):
-        u, _ = two_band_shift_conjugation()
+        u = sl.load_example("ex33-two-band").operators["U"]
         assert sl.verify_unitary_two_band(u, -8, 8).passed
 
     def test_equal_bands_fail_orthogonality(self):
@@ -205,11 +200,11 @@ class TestTwoBandUnitarity:
 
 class TestTwoBandStructure:
     def test_projection_bands(self):
-        _, _, u, _ = nondiagonal_equivalence_pair()
+        u = sl.load_example("ex31").operators["U"]
         assert sl.check_two_band_structure(u, -8, 8).passed
 
     def test_non_projection_partial_isometries(self):
-        u, _ = two_band_shift_conjugation()
+        u = sl.load_example("ex33-two-band").operators["U"]
         rep = sl.check_two_band_structure(u, -8, 8)
         assert rep.passed
         a = u.band(-1).weight_at(0)
@@ -218,7 +213,7 @@ class TestTwoBandStructure:
         assert not sl.is_orthogonal_projection(b)
 
     def test_scaled_band_breaks_precondition(self):
-        _, _, u, _ = nondiagonal_equivalence_pair()
+        u = sl.load_example("ex31").operators["U"]
         scaled = sl.BandedOperator({
             -1: const_band(2 * u.band(-1).weight_at(0)),
             1: const_band(u.band(1).weight_at(0)),
@@ -241,7 +236,7 @@ class TestTwoBandStructure:
 
 class TestThreeBandUnitarity:
     def test_known_three_band(self):
-        u, _ = three_band_commutant()
+        u = sl.load_example("ex33-three-band").operators["U"]
         rep = sl.verify_unitary_three_band(u, -10, 10)
         assert rep.passed and rep.max_residual < 1e-12
 
@@ -268,7 +263,7 @@ class TestThreeBandUnitarity:
 
 class TestBandCountBound:
     def test_two_bands_on_c2(self):
-        _, _, u, _ = nondiagonal_equivalence_pair()
+        u = sl.load_example("ex31").operators["U"]
         rep = sl.check_band_count_bound(u, 2, -5, 5)
         assert rep.passed
         assert rep.context["effective_band_count"] == 2
@@ -327,7 +322,8 @@ class TestConjugateToShift:
                                        atol=1e-12)
 
     def test_two_band_conjugation_gives_shift(self):
-        u, s = two_band_shift_conjugation()
+        ex = sl.load_example("ex33-two-band")
+        u, s = ex.operators["U"], ex.shifts["S"]
         res = sl.conjugate_to_shift(u, s, -6, 6)
         assert res.is_shift
         # diagonal weights land on swapped coordinates of the neighbors
@@ -403,7 +399,7 @@ class TestThreeBandStructuralTheorems:
     def test_known_three_band_dodges_spectral_premise(self):
         # all three bands nonzero and the conjugation is a shift, so the
         # spectral premise must fail: no eigenvalue of C_n C_n* equals 1
-        u, _ = three_band_commutant()
+        u = sl.load_example("ex33-three-band").operators["U"]
         c = u.band(1)
         for n in range(-4, 5):
             evc = np.linalg.eigvalsh(c.weight_at(n) @ herm(c.weight_at(n)))

@@ -1,13 +1,13 @@
 """Command-line interface: subcommands, exit codes, reports."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import shiftlab as sl
 from shiftlab.cli import cli_main
-from shiftlab.corpus import moduli_screen_gap_pair, nondiagonal_equivalence_pair
 
 from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
 
@@ -51,6 +51,19 @@ class TestExamples:
         assert data["exit_code"] == 0
         assert any(c["name"] == "norm_offset_screen" for c in data["checks"])
 
+    @pytest.mark.parametrize("name", sl.EXAMPLE_NAMES)
+    def test_verify_on_the_example_file_gives_the_same_report(self, tmp_path, name):
+        path = os.path.join(os.path.dirname(sl.corpus.__file__), "examples",
+                            f"{name}.json")
+        runs = []
+        for argv in (["verify", path], ["example", name]):
+            out = tmp_path / "report.json"
+            code = cli_main([*argv, "--json", str(out), "--quiet"])
+            data = json.loads(out.read_text())
+            del data["name"], data["title"]
+            runs.append((code, data))
+        assert runs[0] == runs[1]
+
     def test_reports_deterministic_across_runs(self, tmp_path):
         outs = []
         for k in range(2):
@@ -83,7 +96,8 @@ class TestVerify:
         assert f"(at {path})" in capsys.readouterr().err
 
     def test_failed_expectation_exits_one(self, tmp_path, rng, capsys):
-        s, t = moduli_screen_gap_pair()
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         model = sl.SpecModel(dim=2, shifts={"S": s, "T": t})
         model.tasks.append({"op": "decide", "s": "S", "t": "T", "m": 0,
                             "window": [-3, 4], "expect": "equivalent"})
@@ -98,7 +112,8 @@ class TestDecideCommand:
         assert cli_main(["decide", spec, "--s", "X", "--t", "X", "--m", "0"]) == 0
 
     def test_not_equivalent_exit_one(self, tmp_path, capsys):
-        s, t = moduli_screen_gap_pair()
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         model = sl.SpecModel(dim=2, shifts={"S": s, "T": t})
         spec = write_spec(tmp_path, model)
         assert cli_main(["decide", spec, "--s", "S", "--t", "T", "--m", "0"]) == 1
@@ -131,7 +146,7 @@ class TestDecideCommand:
 class TestBadNumericArguments:
     @pytest.fixture
     def spec(self, tmp_path, rng):
-        _, _, u, _ = nondiagonal_equivalence_pair(half_width=4)
+        u = sl.load_example("ex31").operators["U"]
         s = ei_shift(rng, lo=0, length=2)
         model = sl.SpecModel(dim=2, shifts={"S": s}, operators={"U": u})
         return write_spec(tmp_path, model)
@@ -173,13 +188,22 @@ class TestOtherCommands:
         assert "positive-form S" in data["witnesses"]
 
     def test_bands_two_mode(self, tmp_path, capsys):
-        _, _, u, _ = nondiagonal_equivalence_pair(half_width=6)
+        u = sl.load_example("ex31").operators["U"]
         model = sl.SpecModel(dim=2, operators={"U": u})
         spec = write_spec(tmp_path, model)
         assert cli_main(["bands", spec, "--op", "U", "--mode", "two",
                          "--window", "-5", "5"]) == 0
         assert cli_main(["bands", spec, "--op", "U", "--mode", "count",
                          "--window", "-5", "5"]) == 0
+
+    def test_bands_count_explicit_zero_bound(self, tmp_path, capsys):
+        u = sl.load_example("ex31").operators["U"]
+        spec = write_spec(tmp_path, sl.SpecModel(dim=2, operators={"U": u}))
+        out = tmp_path / "count.json"
+        assert cli_main(["bands", spec, "--op", "U", "--mode", "count",
+                         "--bound", "0", "--json", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())["checks"][0]["details"]["report"]
+        assert report["context"]["bound"] == 0
 
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_main([]) == 2

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
-from shiftlab.corpus import moduli_screen_gap_pair, nondiagonal_equivalence_pair
 from shiftlab.matrices import frob, herm
 
 from conftest import (
@@ -16,6 +15,7 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_unitary,
+    s_val,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -41,7 +41,7 @@ class TestPositiveForm:
     def test_known_pair_scalar_positive_parts(self):
         # the positive parts are scalar multiples of the identity, so the
         # conjugation leaves them untouched
-        s, _, _, s_val = nondiagonal_equivalence_pair()
+        s = sl.load_example("ex31").shifts["S"]
         form = sl.positive_form(s, -8, 8)
         for n in range(-8, 9):
             expected = np.sqrt(2.0) * abs(s_val(n)) * I2
@@ -85,7 +85,8 @@ class TestNormOffsetScreen:
         assert 0 in sl.norm_offset_screen(s, s, -3, 3, -5, 5)
 
     def test_known_pair_is_empty(self):
-        s, t, _, _ = nondiagonal_equivalence_pair()
+        ex = sl.load_example("ex31")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         assert sl.norm_offset_screen(s, t, -8, 8, -4, 4) == set()
 
     def test_reindexed_copy_found_at_offset(self, rng):
@@ -106,11 +107,13 @@ class TestEigenModuliScreen:
         assert sl.eigen_moduli_screen(s, s, 0, -3, 5).passed
 
     def test_gap_pair_passes_at_zero(self):
-        s, t = moduli_screen_gap_pair()
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         assert sl.eigen_moduli_screen(s, t, 0, -3, 4).passed
 
     def test_spectrum_change_fails_at_index(self):
-        s, t = moduli_screen_gap_pair()
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         mats = [t.weight(0), np.diag([5.0, 2.0]).astype(complex)]
         t2 = sl.BilateralShift(sl.EventuallyIdentityWeights(0, mats))
         rep = sl.eigen_moduli_screen(s, t2, 0, -3, 4)
@@ -156,7 +159,8 @@ class TestGramChains:
                     < 1e-10 * np.linalg.norm(x)
 
     def test_known_pair_admits_no_joint_conjugator(self):
-        s, t, _, _ = nondiagonal_equivalence_pair()
+        ex = sl.load_example("ex31")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         chains = sl.gram_chains(s, t, 0, 0, 3)
         found = sl.solve_joint_conjugator(chains.pairs())
         assert found.unitary is None
@@ -282,7 +286,8 @@ class TestDecide:
                                                 "eigenvalue-moduli")
 
     def test_obstruction_recomputes(self, rng):
-        s, t = moduli_screen_gap_pair()
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         verdict = sl.decide_diagonal_equivalence(s, t, 0)
         assert verdict.is_not_equivalent
         ob = verdict.obstruction
@@ -358,7 +363,8 @@ class TestDecideScan:
         assert verdict.offset == 2
 
     def test_empty_screen_is_certified(self):
-        s, t, _, _ = nondiagonal_equivalence_pair()
+        ex = sl.load_example("ex31")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         verdict = sl.decide_diagonal_equivalence_scan(s, t, -5, 5,
                                                       window=(-4, 4))
         assert verdict.is_not_equivalent

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.corpus import nondiagonal_equivalence_pair
 from shiftlab.matrices import frob, herm
 
-from conftest import ei_shift, random_invertible
+from conftest import ei_shift, random_invertible, s_val
 
 I2 = np.eye(2, dtype=complex)
 
@@ -81,7 +80,7 @@ class TestApplyShift:
         np.testing.assert_allclose(y.block(1), x.block(0))
 
     def test_known_pair_first_basis_vector(self):
-        s, _, _, _ = nondiagonal_equivalence_pair()
+        s = sl.load_example("ex31").shifts["S"]
         x = sl.WindowedVector.basis(2, 0, 0)
         y = sl.apply_shift(s, x)
         np.testing.assert_allclose(y.block(1), [1.0, -1.0], atol=1e-14)
@@ -119,12 +118,12 @@ class TestWeightProducts:
         np.testing.assert_allclose(sl.product_backward_adjoint(f, 3, 5), I2)
 
     def test_known_forward_product(self):
-        s, _, _, _ = nondiagonal_equivalence_pair()
+        s = sl.load_example("ex31").shifts["S"]
         np.testing.assert_allclose(sl.product_forward(s, 0, 2),
                                    two_by_two(0, 2, -2, 0), atol=1e-14)
 
     def test_known_backward_product(self):
-        s, _, _, _ = nondiagonal_equivalence_pair()
+        s = sl.load_example("ex31").shifts["S"]
         np.testing.assert_allclose(sl.product_backward_adjoint(s, 0, 2),
                                    two_by_two(0, -1, 1, 0), atol=1e-14)
 
@@ -157,7 +156,8 @@ class TestNormProfile:
         assert sl.weight_norm_profile(f, -3, 3) == [1.0] * 7
 
     def test_known_pair_plateaus(self):
-        s, t, _, s_val = nondiagonal_equivalence_pair()
+        ex = sl.load_example("ex31")
+        s, t = ex.shifts["S"], ex.shifts["T"]
         sqrt2 = np.sqrt(2.0)
         s_norms = sl.weight_norm_profile(s, -10, 10)
         for v, n in zip(s_norms, range(-10, 11)):

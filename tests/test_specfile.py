@@ -1,14 +1,17 @@
 """Specification-document parsing, resolution, and round-tripping."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import shiftlab as sl
-from shiftlab.specfile import decode_matrix, encode_matrix
+from shiftlab.specfile import decode_matrix, encode_matrix, encode_operator, encode_shift
 
-from conftest import MALFORMED_SPECS, malformed_spec
+from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
+
+EXAMPLES_DIR = os.path.join(os.path.dirname(sl.corpus.__file__), "examples")
 
 I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -133,8 +136,8 @@ class TestRoundTrip:
         assert reparsed.tasks == model.tasks
 
     def test_corpus_pair_round_trips(self):
-        from shiftlab.corpus import nondiagonal_equivalence_pair
-        s, t, u, _ = nondiagonal_equivalence_pair(half_width=4)
+        ex = sl.load_example("ex31")
+        s, t, u = ex.shifts["S"], ex.shifts["T"], ex.operators["U"]
         model = sl.SpecModel(dim=2, shifts={"S": s, "T": t},
                              operators={"U": u})
         model.tasks.append({"op": "verify_intertwining", "operator": "U",
@@ -144,3 +147,62 @@ class TestRoundTrip:
         rep = sl.verify_intertwining(back.operators["U"], back.shifts["S"],
                                      back.shifts["T"], -3, 3)
         assert rep.passed
+
+
+def _stored_weights(model):
+    """``{sequence name: [(index, weight), ...]}`` over shifts and bands."""
+    seqs = {f"shift {name}": s.weights for name, s in model.shifts.items()}
+    seqs.update({f"operator {name} band {k}": op.band(k)
+                 for name, op in model.operators.items() for k in op.offsets})
+    return {name: list(seq.described_items()) for name, seq in seqs.items()}
+
+
+class TestBundledExamples:
+    def test_names_are_the_bundled_files(self):
+        files = {f[:-len(".json")] for f in os.listdir(EXAMPLES_DIR)
+                 if f.endswith(".json")}
+        assert set(sl.EXAMPLE_NAMES) == files == {
+            "ex31", "ex33-two-band", "ex33-three-band", "counterexample-sec2",
+            "five-entry-block"}
+
+    @pytest.mark.parametrize("name", sl.EXAMPLE_NAMES)
+    def test_file_is_canonical_and_round_trips_bit_identically(self, name):
+        with open(os.path.join(EXAMPLES_DIR, f"{name}.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        model = sl.load_example(name)
+        assert model.tasks
+        assert sl.serialize_model(model) + "\n" == text
+        back = sl.parse_shift_spec(sl.serialize_model(model))
+        before, after = _stored_weights(model), _stored_weights(back)
+        assert before.keys() == after.keys()
+        for key, items in before.items():
+            assert [n for n, _ in items] == [n for n, _ in after[key]]
+            for (_, w), (_, w_back) in zip(items, after[key]):
+                assert w.tobytes() == w_back.tobytes(), key
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(KeyError):
+            sl.load_example("ex99")
+
+    def test_conjugation_witness_is_the_stored_shift(self):
+        report = sl.run_example("ex33-two-band")
+        stored = sl.load_example("ex33-two-band").shifts["T'"]
+        assert report.witnesses["conjugation_is_shift"] == encode_shift(stored)
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize("key,value", [("m", 1), ("m_range", [-2, 2])])
+    def test_decide_without_window_uses_the_library_policy(self, rng, key, value):
+        s = ei_shift(rng, lo=0, length=2)
+        t, _ = conjugated_shift(rng, s, m=1)
+        model = sl.SpecModel(dim=2, shifts={"S": s, "T": t},
+                             tasks=[{"op": "decide", "s": "S", "t": "T", key: value}])
+        check, = sl.run_spec(model, "decide", "no window").checks
+        if key == "m":
+            verdict = sl.decide_diagonal_equivalence(s, t, value)
+        else:
+            verdict = sl.decide_diagonal_equivalence_scan(s, t, *value)
+        assert verdict.is_equivalent and verdict.offset == 1
+        assert check.observed == verdict.status.value
+        assert check.details["summary"] == verdict.summary()
+        assert check.details["witness"] == encode_operator(verdict.witness)
