@@ -46,6 +46,7 @@ from .bands import (
     verify_unitary_two_band,
 )
 from .equivalence import (
+    VerdictStatus,
     decide_diagonal_equivalence,
     decide_diagonal_equivalence_scan,
     eigen_moduli_screen,
@@ -64,19 +65,24 @@ from .shifts import (
     weight_norm_profile,
 )
 
-KNOWN_TASK_OPS = (
-    "verify_intertwining",
-    "verify_unitary",
-    "two_band_structure",
-    "diagonal_propagation",
-    "band_count_bound",
-    "conjugate_to_shift",
-    "positive_form",
-    "norms",
-    "norm_offset_screen",
-    "eigen_moduli_screen",
-    "decide",
-)
+_PASS_FAIL = ("pass", "fail")
+
+#: Each task op with the keys it requires and the values its ``expect``
+#: takes (None: the op takes no ``expect``).  A ``decide`` task also needs
+#: exactly one of ``m`` and ``m_range``.
+KNOWN_TASK_OPS = {
+    "verify_intertwining": (("operator", "s", "t"), _PASS_FAIL),
+    "verify_unitary": (("operator",), _PASS_FAIL),
+    "two_band_structure": (("operator",), _PASS_FAIL),
+    "diagonal_propagation": (("operator",), _PASS_FAIL),
+    "band_count_bound": (("operator",), _PASS_FAIL),
+    "conjugate_to_shift": (("operator", "s"), ("shift", "not_shift")),
+    "positive_form": (("shift",), None),
+    "norms": (("shift",), None),
+    "norm_offset_screen": (("s", "t"), None),
+    "eigen_moduli_screen": (("s", "t"), _PASS_FAIL),
+    "decide": (("s", "t"), tuple(status.value for status in VerdictStatus)),
+}
 
 
 @dataclass
@@ -208,17 +214,24 @@ def _validate_task(task, index: int, model: SpecModel):
     if not isinstance(task, dict):
         raise SpecFormatError("task must be an object", path=path)
     op = task.get("op")
-    if op not in KNOWN_TASK_OPS:
+    if not isinstance(op, str) or op not in KNOWN_TASK_OPS:
         raise SpecFormatError(f"unknown task op {op!r}", path=f"{path}.op")
-    for key in ("s", "t", "shift"):
-        name = task.get(key)
-        if name is not None and name not in model.shifts:
-            raise SpecFormatError(f"undefined shift {name!r}",
+    required, expect_values = KNOWN_TASK_OPS[op]
+    for key in required:
+        if key not in task:
+            raise SpecFormatError(f"task op {op!r} requires {key!r}",
                                   path=f"{path}.{key}")
-    name = task.get("operator")
-    if name is not None and name not in model.operators:
-        raise SpecFormatError(f"undefined operator {name!r}",
-                              path=f"{path}.operator")
+    if op == "decide" and ("m" in task) == ("m_range" in task):
+        raise SpecFormatError("task op 'decide' requires exactly one of 'm' "
+                              "and 'm_range'", path=f"{path}.m")
+    for key, names, kind in (("s", model.shifts, "shift"),
+                             ("t", model.shifts, "shift"),
+                             ("shift", model.shifts, "shift"),
+                             ("operator", model.operators, "operator")):
+        name = task.get(key)
+        if name is not None and not (isinstance(name, str) and name in names):
+            raise SpecFormatError(f"undefined {kind} {name!r}",
+                                  path=f"{path}.{key}")
     for key in ("window", "k_range", "m_range"):
         pair = task.get(key)
         if key in task and not (isinstance(pair, list) and len(pair) == 2
@@ -232,6 +245,21 @@ def _validate_task(task, index: int, model: SpecModel):
     if depth is not None and not (_is_int(depth) and depth >= 1):
         raise SpecFormatError("'depth' must be a positive integer or null",
                               path=f"{path}.depth")
+    mode = task.get("mode")
+    if "mode" in task and not (isinstance(mode, str) and mode in _UNITARITY):
+        raise SpecFormatError(f"'mode' must be one of {sorted(_UNITARITY)}",
+                              path=f"{path}.mode")
+    if "expect" in task and task["expect"] not in (expect_values or ()):
+        allowed = (f"one of {list(expect_values)}" if expect_values
+                   else f"absent for task op {op!r}")
+        raise SpecFormatError(f"'expect' must be {allowed}", path=f"{path}.expect")
+    feasible = task.get("expect_feasible")
+    if "expect_feasible" in task and not (isinstance(feasible, list)
+                                          and all(map(_is_int, feasible))):
+        raise SpecFormatError("'expect_feasible' must be an array of integers",
+                              path=f"{path}.expect_feasible")
+    if not isinstance(task.get("label", ""), str):
+        raise SpecFormatError("'label' must be a string", path=f"{path}.label")
 
 
 def parse_shift_spec(text: str) -> SpecModel:

@@ -160,6 +160,12 @@ def _task(**fields):
     return {"tasks": [{"op": "norms", "shift": "S", "window": [0, 1], **fields}]}
 
 
+def _op_task(**task):
+    """One task over shift S and a one-band operator U."""
+    band = {"variant": "periodic", "weights": [[[[1.0, 0.0]]]]}
+    return {"operators": {"U": {"bands": {"0": band}}}, "tasks": [task]}
+
+
 #: Top-level overrides of a valid dim-1 document with one shift S, each
 #: making it malformed, and the JSON path its SpecFormatError must name.
 MALFORMED_SPECS = {
@@ -187,6 +193,37 @@ MALFORMED_SPECS = {
                    "tasks[0].depth"),
     "k-float": ({"tasks": [{"op": "eigen_moduli_screen", "s": "S", "t": "S", "k": 0.5}]},
                 "tasks[0].k"),
+    "expect-passed": (_op_task(op="verify_unitary", operator="U", expect="passed"),
+                      "tasks[0].expect"),
+    "expect-null": (_op_task(op="verify_unitary", operator="U", expect=None),
+                    "tasks[0].expect"),
+    "expect-verdict-misspelt": (_op_task(op="decide", s="S", t="S", m=0,
+                                         expect="equivalnt"), "tasks[0].expect"),
+    "expect-shift-on-verdict": (_op_task(op="decide", s="S", t="S", m=0,
+                                         expect="shift"), "tasks[0].expect"),
+    "expect-pass-on-conjugation": (_op_task(op="conjugate_to_shift", operator="U",
+                                            s="S", expect="pass"), "tasks[0].expect"),
+    "expect-on-norms": (_task(expect="pass"), "tasks[0].expect"),
+    "expect-feasible-string": (_op_task(op="norm_offset_screen", s="S", t="S",
+                                        expect_feasible="x"),
+                               "tasks[0].expect_feasible"),
+    "expect-feasible-float": (_op_task(op="norm_offset_screen", s="S", t="S",
+                                       expect_feasible=[0, 0.5]),
+                              "tasks[0].expect_feasible"),
+    "mode-two": (_op_task(op="verify_unitary", operator="U", mode="two"),
+                 "tasks[0].mode"),
+    "mode-array": (_op_task(op="verify_unitary", operator="U", mode=["banded"]),
+                   "tasks[0].mode"),
+    "decide-without-offset": (_op_task(op="decide", s="S", t="S"), "tasks[0].m"),
+    "decide-m-and-m-range": (_op_task(op="decide", s="S", t="S", m=0, m_range=[0, 1]),
+                             "tasks[0].m"),
+    "decide-without-t": (_op_task(op="decide", s="S", m=0), "tasks[0].t"),
+    "intertwining-without-s": (_op_task(op="verify_intertwining", operator="U", t="S"),
+                               "tasks[0].s"),
+    "unitary-without-operator": (_op_task(op="verify_unitary"), "tasks[0].operator"),
+    "positive-form-without-shift": (_op_task(op="positive_form"), "tasks[0].shift"),
+    "shift-name-array": (_task(shift=["S"]), "tasks[0].shift"),
+    "label-array": (_task(label=["x"]), "tasks[0].label"),
 }
 
 

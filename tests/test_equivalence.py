@@ -209,6 +209,251 @@ class TestSolveJointConjugator:
                     < 1e-8 * max(frob(g), 1.0)
 
 
+def _stacked_system(pairs):
+    """The Kronecker system of every constraint ``G_t U - U G_s = 0``."""
+    dim = pairs[0][0].shape[0]
+    eye = np.eye(dim)
+    # row-major vec: vec(G_t U - U G_s) = (G_t (x) I - I (x) G_s^T) vec(U)
+    return np.vstack([(np.kron(gt, eye) - np.kron(eye, gs.T))
+                      / max(frob(gs), frob(gt), 1.0) for gs, gt in pairs])
+
+
+def reference_conjugator(pairs, tol=sl.DEFAULT_TOL, seed=0, max_restarts=64):
+    """Null space of the full stacked system by SVD, then the polar search.
+
+    Returns (outcome, unitary, residual, nullspace_dim) with outcome one of
+    "found", "spectrum-mismatch", "empty-nullspace", "singular-nullspace"
+    and "inconclusive"; residual is the best constraint residual.  The thin
+    SVD gives the same right singular vectors as the full one.
+    """
+    pairs = [(np.asarray(gs, dtype=complex), np.asarray(gt, dtype=complex))
+             for gs, gt in pairs]
+    for gs, gt in pairs:
+        es = np.sort(np.linalg.eigvalsh(0.5 * (gs + herm(gs))))
+        et = np.sort(np.linalg.eigvalsh(0.5 * (gt + herm(gt))))
+        scale = max(np.max(np.abs(es)), np.max(np.abs(et)), 1.0)
+        if np.max(np.abs(es - et)) > tol.bound(scale):
+            return "spectrum-mismatch", None, None, 0
+    dim = pairs[0][0].shape[0]
+    _, svals, vh = np.linalg.svd(_stacked_system(pairs), full_matrices=False)
+    cutoff = max(svals[0], 1.0) * max(tol.rel, 1e-11)
+    basis = [vh[j].conj().reshape(dim, dim) for j in range(len(svals))
+             if svals[j] <= cutoff]
+    if not basis:
+        return "empty-nullspace", None, None, 0
+    rng = np.random.default_rng(seed)
+
+    def candidates():
+        yield from basis
+        for _ in range(max_restarts):
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            yield sum(c * b for c, b in zip(coeffs, basis))
+
+    saw_nonsingular = False
+    best = np.inf
+    for x in candidates():
+        svals_x = np.linalg.svd(x, compute_uv=False)
+        if svals_x[-1] <= 1e-10 * max(svals_x[0], 1e-300):
+            continue
+        saw_nonsingular = True
+        w = sl.nearest_unitary(x)
+        worst = _constraint_residual(w, pairs)
+        if worst <= tol.bound(1.0):
+            return "found", w, worst, len(basis)
+        best = min(best, worst)
+    if not saw_nonsingular:
+        return "singular-nullspace", None, None, len(basis)
+    return "inconclusive", None, best, len(basis)
+
+
+def _constraint_residual(w, pairs):
+    return max(frob(herm(w) @ gt @ w - gs) / max(frob(gs), frob(gt), 1.0)
+               for gs, gt in pairs)
+
+
+def _outcome(res):
+    if res.unitary is not None:
+        return "found"
+    return res.certificate or "inconclusive"
+
+
+def _hermitian_with(rng, dim, evals):
+    q = random_unitary(rng, dim)
+    return q @ np.diag(evals) @ herm(q)
+
+
+def _gram(rng, dim):
+    a = random_matrix(rng, dim)
+    return herm(a) @ a
+
+
+def _corpus_grams(rng, kind, dim, count):
+    """``count`` Hermitian matrices of one degenerate or generic kind."""
+    if kind == "generic":
+        return [_gram(rng, dim) for _ in range(count)]
+    if kind == "repeated":
+        return [_hermitian_with(rng, dim, rng.choice([1.0, 2.0, 3.5], size=dim))
+                for _ in range(count)]
+    if kind == "scalar":
+        scalars = [rng.uniform(0.5, 3.0) * np.eye(dim)
+                   for _ in range(int(rng.integers(1, 3)))]
+        return scalars + _corpus_grams(rng, "repeated" if rng.random() < 0.5
+                                       else "generic", dim, count)
+    if kind == "block-commuting":
+        q = random_unitary(rng, dim)
+        cut = int(rng.integers(1, dim))
+        mats = []
+        for _ in range(count):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[:cut, :cut] = _gram(rng, cut)
+            m[cut:, cut:] = _gram(rng, dim - cut)
+            mats.append(q @ m @ herm(q))
+        return mats
+    if kind == "near-gap":
+        mats = []
+        for _ in range(count):
+            evals = rng.uniform(1.0, 3.0, size=dim)
+            evals[1] = evals[0] * (1.0 + 10.0 ** rng.uniform(-13, -7))
+            mats.append(_hermitian_with(rng, dim, evals))
+        return mats
+    if kind == "ill-conditioned":
+        lo, hi = -6.0 * rng.random(), 6.0 * rng.random()
+        return [_hermitian_with(rng, dim, 10.0 ** rng.uniform(lo, hi, size=dim))
+                for _ in range(count)]
+    raise ValueError(kind)
+
+
+CORPUS_KINDS = ("generic", "repeated", "scalar", "block-commuting", "near-gap",
+                "ill-conditioned", "noisy")
+
+
+def _corpus_case(rng, kind, dim):
+    """Pairs conjugated by one unitary; noisy or with a conflicting pair."""
+    grams = _corpus_grams(rng, "generic" if kind == "noisy" else kind, dim,
+                          int(rng.integers(1, 6)))
+    u = random_unitary(rng, dim)
+    targets = [u @ g @ herm(u) for g in grams]
+    targets = [0.5 * (g + herm(g)) for g in targets]
+    if kind == "noisy":
+        eta = 10.0 ** rng.uniform(-16, -9)
+        noise = [random_matrix(rng, dim) for _ in targets]
+        targets = [g + eta * frob(g) * 0.5 * (e + herm(e)) / dim
+                   for g, e in zip(targets, noise)]
+    pairs = list(zip(grams, targets))
+    if rng.random() < 0.3:
+        # same spectrum, another conjugator
+        i = int(rng.integers(0, len(pairs)))
+        v = random_unitary(rng, dim)
+        pairs[i] = (pairs[i][0], v @ pairs[i][0] @ herm(v))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def differential_corpus():
+    """(kind, pairs, reference outcome, solver result) for 840 seeded cases."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for i in range(840):
+        kind = CORPUS_KINDS[i % len(CORPUS_KINDS)]
+        pairs = _corpus_case(rng, kind, int(rng.integers(2, 9)))
+        cases.append((kind, pairs, reference_conjugator(pairs, seed=i),
+                      sl.solve_joint_conjugator(pairs, seed=i)))
+    return cases
+
+
+class TestConjugatorAgainstStackedSVD:
+    """The eigenbasis solver against an SVD of the full stacked system."""
+
+    def test_corpus_reaches_every_outcome(self, differential_corpus):
+        outcomes = {ref[0] for _, _, ref, _ in differential_corpus}
+        assert outcomes >= {"found", "empty-nullspace", "singular-nullspace",
+                            "spectrum-mismatch"}
+
+    def test_no_certificate_where_a_unitary_exists(self, differential_corpus):
+        bound = sl.DEFAULT_TOL.bound(1.0)
+        for kind, pairs, ref, res in differential_corpus:
+            if ref[0] == "found":
+                assert res.certificate not in ("empty-nullspace",
+                                               "singular-nullspace"), kind
+            if res.unitary is not None:
+                assert sl.is_unitary(res.unitary, sl.Tolerance(1e-8, 1e-8))
+                assert _constraint_residual(res.unitary, pairs) <= bound, kind
+
+    def test_outcomes_match(self, differential_corpus):
+        # a near-threshold reference find may be missed, never anything else
+        bound = sl.DEFAULT_TOL.bound(1.0)
+        exceptions = []
+        for kind, pairs, (outcome, _, residual, _), res in differential_corpus:
+            if _outcome(res) == outcome:
+                continue
+            assert (outcome, _outcome(res)) == ("found", "inconclusive"), kind
+            assert residual >= bound / 10, kind
+            exceptions.append(kind)
+        assert len(exceptions) <= len(differential_corpus) // 100
+
+    def test_null_space_dimension_matches(self, differential_corpus):
+        for kind, _, (outcome, _, _, null_dim), res in differential_corpus:
+            if outcome == "found" and res.unitary is not None:
+                assert res.nullspace_dim == null_dim, kind
+
+
+class TestConjugatorCertificates:
+    CONFLICTING = [(np.diag([1.0, 4.0]), np.diag([4.0, 1.0])),
+                   (np.diag([9.0, 4.0]), np.diag([9.0, 4.0]))]
+
+    def test_empty_nullspace_carries_its_margin(self):
+        res = sl.solve_joint_conjugator(self.CONFLICTING)
+        assert res.certificate == "empty-nullspace"
+        diag = res.diagnostics
+        assert set(diag) == {"cutoff", "certify_cutoff", "columns_kept", "tau"}
+        assert diag["cutoff"] < diag["certify_cutoff"] < res.residual
+        # recompute: the full system in the first pair's eigenbasis,
+        # restricted to the kept entries X_ab
+        gs1, gt1 = self.CONFLICTING[0]
+        ls, ys = np.linalg.eigh(gs1)
+        lt, yt = np.linalg.eigh(gt1)
+        moved = [(herm(ys) @ gs @ ys, herm(yt) @ gt @ yt)
+                 for gs, gt in self.CONFLICTING]
+        gap = np.abs(lt[:, None] - ls[None, :]).ravel() / max(frob(gs1), frob(gt1), 1.0)
+        kept = _stacked_system(moved)[:, gap <= diag["tau"]]
+        assert kept.shape[1] == diag["columns_kept"]
+        smallest = np.linalg.svd(kept, compute_uv=False)[-1]
+        assert abs(smallest - res.residual) < 1e-12
+        # dropping entries only raises the smallest singular value
+        full = np.linalg.svd(_stacked_system(self.CONFLICTING), compute_uv=False)
+        assert full[-1] <= res.residual + 1e-12
+
+    def test_obstruction_reports_the_margin(self):
+        diag = np.diag
+        s = sl.BilateralShift(sl.EventuallyIdentityWeights(
+            -1, [diag([3.0, 5.0]), diag([1.0, 2.0])]))
+        t = sl.BilateralShift(sl.EventuallyIdentityWeights(
+            -1, [diag([5.0, 3.0]), diag([1.0, 2.0])]))
+        verdict = sl.decide_diagonal_equivalence(s, t, 0)
+        assert verdict.is_not_equivalent
+        ob = verdict.obstruction
+        assert ob.kind == "conjugator-infeasible"
+        assert ob.residual > ob.diagnostics["certify_cutoff"] > 0.0
+        assert f"residual {ob.residual:.3e}" in verdict.summary()
+
+
+class TestConjugatorScale:
+    @pytest.mark.parametrize("dim", [8, 12, 16])
+    def test_random_conjugation_recovered(self, rng, dim):
+        u = random_unitary(rng, dim)
+        pairs = [(g, u @ g @ herm(u)) for g in (_gram(rng, dim) for _ in range(8))]
+        res = sl.solve_joint_conjugator(pairs, seed=dim)
+        assert res.unitary is not None
+        assert res.nullspace_dim == 1
+        assert res.diagnostics["columns_kept"] < dim * dim
+        for gs, gt in pairs:
+            assert frob(herm(res.unitary) @ gt @ res.unitary - gs) \
+                < 1e-8 * max(frob(gs), 1.0)
+        # the conjugator is unique up to a phase
+        phase = np.vdot(u, res.unitary) / dim
+        assert frob(res.unitary - phase * u) < 1e-8
+
+
 class TestConstructDiagonalIntertwiner:
     def test_equal_shifts_identity_anchor(self, rng):
         s = ei_shift(rng, lo=0, length=3)

@@ -109,8 +109,30 @@ class TestMalformed:
                                           ("m_range", [0, 0])])
     def test_integer_ranges_accepted(self, key, pair):
         doc = minimal_doc()
-        doc["tasks"] = [{"op": "decide", "s": "S", "t": "S", key: pair}]
+        task = {"op": "decide", "s": "S", "t": "S", key: pair}
+        if key != "m_range":
+            task["m"] = 0       # a decide task names exactly one of m, m_range
+        doc["tasks"] = [task]
         assert sl.parse_shift_spec(json.dumps(doc)).tasks[0][key] == pair
+
+    @pytest.mark.parametrize("task", [
+        {"op": "verify_unitary", "operator": "U", "mode": mode, "expect": expect}
+        for mode in ("banded", "two_band", "three_band") for expect in ("pass", "fail")
+    ] + [
+        {"op": "conjugate_to_shift", "operator": "U", "s": "S", "expect": expect}
+        for expect in ("shift", "not_shift")
+    ] + [
+        {"op": "decide", "s": "S", "t": "S", "m_range": [0, 1], "expect": status.value}
+        for status in sl.VerdictStatus
+    ] + [
+        {"op": "norm_offset_screen", "s": "S", "t": "S", "expect_feasible": feasible}
+        for feasible in ([], [-1, 2])
+    ])
+    def test_expectations_accepted(self, task):
+        doc = minimal_doc()
+        doc["operators"] = {"U": {"bands": {"0": doc["shifts"]["S"]}}}
+        doc["tasks"] = [task]
+        assert sl.parse_shift_spec(json.dumps(doc)).tasks == [task]
 
 
 class TestRoundTrip:
