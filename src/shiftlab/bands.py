@@ -13,7 +13,10 @@ residual is the Frobenius norm of the difference.  Where a windowed sequence
 lacks an entry that a group of conditions needs, the group is skipped and
 recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS`` with
 batched ``matmul``, so working memory does not grow with the window, and
-reports list checks row by row or condition by condition.
+reports list checks row by row or condition by condition.  Each sequence a
+block needs is read once per block, over the block's rows plus the shifts
+its factors reach, by ``WeightSequence.rows``; this module never maps an
+index to a stored matrix itself.
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ from .shifts import (
     WeightSequence,
     WindowedVector,
     WindowedWeights,
+    _BLOCK_ROWS,
+    _require_rows,
     identity_weights,
     map_weights,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ConditionCheck:
     condition: str
     index: int
@@ -45,7 +50,7 @@ class ConditionCheck:
     passed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class SkippedCheck:
     condition: str
     index: int
@@ -92,8 +97,10 @@ class WindowReport:
             "window": [self.lo, self.hi],
             "passed": self.passed,
             "max_residual": self.max_residual,
-            "checks": [vars(c) for c in self.checks],
-            "skipped": [vars(s) for s in self.skipped],
+            "checks": [{"condition": c.condition, "index": c.index,
+                        "residual": c.residual, "passed": c.passed} for c in self.checks],
+            "skipped": [{"condition": s.condition, "index": s.index, "reason": s.reason}
+                        for s in self.skipped],
             "context": self.context,
         }
 
@@ -134,10 +141,6 @@ class BandedOperator:
 
     def band(self, k: int) -> WeightSequence:
         return self._bands[k]
-
-    def has_entry(self, i: int, j: int) -> bool:
-        k = j - i
-        return k in self._bands and self._bands[k].has_index(i)
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """Matrix entry at (i, j); structurally zero off the stored bands."""
@@ -191,16 +194,13 @@ def apply_banded(u: BandedOperator, x: WindowedVector) -> WindowedVector:
     hi = x.hi - min(offs)
     out = np.zeros((hi - lo + 1, x.dim), dtype=complex)
     for k in offs:
-        seq = u.band(k)
-        for n in range(x.lo, x.hi + 1):
-            i = n - k
-            out[i - lo] += seq.weight_at(i) @ x.block(n)
+        w, present = u.band(k).rows(x.lo - k, x.hi - k)
+        _require_rows(u.band(k), x.lo - k, present)
+        out[x.lo - k - lo:x.hi - k - lo + 1] += (w @ x.blocks[:, :, None])[:, :, 0]
     return WindowedVector(lo, out)
 
 
 # --- the windowed-condition engine -------------------------------------------
-
-_BLOCK_ROWS = 512        # rows evaluated at once; keeps working memory flat
 
 
 class _At(NamedTuple):
@@ -238,17 +238,6 @@ class _Group(NamedTuple):
     within: int | None = None
 
 
-def _gather(seq: WeightSequence, lo: int, hi: int, dim: int):
-    """Entries of ``seq`` on rows lo..hi as an (N, d, d) stack, zero where
-    absent, and the ``has_index`` mask."""
-    rows = range(lo, hi + 1)
-    has = np.fromiter(map(seq.has_index, rows), dtype=bool, count=len(rows))
-    out = np.zeros((len(rows), dim, dim), dtype=complex)
-    if has.any():
-        out[has] = [seq.weight_at(n) for n in itertools.compress(rows, has)]
-    return out, has
-
-
 def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
               keep: int | None = None):
     """(C, N) arrays of residuals, their acceptance under ``tol`` and
@@ -269,14 +258,14 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         stop = min(start + _BLOCK_ROWS, count)
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
         # each sequence once per block, over the block's rows plus its reach
-        stacks = {seq: (first, *_gather(seq, lo + start + first, lo + stop - 1 + last, dim))
+        stacks = {seq: (first, *seq.rows(lo + start + first, lo + stop - 1 + last))
                   for seq, (first, last) in reach.items()}
 
         def factor(f, mask):
             first, w, present = stacks[f.seq]
             rows = slice(f.shift - first, f.shift - first + stop - start)
             mask &= present[rows]
-            return w[rows].conj().swapaxes(-1, -2) if f.adjoint else w[rows]
+            return herm(w[rows]) if f.adjoint else w[rows]
 
         def total(terms, mask):
             out = np.zeros_like(eye)

@@ -21,6 +21,7 @@ unitary nor certify, the full system decides (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,12 +44,16 @@ from .matrices import (
     condition_ratio,
     frob,
     herm,
-    is_normal,
     nearest_unitary,
-    operator_norm,
-    polar_decompose,
 )
-from .shifts import BilateralShift, PeriodicWeights, WindowedWeights
+from .shifts import (
+    BilateralShift,
+    PeriodicWeights,
+    WindowedWeights,
+    _blockwise,
+    _operator_norms,
+    _require_rows,
+)
 
 
 class VerdictStatus(str, Enum):
@@ -368,48 +373,65 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     """
     if hi < lo:
         raise ValueError("hi must be >= lo")
-    unitaries = {}
-    positives = {}
-    for n in range(lo, hi + 1):
-        if condition_ratio(s.weight(n)) <= 1e-10:
-            raise ConditioningError(
-                f"weight at n={n} is singular or ill-conditioned", index=n)
-        unitaries[n], positives[n] = polar_decompose(s.weight(n))
+    w, present = s.weights.rows(lo, hi)
+    x, svals, yh = np.linalg.svd(w)
+    # rows the sequence lacks are zero, so they count as singular here
+    bad = np.flatnonzero(svals[:, -1] / np.where(present, svals[:, 0], 1.0) <= 1e-10)
+    if bad.size:
+        n = lo + int(bad[0])
+        _require_rows(s.weights, lo, present[:bad[0] + 1])     # raises if row n is absent
+        raise ConditioningError(f"weight at n={n} is singular or ill-conditioned", index=n)
+    # polar factors S_n = U_n P_n, as in ``polar_decompose``
+    unitaries = x @ yh
+    positives = herm(yh) @ (svals[:, :, None] * yh)
+    positives = 0.5 * (positives + herm(positives))
 
-    anchor = min(max(0, lo - 1), hi)
-    v = {anchor: np.eye(s.dim, dtype=complex)}
-    for n in range(anchor + 1, hi + 1):
-        v[n] = unitaries[n] @ v[n - 1]
-    for n in range(anchor, lo - 1, -1):
-        v[n - 1] = herm(unitaries[n]) @ v[n]
+    # v[j] is V_{lo-1+j}
+    anchor = min(max(0, lo - 1), hi) - (lo - 1)
+    v = np.empty((hi - lo + 2, s.dim, s.dim), dtype=complex)
+    v[anchor] = np.eye(s.dim)
+    for j in range(anchor + 1, len(v)):
+        v[j] = unitaries[j - 1] @ v[j - 1]
+    for j in range(anchor, 0, -1):
+        v[j - 1] = herm(unitaries[j - 1]) @ v[j]
 
-    t_weights = []
-    max_res = 0.0
-    for n in range(lo, hi + 1):
-        tn = herm(v[n - 1]) @ positives[n] @ v[n - 1]
-        tn = 0.5 * (tn + herm(tn))
-        t_weights.append(tn)
-        res = frob(herm(v[n]) @ s.weight(n) - tn @ herm(v[n - 1]))
-        max_res = max(max_res, res)
+    t_weights = herm(v[:-1]) @ positives @ v[:-1]
+    t_weights = 0.5 * (t_weights + herm(t_weights))
+    res = np.linalg.norm(herm(v[1:]) @ w - t_weights @ herm(v[:-1]), axis=(-2, -1))
 
     shift = BilateralShift(WindowedWeights(lo, t_weights),
                            label=f"positive({s.label})" if s.label else "")
-    diag_entries = [herm(v[n]) for n in range(lo - 1, hi + 1)]
-    diagonal = single_band(0, WindowedWeights(lo - 1, diag_entries),
+    diagonal = single_band(0, WindowedWeights(lo - 1, herm(v)),
                            label="positive-form conjugator")
-    return PositiveForm(shift, diagonal, max_res)
+    return PositiveForm(shift, diagonal, float(res.max()))
 
 
-def _norm_mismatch(s, t, k, lo, hi, tol):
-    """First (n, |gap|) where ``||S_{n+k}|| != ||T_n||`` on the window."""
-    for n in range(lo, hi + 1):
-        if not (s.has_weight(n + k) and t.has_weight(n)):
-            continue
-        a = operator_norm(s.weight(n + k))
-        b = operator_norm(t.weight(n))
-        if abs(a - b) > tol.bound(max(a, b)):
-            return n, abs(a - b)
-    return None
+def _close(x, y, tol):
+    """``tol.close`` for each pair of matrices of two (N, d, d) stacks."""
+    norm = functools.partial(np.linalg.norm, axis=(-2, -1))
+    return norm(x - y) <= tol.abs + tol.rel * np.maximum(norm(x), norm(y))
+
+
+def _normal(w, tol):
+    """``is_normal`` for each matrix of an (N, d, d) stack."""
+    return _close(herm(w) @ w, w @ herm(w), tol)
+
+
+def _norm_mismatches(s, t, k_min, k_max, lo, hi, tol):
+    """For each offset k in [k_min, k_max], the first (n, |gap|) where
+    ``||S_{n+k}|| != ||T_n||`` on the window, or None.  Each shift's norm
+    profile is computed once, over the rows the offsets reach."""
+    count = max(hi - lo + 1, 0)
+    norm_s, has_s = _blockwise(s.weights, lo + k_min, hi + k_max, _operator_norms)
+    norm_t, has_t = _blockwise(t.weights, lo, hi, _operator_norms)
+    out = []
+    for j in range(k_max - k_min + 1):
+        a = norm_s[j:j + count]
+        gap = np.abs(a - norm_t)
+        bad = np.flatnonzero(has_s[j:j + count] & has_t
+                             & (gap > tol.abs + tol.rel * np.maximum(a, norm_t)))
+        out.append((lo + int(bad[0]), float(gap[bad[0]])) if bad.size else None)
+    return out
 
 
 def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
@@ -420,8 +442,8 @@ def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
     An empty result certifies that no diagonal-form intertwiner with offset
     in the range exists.
     """
-    return {k for k in range(k_min, k_max + 1)
-            if _norm_mismatch(s, t, k, lo, hi, tol) is None}
+    mismatches = _norm_mismatches(s, t, k_min, k_max, lo, hi, tol)
+    return {k for k, mism in enumerate(mismatches, k_min) if mism is None}
 
 
 def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
@@ -435,22 +457,25 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     """
     if s.dim != 2 or t.dim != 2:
         raise PreconditionError("eigenvalue-moduli screen requires dim 2")
+    ws, has_s = s.weights.rows(lo + k, hi + k)
+    wt, has_t = t.weights.rows(lo, hi)
+    both = has_s & has_t
+    abnormal = [both & ~_normal(w, tol) for w in (ws, wt)]
+    bad = np.flatnonzero(abnormal[0] | abnormal[1])
+    if bad.size:
+        n = lo + int(bad[0])
+        name = "S" if abnormal[0][bad[0]] else "T"
+        raise PreconditionError(f"{name}-weight at n={n} is not normal", index=n)
+    ms, mt = (np.sort(np.abs(np.linalg.eigvals(w)), axis=-1) for w in (ws, wt))
+    gap = np.abs(ms - mt).max(axis=-1)
+    scale = np.maximum(np.maximum(ms.max(axis=-1), mt.max(axis=-1)), 1.0)
     rep = WindowReport(lo, hi)
-    for n in range(lo, hi + 1):
-        if not (s.has_weight(n + k) and t.has_weight(n)):
+    for n, ok, g, passed in zip(range(lo, hi + 1), both.tolist(), gap.tolist(),
+                                (gap <= tol.abs + tol.rel * scale).tolist()):
+        if ok:
+            rep.checks.append(ConditionCheck("eigen_moduli", n, g, passed))
+        else:
             rep.skipped.append(SkippedCheck("eigen_moduli", n))
-            continue
-        ws, wt = s.weight(n + k), t.weight(n)
-        for name, w in (("S", ws), ("T", wt)):
-            if not is_normal(w, tol):
-                raise PreconditionError(
-                    f"{name}-weight at n={n} is not normal", index=n)
-        ms = np.sort(np.abs(np.linalg.eigvals(ws)))
-        mt = np.sort(np.abs(np.linalg.eigvals(wt)))
-        gap = float(np.max(np.abs(ms - mt)))
-        scale = max(float(ms.max()), float(mt.max()), 1.0)
-        rep.checks.append(ConditionCheck("eigen_moduli", n, gap,
-                                         gap <= tol.bound(scale)))
     return rep
 
 
@@ -617,23 +642,19 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     if depth is None:
         depth = _auto_depth(s, t, m)
 
-    mism = _norm_mismatch(s, t, m, lo, hi, tol)
+    mism = _norm_mismatches(s, t, m, m, lo, hi, tol)[0]
     if mism is not None:
         n, gap = mism
         return _not_equivalent(m, "norm-profile", n, gap,
                                f"||S_{{n+{m}}}|| != ||T_n|| at n={n}")
 
-    if s.dim == 2:
-        def all_normal(shift):
-            return all(is_normal(w, tol) for _, w in shift.weights.described_items())
-        if all_normal(s) and all_normal(t):
-            rep = eigen_moduli_screen(s, t, m, lo, hi, tol)
-            if not rep.passed:
-                bad = rep.first_failure()
-                return _not_equivalent(m, "eigenvalue-moduli", bad.index,
-                                       bad.residual,
-                                       "eigenvalue moduli differ at "
-                                       f"n={bad.index}")
+    if s.dim == 2 and all(_blockwise(x.weights, x.weights.lo, x.weights.hi,
+                                     lambda w: _normal(w, tol))[0].all() for x in (s, t)):
+        rep = eigen_moduli_screen(s, t, m, lo, hi, tol)
+        if not rep.passed:
+            bad = rep.first_failure()
+            return _not_equivalent(m, "eigenvalue-moduli", bad.index, bad.residual,
+                                   f"eigenvalue moduli differ at n={bad.index}")
 
     chains = gram_chains(s, t, m, 0, depth)
     pairs = chains.pairs()
@@ -696,23 +717,20 @@ def _periodic_witness_certificate(s, t, witness, m, period, lo, hi, tol):
     lower_end = min([r[0] for r in spans], default=hi + 1) - 1
 
     def entries_repeat(a, b):
-        checked = False
-        for n in range(a, b - period + 1):
-            if not (band.has_index(n) and band.has_index(n + period)):
-                continue
-            checked = True
-            if not tol.close(band.weight_at(n), band.weight_at(n + period)):
-                return False, f"entries at n={n} and n={n + period} differ"
-        if not checked:
+        w, present = band.rows(a, b)
+        both = present[:-period] & present[period:]
+        if not both.any():
             return False, "window leaves no margin to compare a full period"
+        differ = np.flatnonzero(both & ~_close(w[:-period], w[period:], tol))
+        if differ.size:
+            n = a + int(differ[0])
+            return False, f"entries at n={n} and n={n + period} differ"
         return True, ""
 
-    ok_hi, why_hi = entries_repeat(max(upper_start, lo - 1), hi)
-    if not ok_hi:
-        return False, why_hi
-    ok_lo, why_lo = entries_repeat(lo - 1, min(lower_end, hi))
-    if not ok_lo:
-        return False, why_lo
+    for a, b in ((max(upper_start, lo - 1), hi), (lo - 1, min(lower_end, hi))):
+        ok, why = entries_repeat(a, b)
+        if not ok:
+            return False, why
     return True, ""
 
 

@@ -72,8 +72,8 @@ def require_square(m, what: str = "matrix") -> np.ndarray:
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def frob(m: np.ndarray) -> float:
@@ -115,11 +115,6 @@ def polar_decompose(m, tol: Tolerance = DEFAULT_TOL):
     p = herm(yh) @ (s[:, None] * yh)
     p = 0.5 * (p + herm(p))
     return w, p
-
-
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = require_square(a)
-    return tol.close(a, herm(a))
 
 
 def is_normal(a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -95,15 +95,10 @@ class SpecModel:
     tasks: list = field(default_factory=list)
 
 
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(m) -> list:
+    """Rows of ``[re, im]`` pairs."""
     a = np.asarray(m, dtype=complex)
-    return [[encode_complex(a[i, j]) for j in range(a.shape[1])]
-            for i in range(a.shape[0])]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _is_int(x) -> bool:

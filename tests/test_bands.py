@@ -1,5 +1,7 @@
 """Banded operators: application, intertwining, unitarity, structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,33 @@ class TestApplyBanded:
         op = sl.single_band(0, sl.WindowedWeights(0, [I2]))
         with pytest.raises(sl.WindowAccessError):
             sl.apply_banded(op, sl.WindowedVector.basis(2, 5, 0))
+
+    def test_matches_the_entrywise_sum(self, rng):
+        u = sl.BandedOperator({
+            -1: sl.PeriodicWeights([random_matrix(rng) for _ in range(3)]),
+            0: sl.EventuallyIdentityWeights(-2, [random_matrix(rng) for _ in range(4)]),
+            2: sl.WindowedWeights(-20, [random_matrix(rng) for _ in range(40)])})
+        x = sl.WindowedVector(-5, rng.standard_normal((9, 2))
+                              + 1j * rng.standard_normal((9, 2)))
+        y = sl.apply_banded(u, x)
+        assert (y.lo, y.hi) == (-7, 4)
+        for i in range(y.lo, y.hi + 1):
+            expected = sum(u.entry(i, n) @ x.block(n) for n in range(x.lo, x.hi + 1))
+            np.testing.assert_allclose(y.block(i), expected, atol=1e-13)
+
+
+class TestCheckRecords:
+    def test_records_are_slotted(self):
+        assert not hasattr(sl.ConditionCheck("c", 0, 0.0, True), "__dict__")
+        assert not hasattr(sl.SkippedCheck("c", 0), "__dict__")
+
+    def test_to_jsonable_lists_every_field(self, rng):
+        u = two_band_unitary(rng, span=(-4, 4))
+        rep = sl.verify_unitary_two_band(u, -6, 6)
+        assert rep.checks and rep.skipped
+        out = rep.to_jsonable()
+        assert out["checks"] == [dataclasses.asdict(c) for c in rep.checks]
+        assert out["skipped"] == [dataclasses.asdict(c) for c in rep.skipped]
 
 
 class TestVerifyIntertwining:

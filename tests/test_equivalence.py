@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
-from shiftlab.matrices import frob, herm
+from shiftlab.matrices import frob, herm, is_normal
 
 from conftest import (
     conjugated_shift,
@@ -631,3 +631,205 @@ class TestDecideScan:
         for (n, wa), (_, wb) in zip(band_a.described_items(),
                                     band_b.described_items()):
             np.testing.assert_allclose(wa, wb, atol=0)
+
+
+# --- batched readers against per-row reference loops -------------------------
+#
+# The screens, the norm profile and the positive form read whole windows at
+# once through ``WeightSequence.rows``; the references below read one row at
+# a time through ``has_weight``/``weight``.
+
+def ref_norm_mismatch(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
+    """First (n, |gap|) with ``||S_{n+k}|| != ||T_n||`` on rows both store."""
+    for n in range(lo, hi + 1):
+        if not (s.has_weight(n + k) and t.has_weight(n)):
+            continue
+        a = float(np.linalg.norm(s.weight(n + k), 2))
+        b = float(np.linalg.norm(t.weight(n), 2))
+        if abs(a - b) > tol.bound(max(a, b)):
+            return n, abs(a - b)
+    return None
+
+
+def ref_eigen_moduli(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
+    """((n, gap, passed) checks, skipped rows), or ("not normal", name, n)."""
+    checks, skipped = [], []
+    for n in range(lo, hi + 1):
+        if not (s.has_weight(n + k) and t.has_weight(n)):
+            skipped.append(n)
+            continue
+        ws, wt = s.weight(n + k), t.weight(n)
+        for name, w in (("S", ws), ("T", wt)):
+            if not is_normal(w, tol):
+                return "not normal", name, n
+        ms = np.sort(np.abs(np.linalg.eigvals(ws)))
+        mt = np.sort(np.abs(np.linalg.eigvals(wt)))
+        gap = float(np.max(np.abs(ms - mt)))
+        checks.append((n, gap, gap <= tol.bound(max(ms.max(), mt.max(), 1.0))))
+    return checks, skipped
+
+
+def ref_positive_form(s, lo, hi):
+    """(positive weights, diagonal entries on lo-1..hi, max residual)."""
+    polar = {}
+    for n in range(lo, hi + 1):
+        if sl.matrices.condition_ratio(s.weight(n)) <= 1e-10:
+            raise sl.ConditioningError(f"weight at n={n}", index=n)
+        polar[n] = sl.polar_decompose(s.weight(n))
+    anchor = min(max(0, lo - 1), hi)
+    v = {anchor: np.eye(s.dim, dtype=complex)}
+    for n in range(anchor + 1, hi + 1):
+        v[n] = polar[n][0] @ v[n - 1]
+    for n in range(anchor, lo - 1, -1):
+        v[n - 1] = herm(polar[n][0]) @ v[n]
+    weights, res = [], 0.0
+    for n in range(lo, hi + 1):
+        tn = herm(v[n - 1]) @ polar[n][1] @ v[n - 1]
+        tn = 0.5 * (tn + herm(tn))
+        weights.append(tn)
+        res = max(res, frob(herm(v[n]) @ s.weight(n) - tn @ herm(v[n - 1])))
+    return weights, [herm(v[n]) for n in range(lo - 1, hi + 1)], res
+
+
+def _normal_weight(rng, dim=2):
+    u = random_unitary(rng, dim)
+    return u @ np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) @ herm(u)
+
+
+def gapped_pair(rng, normal=False, defects=1, lo_s=-6, hi_s=9, lo_t=-3, hi_t=12):
+    """Windowed S on [lo_s, hi_s] and T on [lo_t, hi_t] with
+    ``T_n = U_n S_{n+1} U_n*`` (same norms and moduli at offset 1) where S
+    stores row n + 1, fresh weights elsewhere, and ``defects`` rows of T
+    replaced.  The spans overlap only in part, so every window has gaps."""
+    make = _normal_weight if normal else random_invertible
+    s_w = [make(rng) for _ in range(lo_s, hi_s + 1)]
+    t_w = []
+    for n in range(lo_t, hi_t + 1):
+        if lo_s <= n + 1 <= hi_s:
+            u = random_unitary(rng)
+            t_w.append(u @ s_w[n + 1 - lo_s] @ herm(u))
+        else:
+            t_w.append(make(rng))
+    for row in rng.choice(len(t_w), size=defects, replace=False):
+        t_w[row] = make(rng)
+    return (sl.BilateralShift(sl.WindowedWeights(lo_s, s_w), label="S"),
+            sl.BilateralShift(sl.WindowedWeights(lo_t, t_w), label="T"))
+
+
+WINDOWS = [(-10, 15), (-4, 8), (0, 0), (10, 20), (-20, -12), (3, 2)]
+
+
+class TestBatchedReadersAgainstRowLoops:
+    @pytest.mark.parametrize("defects", [0, 1, 3])
+    def test_norm_offset_screen(self, rng, defects):
+        for _ in range(10):
+            s, t = gapped_pair(rng, defects=defects)
+            for lo, hi in WINDOWS:
+                expected = {k for k in range(-3, 4)
+                            if ref_norm_mismatch(s, t, k, lo, hi) is None}
+                assert sl.norm_offset_screen(s, t, -3, 3, lo, hi) == expected
+
+    def test_norm_screen_of_the_decision(self, rng):
+        refuted = 0
+        for _ in range(20):
+            s, t = gapped_pair(rng, defects=2)
+            for k in (-1, 0, 1):
+                for lo, hi in WINDOWS[:4]:
+                    mism = ref_norm_mismatch(s, t, k, lo, hi)
+                    verdict = sl.decide_diagonal_equivalence(s, t, k, depth=1,
+                                                              window=(lo, hi))
+                    o = verdict.obstruction
+                    if mism is None:
+                        assert o is None or o.kind != "norm-profile"
+                    else:
+                        refuted += 1
+                        assert (o.kind, o.index, o.residual) == ("norm-profile", *mism)
+        assert refuted > 50
+
+    def test_norm_screen_across_row_blocks(self, rng):
+        # spans longer than ``_BLOCK_ROWS``, so the norm profiles are read in blocks
+        s, t = gapped_pair(rng, defects=2, lo_s=-300, hi_s=900, lo_t=-250, hi_t=1000)
+        for lo, hi in [(-400, 1100), (0, 700), (-260, -250)]:
+            expected = {k for k in range(-2, 3)
+                        if ref_norm_mismatch(s, t, k, lo, hi) is None}
+            assert sl.norm_offset_screen(s, t, -2, 2, lo, hi) == expected
+        profile = sl.weight_norm_profile(s, -300, 900)
+        np.testing.assert_allclose(
+            profile, [np.linalg.norm(s.weight(n), 2) for n in range(-300, 901)], rtol=1e-15)
+
+    @pytest.mark.parametrize("defects", [0, 2])
+    def test_eigen_moduli_screen(self, rng, defects):
+        for _ in range(10):
+            s, t = gapped_pair(rng, normal=True, defects=defects)
+            for k in (0, 1, 2):
+                for lo, hi in WINDOWS:
+                    checks, skipped = ref_eigen_moduli(s, t, k, lo, hi)
+                    rep = sl.eigen_moduli_screen(s, t, k, lo, hi)
+                    assert [c.index for c in rep.checks] == [n for n, _, _ in checks]
+                    assert [c.passed for c in rep.checks] == [p for _, _, p in checks]
+                    np.testing.assert_allclose([c.residual for c in rep.checks],
+                                               [g for _, g, _ in checks], atol=1e-14)
+                    assert [x.index for x in rep.skipped] == skipped
+                    assert {c.condition for c in rep.checks + rep.skipped} <= {"eigen_moduli"}
+
+    def test_eigen_moduli_screen_names_the_first_non_normal_weight(self, rng):
+        s, t = gapped_pair(rng, normal=True, defects=0)
+
+        def spoiled(shift, row):
+            w = dict(shift.weights.described_items())
+            w[row] = random_invertible(rng)      # generic, hence not normal
+            return sl.BilateralShift(sl.WindowedWeights(shift.weights.lo,
+                                                        [w[n] for n in sorted(w)]))
+
+        # T alone, S alone, and both at the same row n (S_{n+1} and T_n)
+        for pair in ((s, spoiled(t, 4)), (spoiled(s, 3), t), (spoiled(s, 3), spoiled(t, 2))):
+            for k in (0, 1):
+                expected = ref_eigen_moduli(*pair, k, -10, 15)
+                with pytest.raises(sl.PreconditionError) as err:
+                    sl.eigen_moduli_screen(*pair, k, -10, 15)
+                assert expected[0] == "not normal"
+                assert str(err.value) == f"{expected[1]}-weight at n={expected[2]} is not normal"
+                assert err.value.index == expected[2]
+
+    def test_weight_norm_profile(self, rng):
+        s, _ = gapped_pair(rng)
+        for shift in (s, ei_shift(rng, lo=-2, length=5),
+                      sl.BilateralShift(sl.PeriodicWeights([random_invertible(rng)
+                                                            for _ in range(3)]))):
+            np.testing.assert_allclose(
+                sl.weight_norm_profile(shift, -6, 9),
+                [np.linalg.norm(shift.weight(n), 2) for n in range(-6, 9 + 1)], rtol=1e-15)
+        with pytest.raises(sl.WindowAccessError) as err:
+            sl.weight_norm_profile(s, -2, 12)
+        assert err.value.index == 10
+
+    @pytest.mark.parametrize("window", [(-6, 9), (-4, 3), (2, 2), (-9, 0), (5, 12)])
+    def test_positive_form(self, rng, window):
+        lo, hi = window
+        for s in (gapped_pair(rng)[0], ei_shift(rng, lo=-2, length=5)):
+            try:
+                expected = ref_positive_form(s, lo, hi)
+            except IndexError as exc:            # WindowAccessError
+                with pytest.raises(type(exc)) as err:
+                    sl.positive_form(s, lo, hi)
+                assert err.value.index == exc.index
+                continue
+            form = sl.positive_form(s, lo, hi)
+            weights, diagonal, res = expected
+            got = [w for _, w in form.shift.weights.described_items()]
+            np.testing.assert_allclose(got, weights, atol=1e-13)
+            got = [w for _, w in form.diagonal.band(0).described_items()]
+            np.testing.assert_allclose(got, diagonal, atol=1e-13)
+            assert abs(form.max_residual - res) < 1e-13
+
+    def test_positive_form_names_the_first_bad_row(self, rng):
+        # an ill-conditioned row before the missing ones is reported first
+        mats = [random_invertible(rng) for _ in range(6)]
+        mats[2] = np.diag([1.0, 1e-14])
+        s = sl.BilateralShift(sl.WindowedWeights(0, mats))
+        with pytest.raises(sl.ConditioningError) as err:
+            sl.positive_form(s, 0, 9)
+        assert err.value.index == 2
+        with pytest.raises(sl.WindowAccessError) as err:
+            sl.positive_form(s, -3, 9)
+        assert err.value.index == -3

@@ -1,5 +1,7 @@
 """Weight sequences, shifts, windowed vectors, and weight products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,16 @@ class TestApplyShift:
         with pytest.raises(sl.DimensionError):
             sl.apply_shift(f, sl.WindowedVector.basis(2, 0, 0))
 
+    def test_matches_the_row_products(self, rng):
+        s = sl.BilateralShift(sl.WindowedWeights(-3, [random_invertible(rng) for _ in range(8)]))
+        x = sl.WindowedVector(-4, rng.standard_normal((6, 2)))
+        y = sl.apply_shift(s, x)
+        for n in range(y.lo, y.hi + 1):
+            np.testing.assert_allclose(y.block(n), s.weight(n) @ x.block(n - 1), atol=1e-14)
+        with pytest.raises(sl.WindowAccessError) as err:
+            sl.apply_shift(s, sl.WindowedVector(-5, rng.standard_normal((12, 2))))
+        assert err.value.index == -4
+
 
 class TestWeightProducts:
     def test_single_factor(self, rng):
@@ -174,3 +186,123 @@ class TestNormProfile:
         s = sl.BilateralShift(sl.WindowedWeights(0, [I2]))
         with pytest.raises(sl.WindowAccessError):
             sl.weight_norm_profile(s, 0, 1)
+
+
+def _three_variants(rng, dim=2, lo=-2, length=4):
+    mats = [random_invertible(rng, dim) for _ in range(length)]
+    return [sl.PeriodicWeights(mats), sl.EventuallyIdentityWeights(lo, mats),
+            sl.WindowedWeights(lo, mats)]
+
+
+# the eventually-identity and windowed variants above store rows -2 .. 1
+ROW_RANGES = {
+    "inside": (-1, 0),
+    "whole-span": (-2, 1),
+    "straddling-lo": (-5, -1),
+    "straddling-hi": (0, 6),
+    "covering": (-9, 9),
+    "below": (-12, -6),
+    "above": (4, 11),
+    "one-row": (1, 1),
+    "empty": (3, 2),
+    "negative": (-17, -3),
+}
+
+
+class TestRows:
+    @pytest.mark.parametrize("name", ROW_RANGES)
+    def test_rows_match_weight_at(self, rng, name):
+        lo, hi = ROW_RANGES[name]
+        for seq in _three_variants(rng):
+            stack, present = seq.rows(lo, hi)
+            count = max(hi - lo + 1, 0)
+            assert stack.shape == (count, 2, 2) and stack.dtype == complex
+            assert present.shape == (count,) and present.dtype == bool
+            for n, w, has in zip(range(lo, hi + 1), stack, present):
+                assert has == seq.has_index(n)
+                expected = seq.weight_at(n) if has else np.zeros((2, 2))
+                np.testing.assert_array_equal(w, expected)
+
+    def test_periodic_rows_wrap_at_negative_indices(self):
+        mats = [k * I2 for k in (1.0, 2.0, 3.0)]
+        stack, present = sl.PeriodicWeights(mats).rows(-4, 1)
+        assert present.all()
+        # -4 mod 3 = 2, then 0, 1, 2, 0, 1
+        np.testing.assert_array_equal(stack[:, 0, 0], [3, 1, 2, 3, 1, 2])
+
+    def test_periodic_rows_longer_than_the_range(self, rng):
+        seq = sl.PeriodicWeights([random_invertible(rng) for _ in range(7)])
+        stack, _ = seq.rows(-9, -7)
+        for n, w in zip(range(-9, -6), stack):
+            np.testing.assert_array_equal(w, seq.weight_at(n))
+
+    def test_rows_are_a_copy(self, rng):
+        for seq in _three_variants(rng):
+            before = seq.weight_at(0).copy()
+            stack, _ = seq.rows(-3, 3)
+            stack[:] = 7.0
+            np.testing.assert_array_equal(seq.weight_at(0), before)
+
+    def test_described_items_follow_rows(self, rng):
+        for seq in _three_variants(rng):
+            stack, _ = seq.rows(seq.lo, seq.hi)
+            items = seq.described_items()
+            assert [n for n, _ in items] == list(range(seq.lo, seq.hi + 1))
+            for (_, w), row in zip(items, stack):
+                np.testing.assert_array_equal(w, row)
+
+
+CONSTRUCTORS = {
+    "periodic": lambda mats: sl.PeriodicWeights(mats),
+    "eventually_identity": lambda mats: sl.EventuallyIdentityWeights(-1, mats),
+    "windowed": lambda mats: sl.WindowedWeights(-1, mats),
+}
+BAD_WEIGHT_LISTS = {
+    "empty": ([], ValueError),
+    "non-square": ([np.ones((2, 3))], sl.DimensionError),
+    "later-non-square": ([I2, np.ones((2, 3))], sl.DimensionError),
+    "unequal": ([I2, np.eye(3)], sl.DimensionError),
+    "vector": ([np.ones(2)], sl.DimensionError),
+    "stack": ([np.ones((2, 2, 2))], sl.DimensionError),
+    "zero-size": ([np.ones((0, 0))], sl.DimensionError),
+    "nan": ([I2, np.array([[np.nan, 0], [0, 1]])], ValueError),
+    "inf": ([np.array([[1, 0], [0, np.inf]])], ValueError),
+    "complex-inf": ([np.array([[1, complex(0, np.inf)], [0, 1]])], ValueError),
+}
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    @pytest.mark.parametrize("case", BAD_WEIGHT_LISTS)
+    def test_error_types(self, variant, case):
+        mats, error = BAD_WEIGHT_LISTS[case]
+        with pytest.raises(error):
+            CONSTRUCTORS[variant](mats)
+
+    def test_shape_error_names_the_weight(self):
+        with pytest.raises(sl.DimensionError, match="weight 2"):
+            sl.WindowedWeights(0, [I2, I2, np.eye(3)])
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_complex_arrays_are_kept_not_copied(self, rng, variant):
+        mats = [random_invertible(rng) for _ in range(3)]
+        seq = CONSTRUCTORS[variant](mats)
+        assert all(w is m for (_, w), m in zip(seq.described_items(), mats))
+
+    def test_real_and_nested_list_input_is_converted(self):
+        seq = sl.WindowedWeights(0, [np.eye(2), [[0, 1], [1, 0]]])
+        assert seq.dim == 2
+        assert seq.weight_at(1).dtype == complex
+        np.testing.assert_array_equal(seq.weight_at(1), [[0, 1], [1, 0]])
+
+    def test_long_window_of_repeated_matrices_stays_small(self):
+        m = np.eye(4, dtype=complex)
+        copy_bytes = 10_000 * m.nbytes          # one stacked (10^4, 4, 4) copy
+        tracemalloc.start()
+        try:
+            seq = sl.WindowedWeights(0, [m] * 10_000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq.hi == 9_999
+        assert peak < copy_bytes / 4 and kept < copy_bytes / 4
