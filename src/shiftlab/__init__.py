@@ -42,7 +42,6 @@ from .equivalence import (
     Obstruction,
     PositiveForm,
     VerdictStatus,
-    construct_diagonal_intertwiner,
     decide_diagonal_equivalence,
     decide_diagonal_equivalence_scan,
     diagonal_witness,
@@ -54,10 +53,8 @@ from .equivalence import (
 )
 from .errors import (
     ConditioningError,
-    DecompositionError,
     DimensionError,
     PreconditionError,
-    RankError,
     ShiftLabError,
     SpecFormatError,
     WindowAccessError,
@@ -66,15 +63,9 @@ from .matrices import (
     DEFAULT_TOL,
     INVERTIBILITY_THRESHOLD,
     Tolerance,
-    is_orthogonal_projection,
-    is_partial_isometry,
-    is_quasi_invertible,
     is_unitary,
-    metric_unitary_from_pair,
     nearest_unitary,
     polar_decompose,
-    rank1_positive_decomposition,
-    simultaneous_diagonalize,
 )
 from .reports import ReportCheck, RunReport
 from .shifts import (
@@ -85,10 +76,7 @@ from .shifts import (
     WindowedVector,
     WindowedWeights,
     apply_shift,
-    constant_weights,
     identity_weights,
-    product_backward_adjoint,
-    product_forward,
     reindex_weights,
     weight_norm_profile,
 )

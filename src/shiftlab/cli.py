@@ -11,13 +11,14 @@ norms <spec>             weight-norm profile of a named shift
 
 Exit codes: 0 all checks passed / verdict produced, 1 a verification failed
 (an obstruction was found), 2 usage or parse error, 3 inconclusive verdict.
-The random seed comes from --seed, else the SHIFTLAB_SEED environment
-variable, else 0.
+The random seed, a nonnegative integer, comes from --seed, else the
+SHIFTLAB_SEED environment variable, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -129,12 +130,18 @@ def cli_main(argv) -> int:
                 parser.error(f"--{key.replace('_', '-')} LO HI needs LO <= HI")
         if getattr(args, "depth", None) is not None and args.depth < 1:
             parser.error("--depth must be a positive integer")
+        for key in ("tol_rel", "tol_abs"):
+            if not 0 <= getattr(args, key) < math.inf:
+                parser.error(f"--{key.replace('_', '-')} must be finite and nonnegative")
+        seed, source = args.seed, "--seed"
+        if seed is None:
+            seed, source = os.environ.get("SHIFTLAB_SEED", "0"), "SHIFTLAB_SEED"
+        if not str(seed).strip().isdecimal():
+            parser.error(f"{source} must be a nonnegative integer, got {seed!r}")
+        seed = int(seed)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     tol = Tolerance(rel=args.tol_rel, abs=args.tol_abs)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SHIFTLAB_SEED", "0"))
 
     try:
         if args.command == "example":

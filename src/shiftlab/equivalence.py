@@ -34,6 +34,7 @@ from .bands import (
     ConditionCheck,
     SkippedCheck,
     WindowReport,
+    _emit,
     single_band,
     verify_intertwining,
 )
@@ -470,22 +471,20 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     gap = np.abs(ms - mt).max(axis=-1)
     scale = np.maximum(np.maximum(ms.max(axis=-1), mt.max(axis=-1)), 1.0)
     rep = WindowReport(lo, hi)
-    for n, ok, g, passed in zip(range(lo, hi + 1), both.tolist(), gap.tolist(),
-                                (gap <= tol.abs + tol.rel * scale).tolist()):
-        if ok:
-            rep.checks.append(ConditionCheck("eigen_moduli", n, g, passed))
-        else:
-            rep.skipped.append(SkippedCheck("eigen_moduli", n))
+    names = ["eigen_moduli"]
+    _emit(rep.checks, ConditionCheck, lo, names, both[None], False, gap[None],
+          (gap <= tol.abs + tol.rel * scale)[None])
+    _emit(rep.skipped, SkippedCheck, lo, names, ~both[None], False)
     return rep
 
 
-def construct_diagonal_intertwiner(s: BilateralShift, t: BilateralShift, m: int,
-                                   u0: np.ndarray, lo: int, hi: int,
-                                   tol: Tolerance = DEFAULT_TOL,
-                                   unitary_tol: float = 1e-8) -> dict:
-    """Extend one unitary to the full diagonal of an intertwiner.
+def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
+                     u0: np.ndarray, lo: int, hi: int,
+                     tol: Tolerance = DEFAULT_TOL,
+                     unitary_tol: float = 1e-8) -> BandedOperator:
+    """Single-band intertwiner at offset m built from the anchor unitary.
 
-    Returns the band entries ``{n: V_n}`` for rows ``lo-1 .. hi`` of the
+    The band holds the entries ``V_n`` for rows ``lo-1 .. hi`` of the
     single-band operator at offset m that intertwines S into T.  The entries
     obey ``V_n S_{n+m} = T_n V_{n-1}`` with the anchor ``V_{-1} = u0``;
     upward entries use weight inverses of S, downward entries inverses of T.
@@ -535,15 +534,6 @@ def construct_diagonal_intertwiner(s: BilateralShift, t: BilateralShift, m: int,
     for n in range(-1, lo - 1, -1):
         entries[n - 1] = checked(n - 1, inv_left(t.weight(n),
                                                  entries[n] @ s.weight(n + m), n))
-    return {n: entries[n] for n in range(lo - 1, hi + 1)}
-
-
-def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
-                     u0: np.ndarray, lo: int, hi: int,
-                     tol: Tolerance = DEFAULT_TOL,
-                     unitary_tol: float = 1e-8) -> BandedOperator:
-    """Single-band intertwiner at offset m built from the anchor unitary."""
-    entries = construct_diagonal_intertwiner(s, t, m, u0, lo, hi, tol, unitary_tol)
     mats = [entries[n] for n in range(lo - 1, hi + 1)]
     return single_band(m, WindowedWeights(lo - 1, mats), label="diagonal witness")
 

@@ -33,14 +33,6 @@ class PreconditionError(ShiftLabError, ValueError):
         self.index = index
 
 
-class RankError(ShiftLabError, ValueError):
-    """A matrix does not have the rank required by the operation."""
-
-
-class DecompositionError(ShiftLabError, ArithmeticError):
-    """A decomposition could not be completed to the requested accuracy."""
-
-
 class WindowAccessError(ShiftLabError, IndexError):
     """Access to a windowed sequence outside its stored index range."""
 

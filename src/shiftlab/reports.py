@@ -81,5 +81,6 @@ class RunReport:
             "witnesses": self.witnesses,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """Compact encoding: without ``indent``, ``json`` keeps its C encoder."""
+        return json.dumps(self.to_jsonable(), separators=(",", ":"), sort_keys=True)

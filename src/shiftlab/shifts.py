@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, WindowAccessError
-from .matrices import INVERTIBILITY_THRESHOLD, frob, herm, require_square
+from .matrices import INVERTIBILITY_THRESHOLD, frob, require_square
 
 
 def identity_matrix(dim: int) -> np.ndarray:
@@ -199,13 +199,8 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
-def constant_weights(matrix) -> PeriodicWeights:
-    """Sequence equal to one matrix at every index."""
-    return PeriodicWeights([matrix])
-
-
 def identity_weights(dim: int) -> PeriodicWeights:
-    return constant_weights(identity_matrix(dim))
+    return PeriodicWeights([identity_matrix(dim)])
 
 
 def reindex_weights(seq: WeightSequence, j: int) -> WeightSequence:
@@ -320,26 +315,6 @@ def apply_shift(shift: BilateralShift, x: WindowedVector) -> WindowedVector:
     w, present = shift.weights.rows(x.lo + 1, x.hi + 1)
     _require_rows(shift.weights, x.lo + 1, present)
     return WindowedVector(x.lo + 1, (w @ x.blocks[:, :, None])[:, :, 0])
-
-
-def product_forward(shift: BilateralShift, m: int, n: int) -> np.ndarray:
-    """Ordered product ``S_{m+n-1} ... S_{m+1} S_m`` (n factors, n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    acc = np.array(shift.weight(m), dtype=complex)
-    for j in range(1, n):
-        acc = shift.weight(m + j) @ acc
-    return acc
-
-
-def product_backward_adjoint(shift: BilateralShift, m: int, n: int) -> np.ndarray:
-    """Ordered product ``S_{m-n}* ... S_{m-1}*`` (n factors, n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    acc = herm(shift.weight(m - 1))
-    for j in range(2, n + 1):
-        acc = herm(shift.weight(m - j)) @ acc
-    return acc
 
 
 def weight_norm_profile(shift: BilateralShift, lo: int, hi: int):

@@ -166,6 +166,12 @@ class TestBadNumericArguments:
         assert cli_main(["decide", spec, "--s", "S", "--t", "S", "--m", "0",
                          "--depth", "0"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--tol-rel", "-1"), ("--tol-rel", "nan"),
+                                            ("--tol-abs", "inf")])
+    def test_bad_tolerance_is_usage_error(self, flag, value, capsys):
+        assert cli_main(["example", "ex31", flag, value]) == 2
+        assert f"{flag} must be finite and nonnegative" in capsys.readouterr().err
+
     def test_single_offset_range_still_decides(self, spec, capsys):
         assert cli_main(["decide", spec, "--s", "S", "--t", "S",
                          "--m-range", "0", "0"]) == 0
@@ -222,6 +228,17 @@ class TestSeedHandling:
         cli_main(["example", "ex31", "--seed", "9", "--json", str(out),
                   "--quiet"])
         assert json.loads(out.read_text())["seed"] == 9
+
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SHIFTLAB_SEED", "abc")
+        assert cli_main(["example", "ex31"]) == 2
+        assert "SHIFTLAB_SEED must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, pair_spec, capsys):
+        # a negative seed would reach the solver's random generator
+        assert cli_main(["decide", pair_spec, "--s", "S", "--t", "T", "--m", "0",
+                         "--seed", "-1"]) == 2
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestWitnessReingestion:

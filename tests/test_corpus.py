@@ -1,5 +1,7 @@
 """Bundled demonstration instances run their whole pipelines as expected."""
 
+import json
+
 import pytest
 
 import shiftlab as sl
@@ -28,6 +30,11 @@ def test_reports_deterministic(name):
     a = sl.run_example(name, seed=7).to_json()
     b = sl.run_example(name, seed=7).to_json()
     assert a == b
+
+
+def test_compact_json_parses_to_the_jsonable_report():
+    report = sl.run_example("ex33-two-band")
+    assert json.loads(report.to_json()) == report.to_jsonable()
 
 
 def test_unknown_name_rejected():

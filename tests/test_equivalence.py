@@ -1,6 +1,7 @@
 """Positive forms, screens, Gram chains, and the equivalence decision."""
 
 import cmath
+import functools
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ class TestGramChains:
                 x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
                 assert abs(np.linalg.norm(a @ x) - np.linalg.norm(b @ x)) \
                     < 1e-10 * np.linalg.norm(x)
+
+    def test_products_in_order_on_non_commuting_weights(self, rng):
+        # P* P of the explicitly ordered products, the newest factor
+        # leftmost: S_{b+n-1} ... S_b forward, S_{b-n}* ... S_{b-1}* backward
+        for _ in range(5):
+            s = ei_shift(rng, lo=-2, length=5)
+            t = ei_shift(rng, lo=-1, length=4)
+            m, k, depth = int(rng.integers(-2, 3)), int(rng.integers(-1, 2)), 4
+            chains = sl.gram_chains(s, t, m, k, depth)
+            for shift, base, fwd, bwd in ((s, m + k, chains.forward_s, chains.backward_s),
+                                          (t, k, chains.forward_t, chains.backward_t)):
+                assert fwd.depth == bwd.depth == depth
+                for n in range(1, depth + 1):
+                    p = functools.reduce(np.matmul, [shift.weight(base + j)
+                                                     for j in reversed(range(n))])
+                    q = functools.reduce(np.matmul, [herm(shift.weight(base - j))
+                                                     for j in range(n, 0, -1)])
+                    np.testing.assert_allclose(fwd.matrices[n - 1], herm(p) @ p,
+                                               rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(bwd.matrices[n - 1], herm(q) @ q,
+                                               rtol=1e-12, atol=1e-12)
 
     def test_known_pair_admits_no_joint_conjugator(self):
         ex = sl.load_example("ex31")
@@ -457,9 +479,9 @@ class TestConjugatorScale:
 class TestConstructDiagonalIntertwiner:
     def test_equal_shifts_identity_anchor(self, rng):
         s = ei_shift(rng, lo=0, length=3)
-        entries = sl.construct_diagonal_intertwiner(s, s, 0, I2, -3, 5)
-        for n, v in entries.items():
-            np.testing.assert_allclose(v, I2, atol=1e-10)
+        band = sl.diagonal_witness(s, s, 0, I2, -3, 5).band(0)
+        for n in range(-4, 6):
+            np.testing.assert_allclose(band.weight_at(n), I2, atol=1e-10)
 
     def test_scalar_weights_accumulate_phases(self):
         vals = [2.0 * cmath.exp(0.3j), 1.5 * cmath.exp(-1.1j),
@@ -468,29 +490,25 @@ class TestConstructDiagonalIntertwiner:
             0, [np.array([[v]]) for v in vals]))
         t = sl.BilateralShift(sl.EventuallyIdentityWeights(
             0, [np.array([[abs(v)]]) for v in vals]))
-        entries = sl.construct_diagonal_intertwiner(s, t, 0,
-                                                    np.array([[1.0 + 0j]]),
-                                                    -2, 4)
+        band = sl.diagonal_witness(s, t, 0, np.array([[1.0 + 0j]]), -2, 4).band(0)
         # upward from the anchor, each step divides by the weight phase
         phase = 1.0 + 0j
         for n in range(0, 3):
             phase *= abs(vals[n]) / vals[n]
-            np.testing.assert_allclose(entries[n][0, 0], phase, atol=1e-12)
+            np.testing.assert_allclose(band.weight_at(n)[0, 0], phase, atol=1e-12)
         # beyond the support the entries stay constant
-        np.testing.assert_allclose(entries[3], entries[4], atol=1e-12)
+        np.testing.assert_allclose(band.weight_at(3), band.weight_at(4), atol=1e-12)
 
     def test_bad_anchor_reports_gram_violation(self, rng):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s)
         bogus = random_unitary(rng, 2)
         try:
-            entries = sl.construct_diagonal_intertwiner(s, t, 0, bogus, -3, 4)
+            witness = sl.diagonal_witness(s, t, 0, bogus, -3, 4)
         except sl.PreconditionError as err:
             assert err.index is not None
             return
         # a lucky anchor must still produce a verified witness
-        witness = sl.single_band(0, sl.WindowedWeights(
-            -4, [entries[n] for n in range(-4, 5)]))
         assert sl.verify_intertwining(witness, s, t, -3, 4,
                                       sl.Tolerance(1e-8, 1e-8)).passed
 

@@ -1,14 +1,11 @@
-"""Weight sequences, shifts, windowed vectors, and weight products."""
+"""Weight sequences, shifts, windowed vectors, and norm profiles."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.matrices import frob, herm
 
 from conftest import ei_shift, random_invertible, s_val
 
@@ -115,51 +112,6 @@ class TestApplyShift:
         with pytest.raises(sl.WindowAccessError) as err:
             sl.apply_shift(s, sl.WindowedVector(-5, rng.standard_normal((12, 2))))
         assert err.value.index == -4
-
-
-class TestWeightProducts:
-    def test_single_factor(self, rng):
-        s = ei_shift(rng, lo=0, length=3)
-        np.testing.assert_allclose(sl.product_forward(s, 1, 1), s.weight(1))
-        np.testing.assert_allclose(sl.product_backward_adjoint(s, 1, 1),
-                                   herm(s.weight(0)))
-
-    def test_identity_weights(self):
-        f = sl.BilateralShift(sl.identity_weights(2))
-        np.testing.assert_allclose(sl.product_forward(f, -4, 6), I2)
-        np.testing.assert_allclose(sl.product_backward_adjoint(f, 3, 5), I2)
-
-    def test_known_forward_product(self):
-        s = sl.load_example("ex31").shifts["S"]
-        np.testing.assert_allclose(sl.product_forward(s, 0, 2),
-                                   two_by_two(0, 2, -2, 0), atol=1e-14)
-
-    def test_known_backward_product(self):
-        s = sl.load_example("ex31").shifts["S"]
-        np.testing.assert_allclose(sl.product_backward_adjoint(s, 0, 2),
-                                   two_by_two(0, -1, 1, 0), atol=1e-14)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(-3, 3), st.integers(1, 5))
-    def test_forward_recurrence(self, seed, m, n):
-        s = ei_shift(np.random.default_rng(seed), lo=-2, length=5)
-        left = sl.product_forward(s, m, n + 1)
-        right = s.weight(m + n) @ sl.product_forward(s, m, n)
-        assert frob(left - right) < 1e-12 * max(frob(left), 1.0)
-
-    def test_backward_is_adjoint_of_reversed_forward(self, rng):
-        for _ in range(20):
-            s = ei_shift(rng, lo=-2, length=5)
-            m = int(rng.integers(-2, 3))
-            n = int(rng.integers(1, 5))
-            direct = sl.product_backward_adjoint(s, m, n)
-            via_forward = herm(sl.product_forward(s, m - n, n))
-            np.testing.assert_allclose(direct, via_forward, atol=1e-12)
-
-    def test_invalid_count(self, rng):
-        s = ei_shift(rng)
-        with pytest.raises(ValueError):
-            sl.product_forward(s, 0, 0)
 
 
 class TestNormProfile:
