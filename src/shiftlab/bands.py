@@ -281,7 +281,7 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             scale = functools.reduce(np.maximum, [
                 s if isinstance(s, float) else np.linalg.norm(total(s, mask), axis=(-2, -1))
                 for s in cond.scale])
-            passed[c, start:stop] = res[c, start:stop] <= tol.abs + tol.rel * scale
+            passed[c, start:stop] = res[c, start:stop] <= tol.bound(scale)
             if c == keep:
                 kept[start:stop] = lhs
     return res, passed, has, kept

@@ -21,7 +21,6 @@ unitary nor certify, the full system decides (see
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,21 +37,24 @@ from .bands import (
     single_band,
     verify_intertwining,
 )
-from .errors import ConditioningError, DimensionError, PreconditionError
+from .errors import ConditioningError, DimensionError, PreconditionError, WindowAccessError
 from .matrices import (
     DEFAULT_TOL,
+    INVERTIBILITY_THRESHOLD,
     Tolerance,
     condition_ratio,
     frob,
     herm,
+    is_normal,
     nearest_unitary,
+    operator_norm,
+    polar_decompose,
 )
 from .shifts import (
     BilateralShift,
     PeriodicWeights,
     WindowedWeights,
     _blockwise,
-    _operator_norms,
     _require_rows,
 )
 
@@ -203,10 +205,12 @@ def _eigen_mismatch(g_s, g_t):
 #: First-pair eigenvalue gap, relative to that pair's scale, beyond which an
 #: entry of the conjugator in the eigenbasis is dropped from the system.
 _TAU = 1e-2
+#: Random combinations of the null-space basis tried after the basis itself.
+_RESTARTS = 64
 
 
-def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                           max_restarts: int = 64) -> ConjugatorResult:
+def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
+                           seed: int = 0) -> ConjugatorResult:
     """Find a unitary U with ``U* G_t U = G_s`` for every pair (G_s, G_t).
 
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
@@ -280,7 +284,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL, seed: int = 0,
     def candidates(x_basis):
         basis = y_t @ x_basis @ herm(y_s)
         yield from basis
-        for _ in range(max_restarts):
+        for _ in range(_RESTARTS):
             coeffs = (rng.standard_normal(len(basis))
                       + 1j * rng.standard_normal(len(basis)))
             yield np.tensordot(coeffs, basis, axes=1)
@@ -290,8 +294,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL, seed: int = 0,
         saw_nonsingular = False
         best = math.inf
         for x in candidates(x_basis):
-            svals_x = np.linalg.svd(x, compute_uv=False)
-            if svals_x[-1] <= 1e-10 * max(svals_x[0], 1e-300):
+            if condition_ratio(x) <= INVERTIBILITY_THRESHOLD:
                 continue
             saw_nonsingular = True
             w = nearest_unitary(x)
@@ -375,17 +378,13 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     if hi < lo:
         raise ValueError("hi must be >= lo")
     w, present = s.weights.rows(lo, hi)
-    x, svals, yh = np.linalg.svd(w)
     # rows the sequence lacks are zero, so they count as singular here
-    bad = np.flatnonzero(svals[:, -1] / np.where(present, svals[:, 0], 1.0) <= 1e-10)
+    bad = np.flatnonzero(condition_ratio(w) <= INVERTIBILITY_THRESHOLD)
     if bad.size:
         n = lo + int(bad[0])
         _require_rows(s.weights, lo, present[:bad[0] + 1])     # raises if row n is absent
         raise ConditioningError(f"weight at n={n} is singular or ill-conditioned", index=n)
-    # polar factors S_n = U_n P_n, as in ``polar_decompose``
-    unitaries = x @ yh
-    positives = herm(yh) @ (svals[:, :, None] * yh)
-    positives = 0.5 * (positives + herm(positives))
+    unitaries, positives = polar_decompose(w)
 
     # v[j] is V_{lo-1+j}
     anchor = min(max(0, lo - 1), hi) - (lo - 1)
@@ -407,30 +406,19 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     return PositiveForm(shift, diagonal, float(res.max()))
 
 
-def _close(x, y, tol):
-    """``tol.close`` for each pair of matrices of two (N, d, d) stacks."""
-    norm = functools.partial(np.linalg.norm, axis=(-2, -1))
-    return norm(x - y) <= tol.abs + tol.rel * np.maximum(norm(x), norm(y))
-
-
-def _normal(w, tol):
-    """``is_normal`` for each matrix of an (N, d, d) stack."""
-    return _close(herm(w) @ w, w @ herm(w), tol)
-
-
 def _norm_mismatches(s, t, k_min, k_max, lo, hi, tol):
     """For each offset k in [k_min, k_max], the first (n, |gap|) where
     ``||S_{n+k}|| != ||T_n||`` on the window, or None.  Each shift's norm
     profile is computed once, over the rows the offsets reach."""
     count = max(hi - lo + 1, 0)
-    norm_s, has_s = _blockwise(s.weights, lo + k_min, hi + k_max, _operator_norms)
-    norm_t, has_t = _blockwise(t.weights, lo, hi, _operator_norms)
+    norm_s, has_s = _blockwise(s.weights, lo + k_min, hi + k_max, operator_norm)
+    norm_t, has_t = _blockwise(t.weights, lo, hi, operator_norm)
     out = []
     for j in range(k_max - k_min + 1):
         a = norm_s[j:j + count]
         gap = np.abs(a - norm_t)
         bad = np.flatnonzero(has_s[j:j + count] & has_t
-                             & (gap > tol.abs + tol.rel * np.maximum(a, norm_t)))
+                             & (gap > tol.bound(np.maximum(a, norm_t))))
         out.append((lo + int(bad[0]), float(gap[bad[0]])) if bad.size else None)
     return out
 
@@ -461,7 +449,7 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     ws, has_s = s.weights.rows(lo + k, hi + k)
     wt, has_t = t.weights.rows(lo, hi)
     both = has_s & has_t
-    abnormal = [both & ~_normal(w, tol) for w in (ws, wt)]
+    abnormal = [both & ~is_normal(w, tol) for w in (ws, wt)]
     bad = np.flatnonzero(abnormal[0] | abnormal[1])
     if bad.size:
         n = lo + int(bad[0])
@@ -473,7 +461,7 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     rep = WindowReport(lo, hi)
     names = ["eigen_moduli"]
     _emit(rep.checks, ConditionCheck, lo, names, both[None], False, gap[None],
-          (gap <= tol.abs + tol.rel * scale)[None])
+          (gap <= tol.bound(scale))[None])
     _emit(rep.skipped, SkippedCheck, lo, names, ~both[None], False)
     return rep
 
@@ -515,25 +503,19 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
                 f"conditions fail at this depth", residual=res, index=n)
         return mat
 
-    def inv_right(x, a, n):
-        # x @ a^{-1}
-        if condition_ratio(a) <= 1e-10:
-            raise ConditioningError(f"weight at n={n} is not invertible", index=n)
-        return np.linalg.solve(a.T, x.T).T
-
-    def inv_left(a, x, n):
-        # a^{-1} @ x
-        if condition_ratio(a) <= 1e-10:
+    def solve(a, x, n):
+        """``a^{-1} x`` for a (possibly transposed) weight a of row n."""
+        if condition_ratio(a) <= INVERTIBILITY_THRESHOLD:
             raise ConditioningError(f"weight at n={n} is not invertible", index=n)
         return np.linalg.solve(a, x)
 
     entries = {-1: u0}
-    for n in range(0, hi + 1):
-        entries[n] = checked(n, t.weight(n) @ inv_right(entries[n - 1],
-                                                        s.weight(n + m), n + m))
-    for n in range(-1, lo - 1, -1):
-        entries[n - 1] = checked(n - 1, inv_left(t.weight(n),
-                                                 entries[n] @ s.weight(n + m), n))
+    for n in range(0, hi + 1):          # V_n = T_n V_{n-1} S_{n+m}^{-1}
+        entries[n] = checked(n, t.weight(n) @ solve(s.weight(n + m).T,
+                                                    entries[n - 1].T, n + m).T)
+    for n in range(-1, lo - 1, -1):     # V_{n-1} = T_n^{-1} V_n S_{n+m}
+        entries[n - 1] = checked(n - 1, solve(t.weight(n),
+                                              entries[n] @ s.weight(n + m), n))
     mats = [entries[n] for n in range(lo - 1, hi + 1)]
     return single_band(m, WindowedWeights(lo - 1, mats), label="diagonal witness")
 
@@ -598,6 +580,10 @@ def _auto_depth(s, t, m):
     return max(desired, 1)
 
 
+def _inconclusive(m, reason):
+    return EquivalenceVerdict(VerdictStatus.INCONCLUSIVE, offset=m, reason=reason)
+
+
 def _not_equivalent(m, kind, index, residual, detail, diagnostics=None):
     return EquivalenceVerdict(
         VerdictStatus.NOT_EQUIVALENT, offset=m,
@@ -639,15 +625,18 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                f"||S_{{n+{m}}}|| != ||T_n|| at n={n}")
 
     if s.dim == 2 and all(_blockwise(x.weights, x.weights.lo, x.weights.hi,
-                                     lambda w: _normal(w, tol))[0].all() for x in (s, t)):
+                                     lambda w: is_normal(w, tol))[0].all() for x in (s, t)):
         rep = eigen_moduli_screen(s, t, m, lo, hi, tol)
         if not rep.passed:
             bad = rep.first_failure()
             return _not_equivalent(m, "eigenvalue-moduli", bad.index, bad.residual,
                                    f"eigenvalue moduli differ at n={bad.index}")
 
-    chains = gram_chains(s, t, m, 0, depth)
-    pairs = chains.pairs()
+    try:
+        pairs = gram_chains(s, t, m, 0, depth).pairs()
+    except WindowAccessError as exc:
+        return _inconclusive(m, f"the Gram chains anchored at row 0 need a weight "
+                                f"the stored windows lack: {exc}")
     found = solve_joint_conjugator(pairs, tol=tol, seed=seed)
     if found.unitary is None:
         if found.certificate == "spectrum-mismatch":
@@ -662,33 +651,25 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                 m, "conjugator-infeasible", None, found.residual,
                 f"no unitary satisfies the metric conditions to depth {depth} "
                 f"({found.certificate})", found.diagnostics)
-        return EquivalenceVerdict(
-            VerdictStatus.INCONCLUSIVE, offset=m,
-            reason=f"conjugator search exhausted without certificate "
-                   f"(nullspace dim {found.nullspace_dim})")
+        return _inconclusive(m, f"conjugator search exhausted without certificate "
+                                f"(nullspace dim {found.nullspace_dim})")
 
     verify_tol = Tolerance(rel=max(tol.rel, 1e-8), abs=max(tol.abs, 1e-10))
     try:
         witness = diagonal_witness(s, t, m, found.unitary, lo, hi, tol)
-    except (PreconditionError, ConditioningError) as exc:
-        return EquivalenceVerdict(
-            VerdictStatus.INCONCLUSIVE, offset=m,
-            reason=f"witness construction failed: {exc}")
+    except (PreconditionError, ConditioningError, WindowAccessError) as exc:
+        return _inconclusive(m, f"witness construction failed: {exc}")
     wrep = verify_intertwining(witness, s, t, lo, hi, verify_tol)
     if not wrep.passed:
-        return EquivalenceVerdict(
-            VerdictStatus.INCONCLUSIVE, offset=m,
-            reason="constructed witness failed re-verification")
+        return _inconclusive(m, "constructed witness failed re-verification")
 
     period = _combined_period(s, t)
     if period is not None:
         ok, why = _periodic_witness_certificate(s, t, witness, m, period,
                                                 lo, hi, verify_tol)
         if not ok:
-            return EquivalenceVerdict(
-                VerdictStatus.INCONCLUSIVE, offset=m,
-                reason=f"metric conditions hold to depth {depth} but the "
-                       f"witness does not certify the periodic horizon: {why}")
+            return _inconclusive(m, f"metric conditions hold to depth {depth} but the "
+                                    f"witness does not certify the periodic horizon: {why}")
     return EquivalenceVerdict(VerdictStatus.EQUIVALENT, offset=m,
                               witness=witness, witness_report=wrep)
 
@@ -711,7 +692,7 @@ def _periodic_witness_certificate(s, t, witness, m, period, lo, hi, tol):
         both = present[:-period] & present[period:]
         if not both.any():
             return False, "window leaves no margin to compare a full period"
-        differ = np.flatnonzero(both & ~_close(w[:-period], w[period:], tol))
+        differ = np.flatnonzero(both & ~tol.close(w[:-period], w[period:]))
         if differ.size:
             n = a + int(differ[0])
             return False, f"entries at n={n} and n={n + period} differ"

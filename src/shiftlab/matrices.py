@@ -3,10 +3,18 @@
 Everything here operates on plain ``numpy`` arrays with complex entries.
 Matrices are small (a few hundred rows at most), so all routines use dense
 LAPACK-backed factorizations.
+
+Every predicate and decomposition acts on a single matrix or on an
+(N, d, d) stack, on the last two axes as ``herm`` does: a stack gives an
+array of results, one per matrix, equal to the per-matrix calls.  These are
+the only definitions of the numerical conventions (tolerance, invertibility,
+operator norm, polar factors); the readers of weight stacks elsewhere call
+them rather than restating them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,35 +41,38 @@ class Tolerance:
         if not (0 <= self.rel < math.inf and 0 <= self.abs < math.inf):
             raise ValueError("tolerance components must be finite and nonnegative")
 
-    def bound(self, scale: float) -> float:
-        """Largest residual accepted at the given scale."""
-        return self.abs + self.rel * float(scale)
+    def bound(self, scale):
+        """Largest residual accepted at the given scale, or at each scale of
+        an array."""
+        return self.abs + self.rel * (scale if isinstance(scale, np.ndarray) else float(scale))
 
-    def close(self, x: np.ndarray, y: np.ndarray) -> bool:
+    def close(self, x: np.ndarray, y: np.ndarray):
+        """Whether X and Y compare equal; for stacks, pair by pair."""
+        norm = functools.partial(np.linalg.norm, axis=(-2, -1))
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        scale = max(np.linalg.norm(x), np.linalg.norm(y))
-        return np.linalg.norm(x - y) <= self.bound(scale)
+        return norm(x - y) <= self.bound(np.maximum(norm(x), norm(y)))
 
 
 DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+    """Coerce a matrix or a stack of matrices to a complex array, rejecting
+    empty matrices and non-finite entries (an empty stack is accepted)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if a.size == 0:
+    if not (a.shape[-2] and a.shape[-1]):
         raise DimensionError("matrix must be nonempty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def require_square(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     return a
 
@@ -75,20 +86,24 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def operator_norm(m: np.ndarray) -> float:
+def _scalar_or_array(a: np.ndarray):
+    """A float for the result of a single matrix, else the array."""
+    return float(a) if a.ndim == 0 else a
+
+
+def operator_norm(m: np.ndarray):
     """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    return _scalar_or_array(np.linalg.svd(as_matrix(m), compute_uv=False)[..., 0])
 
 
-def condition_ratio(m: np.ndarray) -> float:
+def condition_ratio(m: np.ndarray):
     """smin/smax of the matrix; 0.0 for the zero matrix."""
     s = np.linalg.svd(require_square(m), compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+    top = s[..., 0]
+    return _scalar_or_array(s[..., -1] / (top + (top == 0.0)))    # zero matrix: 0 / 1
 
 
-def polar_decompose(m, tol: Tolerance = DEFAULT_TOL):
+def polar_decompose(m):
     """Split a square matrix as ``M = W P`` with W unitary and P >= 0.
 
     Computed from the SVD ``M = X S Y*`` as ``W = X Y*`` and ``P = Y S Y*``,
@@ -102,21 +117,22 @@ def polar_decompose(m, tol: Tolerance = DEFAULT_TOL):
     a = require_square(m)
     x, s, yh = np.linalg.svd(a)
     w = x @ yh
-    p = herm(yh) @ (s[:, None] * yh)
+    p = herm(yh) @ (s[..., :, None] * yh)
     p = 0.5 * (p + herm(p))
     return w, p
 
 
-def is_normal(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_normal(a, tol: Tolerance = DEFAULT_TOL):
+    """True when ``A* A`` equals ``A A*``."""
     a = require_square(a)
     return tol.close(herm(a) @ a, a @ herm(a))
 
 
-def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_unitary(a, tol: Tolerance = DEFAULT_TOL):
     """True when ``A* A`` and ``A A*`` both equal the identity."""
     a = require_square(a)
-    eye = np.eye(a.shape[0])
-    return tol.close(herm(a) @ a, eye) and tol.close(a @ herm(a), eye)
+    eye = np.eye(a.shape[-1])
+    return tol.close(herm(a) @ a, eye) & tol.close(a @ herm(a), eye)
 
 
 def nearest_unitary(m) -> np.ndarray:

@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, WindowAccessError
-from .matrices import INVERTIBILITY_THRESHOLD, frob, require_square
+from .matrices import INVERTIBILITY_THRESHOLD, condition_ratio, frob, operator_norm, require_square
 
 
 def identity_matrix(dim: int) -> np.ndarray:
@@ -43,6 +43,8 @@ def _validated(weights) -> tuple:
     if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
             or any(m.shape != shape for m in distinct)):
         i = next((i for i, m in enumerate(mats) if m.shape != shape), 0)
+        if mats[i].ndim > 2:
+            raise DimensionError(f"expected a matrix, got ndim={mats[i].ndim}")
         require_square(mats[i], f"weight {i}")     # raises unless square
         raise DimensionError(f"weight {i} has shape {mats[i].shape}, expected {shape}")
     if not np.isfinite(np.stack(distinct)).all():
@@ -194,11 +196,6 @@ def _require_rows(seq: WeightSequence, lo: int, present: np.ndarray):
         seq.weight_at(lo + int(np.argmin(present)))
 
 
-def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of an (N, d, d) stack."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
-
-
 def identity_weights(dim: int) -> PeriodicWeights:
     return PeriodicWeights([identity_matrix(dim)])
 
@@ -251,8 +248,8 @@ class BilateralShift:
     def quasi_invertible(self) -> bool:
         """Every described weight passes the invertibility threshold."""
         seq = self.weights
-        svals, _ = _blockwise(seq, seq.lo, seq.hi, lambda w: np.linalg.svd(w, compute_uv=False))
-        return bool(np.all(svals[:, -1] / svals[:, 0] > INVERTIBILITY_THRESHOLD))
+        ratios, _ = _blockwise(seq, seq.lo, seq.hi, condition_ratio)
+        return bool(np.all(ratios > INVERTIBILITY_THRESHOLD))
 
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
@@ -321,6 +318,6 @@ def weight_norm_profile(shift: BilateralShift, lo: int, hi: int):
     """Operator norms ``||S_n||`` for n = lo .. hi."""
     if hi < lo:
         raise ValueError("hi must be >= lo")
-    norms, present = _blockwise(shift.weights, lo, hi, _operator_norms)
+    norms, present = _blockwise(shift.weights, lo, hi, operator_norm)
     _require_rows(shift.weights, lo, present)
     return norms.tolist()

@@ -162,8 +162,13 @@ def _task(**fields):
 
 def _op_task(**task):
     """One task over shift S and a one-band operator U."""
+    return {**_band_keys("0"), "tasks": [task]}
+
+
+def _band_keys(*keys):
+    """An operator U with one band under each of the given offset keys."""
     band = {"variant": "periodic", "weights": [[[[1.0, 0.0]]]]}
-    return {"operators": {"U": {"bands": {"0": band}}}, "tasks": [task]}
+    return {"operators": {"U": {"bands": {key: band for key in keys}}}}
 
 
 #: Top-level overrides of a valid dim-1 document with one shift S, each
@@ -224,6 +229,12 @@ MALFORMED_SPECS = {
     "positive-form-without-shift": (_op_task(op="positive_form"), "tasks[0].shift"),
     "shift-name-array": (_task(shift=["S"]), "tasks[0].shift"),
     "label-array": (_task(label=["x"]), "tasks[0].label"),
+    # band offsets are read only in canonical form: "01" and "1" would alias one band
+    "band-key-alias": (_band_keys("1", "01"), "operators.U.bands"),
+    "band-key-plus-alias": (_band_keys("+1", "1"), "operators.U.bands"),
+    "band-key-underscore": (_band_keys("1_0"), "operators.U.bands"),
+    "band-key-padded": (_band_keys(" 1"), "operators.U.bands"),
+    "band-key-not-integer": (_band_keys("a"), "operators.U.bands"),
 }
 
 

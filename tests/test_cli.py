@@ -128,6 +128,17 @@ class TestDecideCommand:
         spec = write_spec(tmp_path, model)
         assert cli_main(["decide", spec, "--s", "A", "--t", "B", "--m", "0"]) == 3
 
+    @pytest.mark.parametrize("offset", [["--m", "0"], ["--m-range", "-1", "1"]])
+    def test_window_without_row_zero_exits_three(self, tmp_path, rng, offset):
+        # inconclusive, not an obstruction: the decision is anchored at row 0
+        s = sl.BilateralShift(sl.WindowedWeights(
+            3, [np.eye(2) + 0.1 * rng.standard_normal((2, 2)) for _ in range(10)]), "S")
+        spec = write_spec(tmp_path, sl.SpecModel(dim=2, shifts={"S": s}))
+        out = tmp_path / "report.json"
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S", *offset,
+                         "--json", str(out), "--quiet"]) == 3
+        assert "index 0 outside stored window [3, 12]" in out.read_text()
+
     def test_m_range_scan(self, tmp_path, rng, capsys):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s, m=1)

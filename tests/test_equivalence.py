@@ -616,6 +616,26 @@ class TestDecide:
         verdict = sl.decide_diagonal_equivalence(s, form.shift, 0, seed=2)
         assert verdict.is_equivalent
 
+    @pytest.mark.parametrize("window", [None, (4, 10)])
+    def test_window_without_row_zero_is_inconclusive(self, rng, window):
+        # the Gram chains start at the anchor rows 0 and -1, which rows 3..12 lack
+        s = sl.BilateralShift(sl.WindowedWeights(
+            3, [random_invertible(rng) for _ in range(10)]))
+        verdict = sl.decide_diagonal_equivalence(s, s, 0, window=window, seed=0)
+        assert verdict.is_inconclusive
+        assert "index 0 outside stored window [3, 12]" in verdict.reason
+        scan = sl.decide_diagonal_equivalence_scan(s, s, -1, 1, window=window, seed=0)
+        assert scan.is_inconclusive and "index 0" in scan.reason
+
+    def test_window_past_the_stored_rows_is_inconclusive(self, rng):
+        # the chains fit in rows -5..4, the witness on the window (-3, 8) does not
+        s = sl.BilateralShift(sl.WindowedWeights(
+            -5, [random_invertible(rng) for _ in range(10)]))
+        assert sl.decide_diagonal_equivalence(s, s, 0, seed=0).is_equivalent
+        verdict = sl.decide_diagonal_equivalence(s, s, 0, window=(-3, 8), seed=0)
+        assert verdict.is_inconclusive
+        assert "witness construction failed: index 5 outside stored window" in verdict.reason
+
 
 class TestDecideScan:
     def test_finds_offset_of_reindexed_conjugate(self, rng):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.matrices import frob, herm
+from shiftlab.matrices import condition_ratio, frob, herm, is_normal, operator_norm
 
-from conftest import random_matrix
+from conftest import random_matrix, random_unitary
 
 I2 = np.eye(2)
 SQ2 = np.sqrt(2.0)
@@ -82,3 +82,98 @@ class TestIsUnitary:
 
     def test_projection_is_not(self):
         assert not sl.is_unitary(PROJ_A)
+
+
+def _stack(kind, dim):
+    """An (N, dim, dim) stack of the given kind."""
+    rng = np.random.default_rng(dim)
+    if kind == "random":
+        return np.stack([random_matrix(rng, dim) for _ in range(5)])
+    if kind == "singular":          # rank dim - 1; the zero matrix at dim 1
+        mats = np.stack([random_matrix(rng, dim) for _ in range(4)])
+        mats[:, :, -1] = 0.0
+        return mats
+    if kind == "zero":
+        return np.zeros((3, dim, dim), dtype=complex)
+    if kind == "empty":
+        return np.zeros((0, dim, dim), dtype=complex)
+    # one of each, with unitary and normal rows so the predicates also hold
+    normal = random_unitary(rng, dim) @ np.diag(rng.uniform(0.5, 2.0, dim))
+    normal = normal @ random_unitary(rng, dim)
+    return np.stack([random_matrix(rng, dim), _stack("singular", dim)[0],
+                     np.zeros((dim, dim)), random_unitary(rng, dim),
+                     (normal + herm(normal)) / 2])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["random", "singular", "zero", "empty", "mixed"])
+class TestStacks:
+    """On an (N, d, d) stack each predicate returns what the per-matrix calls
+    return, matrix by matrix."""
+
+    def test_norms_match_bitwise(self, kind, dim):
+        stack = _stack(kind, dim)
+        for func in (operator_norm, condition_ratio):
+            got = func(stack)
+            want = np.array([func(m) for m in stack], dtype=float)
+            assert got.shape == (len(stack),)
+            assert got.tobytes() == want.tobytes()
+
+    def test_polar_factors_match_bitwise(self, kind, dim):
+        stack = _stack(kind, dim)
+        w, p = sl.polar_decompose(stack)
+        assert w.shape == p.shape == stack.shape
+        for i, m in enumerate(stack):
+            wi, pi = sl.polar_decompose(m)
+            assert w[i].tobytes() == wi.tobytes() and p[i].tobytes() == pi.tobytes()
+        assert sl.nearest_unitary(stack).tobytes() == w.tobytes()
+
+    def test_predicates_match(self, kind, dim):
+        stack = _stack(kind, dim)
+        tol = sl.DEFAULT_TOL
+        other = stack + 1e-11 * np.roll(stack, 1, axis=0)
+        for got, single in ((is_normal(stack, tol), lambda i: is_normal(stack[i], tol)),
+                            (sl.is_unitary(stack, tol),
+                             lambda i: sl.is_unitary(stack[i], tol)),
+                            (tol.close(stack, other), lambda i: tol.close(stack[i], other[i]))):
+            assert got.shape == (len(stack),)
+            assert got.tolist() == [bool(single(i)) for i in range(len(stack))]
+
+    def test_bound_is_elementwise(self, kind, dim):
+        tol = sl.Tolerance(rel=1e-3, abs=1e-6)
+        scales = np.linalg.norm(_stack(kind, dim), axis=(-2, -1))
+        got = tol.bound(scales)
+        assert got.shape == scales.shape
+        assert got.tolist() == [tol.bound(x) for x in scales]
+
+
+class TestStackInputs:
+    def test_matrix_keeps_scalar_results(self, rng):
+        m = random_matrix(rng, 3)
+        assert type(operator_norm(m)) is float
+        assert type(condition_ratio(m)) is float
+        assert condition_ratio(np.zeros((2, 2))) == 0.0
+        assert type(sl.DEFAULT_TOL.bound(2.0)) is float
+        for value in (is_normal(m), sl.is_unitary(m), sl.DEFAULT_TOL.close(m, m)):
+            assert isinstance(value, (bool, np.bool_)) and np.ndim(value) == 0
+        w, p = sl.polar_decompose(m)
+        assert w.shape == p.shape == (3, 3)
+
+    @pytest.mark.parametrize("func", [condition_ratio, sl.polar_decompose,
+                                      sl.nearest_unitary, is_normal, sl.is_unitary])
+    def test_non_square_stack_rejected(self, func):
+        with pytest.raises(sl.DimensionError):
+            func(np.ones((4, 2, 3)))
+
+    @pytest.mark.parametrize("func", [operator_norm, condition_ratio, sl.polar_decompose,
+                                      sl.nearest_unitary, is_normal, sl.is_unitary])
+    def test_nan_in_a_stack_rejected(self, func):
+        stack = np.stack([np.eye(2)] * 3).astype(complex)
+        stack[1, 0, 1] = complex(0.0, float("nan"))
+        with pytest.raises(ValueError):
+            func(stack)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 0, 0), (2, 0)])
+    def test_empty_or_vector_input_rejected(self, shape):
+        with pytest.raises(sl.DimensionError):
+            operator_norm(np.ones(shape))
