@@ -195,11 +195,15 @@ def decode_operator(data, path: str, dim: int) -> BandedOperator:
                               path=path)
     bands = {}
     for key, seq in data["bands"].items():
-        # only the canonical text, so that no two keys ("1", "01", "+1") name one band
-        if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
+        try:
+            offset = int(key)
+            # only the canonical text, so that no two keys ("1", "01", "+1") name one band
+            if key != str(offset):
+                raise ValueError
+        except ValueError:
             raise SpecFormatError(f"band offset {key!r} is not an integer in canonical "
-                                  "form", path=f"{path}.bands")
-        bands[int(key)] = decode_sequence(seq, f"{path}.bands.{key}", dim)
+                                  "form", path=f"{path}.bands") from None
+        bands[offset] = decode_sequence(seq, f"{path}.bands.{key}", dim)
     return BandedOperator(bands)
 
 

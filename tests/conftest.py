@@ -235,6 +235,8 @@ MALFORMED_SPECS = {
     "band-key-underscore": (_band_keys("1_0"), "operators.U.bands"),
     "band-key-padded": (_band_keys(" 1"), "operators.U.bands"),
     "band-key-not-integer": (_band_keys("a"), "operators.U.bands"),
+    # past Python's integer-string digit limit int() raises ValueError
+    "band-key-5000-digits": (_band_keys("1" * 5000), "operators.U.bands"),
 }
 
 

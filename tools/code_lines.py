@@ -6,10 +6,10 @@ This is the rule every size figure in CHANGES.md and ROADMAP.md uses.
 
 Run from the repository root::
 
-    python tools/code_lines.py [package_dir]
+    python tools/code_lines.py
 
-``package_dir`` defaults to ``src/shiftlab``.  The output is one line per
-module with its count, then the total.
+The output is one line per module of ``src/shiftlab`` with its count, then
+the total.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ def code_lines(source: str) -> int:
     return len(code - skip)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0] if args else "src/shiftlab")
+def main() -> int:
+    root = Path("src/shiftlab")
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
