@@ -37,8 +37,6 @@ from .corpus import EXAMPLE_NAMES, load_example, run_example
 from .equivalence import (
     ConjugatorResult,
     EquivalenceVerdict,
-    GramChain,
-    GramChains,
     Obstruction,
     PositiveForm,
     VerdictStatus,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .matrices import (
 )
 from .shifts import (
     BilateralShift,
-    PeriodicWeights,
     WindowedWeights,
     _blockwise,
     _require_rows,
@@ -111,33 +109,8 @@ class EquivalenceVerdict:
         return f"inconclusive: {self.reason}"
 
 
-@dataclass(frozen=True)
-class GramChain:
-    """``G_n = P_n* P_n`` for the weight products P_n of increasing length."""
-
-    direction: str      # "forward" | "backward"
-    base: int
-    matrices: tuple
-
-    @property
-    def depth(self) -> int:
-        return len(self.matrices)
-
-
-class GramChains(NamedTuple):
-    forward_s: GramChain
-    forward_t: GramChain
-    backward_s: GramChain
-    backward_t: GramChain
-
-    def pairs(self):
-        """(G_s, G_t) pairs, forward chains first."""
-        return (list(zip(self.forward_s.matrices, self.forward_t.matrices))
-                + list(zip(self.backward_s.matrices, self.backward_t.matrices)))
-
-
 def gram_chains(s: BilateralShift, t: BilateralShift, m: int, k_base: int,
-                depth: int) -> GramChains:
+                depth: int) -> np.ndarray:
     """Gram matrices of the matched forward and backward weight products.
 
     Forward, for n = 1..depth: products ``S_{m+k+n-1} ... S_{m+k}`` against
@@ -145,32 +118,27 @@ def gram_chains(s: BilateralShift, t: BilateralShift, m: int, k_base: int,
     ``S_{m+k-n}* ... S_{m+k-1}*`` against ``T_{k-n}* ... T_{k-1}*``.  A
     unitary V satisfies all the metric equalities exactly when
     ``V* G_t V = G_s`` for every pair.
+
+    Returns the (2*depth, 2, d, d) array of pairs ``(G_s, G_t)`` = ``P* P``:
+    forward depths 1..depth, then backward depths 1..depth.  Weights are
+    read forward S, forward T, backward S, backward T, each outward from its
+    anchor row, so a missing row is the first one that order meets.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
-
-    def chain(shift, base, direction):
-        mats = []
-        acc = np.eye(shift.dim, dtype=complex)
-        if direction == "forward":
+    grams = np.empty((2, depth, 2, s.dim, s.dim), dtype=complex)
+    for j, forward in enumerate((True, False)):
+        for i, (shift, base) in enumerate(((s, m + k_base), (t, k_base))):
+            acc = np.eye(shift.dim, dtype=complex)
             for n in range(depth):
-                acc = shift.weight(base + n) @ acc
-                mats.append(herm(acc) @ acc)
-        else:
-            # each new factor carries the smallest index and sits leftmost
-            for n in range(1, depth + 1):
-                acc = herm(shift.weight(base - n)) @ acc
-                mats.append(herm(acc) @ acc)
-        return GramChain(direction, base, tuple(mats))
-
-    return GramChains(
-        forward_s=chain(s, m + k_base, "forward"),
-        forward_t=chain(t, k_base, "forward"),
-        backward_s=chain(s, m + k_base, "backward"),
-        backward_t=chain(t, k_base, "backward"),
-    )
+                # each new factor sits leftmost: the next row forward, or
+                # the adjoint of the next row backward
+                acc = (shift.weight(base + n) if forward
+                       else herm(shift.weight(base - 1 - n))) @ acc
+                grams[j, n, i] = herm(acc) @ acc
+    return grams.reshape(2 * depth, 2, s.dim, s.dim)
 
 
 @dataclass
@@ -213,6 +181,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
                            seed: int = 0) -> ConjugatorResult:
     """Find a unitary U with ``U* G_t U = G_s`` for every pair (G_s, G_t).
 
+    ``pairs`` is a list of pairs or the (P, 2, d, d) array of ``gram_chains``.
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
     ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system A.  It is
     solved in the eigenbases of the first pair, ``G_s1 = Y_s L_s Y_s*`` and
@@ -247,21 +216,23 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     rest on as ``residual``; ``diagnostics`` holds ``cutoff``,
     ``certify_cutoff``, ``columns_kept`` and ``tau``.
     """
-    pairs = [(np.asarray(gs, dtype=complex), np.asarray(gt, dtype=complex))
-             for gs, gt in pairs]
-    if not pairs:
+    try:
+        pairs = np.asarray(pairs, dtype=complex)
+    except ValueError as exc:       # ragged input
+        raise DimensionError("constraint pairs have inconsistent shapes") from exc
+    if not len(pairs):
         raise ValueError("need at least one constraint pair")
-    dim = pairs[0][0].shape[0]
+    if pairs.ndim != 4 or pairs.shape[1] != 2 or pairs.shape[2] != pairs.shape[3]:
+        raise DimensionError("constraint pairs must form a (P, 2, d, d) array, "
+                             f"got shape {pairs.shape}")
+    dim = pairs.shape[2]
     for i, (gs, gt) in enumerate(pairs):
-        if gs.shape != (dim, dim) or gt.shape != (dim, dim):
-            raise DimensionError(f"pair {i} has inconsistent shapes")
         gap, scale = _eigen_mismatch(gs, gt)
         if gap > tol.bound(scale):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
 
-    g_s = np.stack([gs for gs, _ in pairs])
-    g_t = np.stack([gt for _, gt in pairs])
+    g_s, g_t = pairs[:, 0], pairs[:, 1]
     norm_s = np.linalg.norm(g_s, axis=(1, 2))
     norm_t = np.linalg.norm(g_t, axis=(1, 2))
     scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
@@ -520,64 +491,46 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     return single_band(m, WindowedWeights(lo - 1, mats), label="diagonal witness")
 
 
-def _combined_period(s, t):
-    periods = [seq.period for seq in (s.weights, t.weights)
-               if isinstance(seq, PeriodicWeights)]
-    return math.lcm(*periods) if periods else None
+def _decision_scope(s, t, m, window=None, depth=None):
+    """The rows and depth a decision at offset m reads, fixed once.
 
-
-def _auto_window(s, t, m):
-    period = _combined_period(s, t)
-    spans = []
-    for shift, delta in ((s, -m), (t, 0)):
-        rng = shift.weights.described_range()
-        if rng is not None:
-            spans.append((rng[0] + delta, rng[1] + delta))
+    Returns ``(spans, window, depth, period)``.  ``spans`` are the described
+    ranges of S and T in witness rows n, where S's index is n + m; ``period``
+    is the lcm of the periods, or None.  The automatic window covers the
+    spans with a margin of 2 rows, and [-period - 2, period + 2] for periodic
+    weights.  The automatic depth is the largest reach of a span from the
+    anchor rows 0/-1, plus 4, plus twice the period for periodic weights:
+    eventually-identity products stabilize once the supports are exhausted,
+    periodic ones are sampled over two periods.  Windowed descriptions clip
+    the window and cap the depth at the rows they store.  A given window or
+    depth is kept; an automatic window that comes out empty raises
+    ``PreconditionError``.
+    """
+    spans, stored, periods = [], [], []
+    for seq, delta in ((s.weights, -m), (t.weights, 0)):
+        rng = seq.described_range()
+        if rng is None:
+            periods.append(seq.period)
+            continue
+        spans.append((rng[0] + delta, rng[1] + delta))
+        if isinstance(seq, WindowedWeights):
+            stored.append(spans[-1])
+    period = math.lcm(*periods) if periods else None
     lo = min((a for a, _ in spans), default=0) - 2
     hi = max((b for _, b in spans), default=0) + 2
+    reach = max((max(b, -a, 0) for a, b in spans), default=0) + 4
     if period is not None:
-        lo = min(lo, -period - 2)
-        hi = max(hi, period + 2)
-    # windowed descriptions bound the reachable rows
-    if isinstance(t.weights, WindowedWeights):
-        a, b = t.weights.described_range()
+        lo, hi = min(lo, -period - 2), max(hi, period + 2)
+        reach += 2 * period
+    for a, b in stored:
         lo, hi = max(lo, a), min(hi, b)
-    if isinstance(s.weights, WindowedWeights):
-        a, b = s.weights.described_range()
-        lo, hi = max(lo, a - m), min(hi, b - m)
-    if hi < lo:
-        raise PreconditionError(
-            "stored weight windows leave no usable decision window at "
-            f"offset {m}")
-    return (lo, hi)
-
-
-def _auto_depth(s, t, m):
-    """Depth at which the Gram chains stop carrying new information.
-
-    Eventually-identity products stabilize once the supports are exhausted;
-    periodic products are sampled over twice the combined period.  Windowed
-    descriptions cap the depth at what is accessible.
-    """
-    reaches = []
-    for shift, base in ((s, m), (t, 0)):
-        rng = shift.weights.described_range()
-        if rng is not None:
-            reaches.append(max(rng[1] - base, base - rng[0], 0))
-    period = _combined_period(s, t)
-    if period is not None:
-        desired = 2 * period + 4 + (max(reaches) if reaches else 0)
-    else:
-        desired = (max(reaches) if reaches else 0) + 4
-    caps = []
-    for shift, base in ((s, m), (t, 0)):
-        if isinstance(shift.weights, WindowedWeights):
-            a, b = shift.weights.described_range()
-            caps.append(b - base + 1)
-            caps.append(base - a)
-    if caps:
-        desired = min(desired, min(caps))
-    return max(desired, 1)
+        reach = min(reach, b + 1, -a)
+    if window is None:
+        if hi < lo:
+            raise PreconditionError("stored weight windows leave no usable "
+                                    f"decision window at offset {m}")
+        window = (lo, hi)
+    return spans, window, max(reach, 1) if depth is None else depth, period
 
 
 def _inconclusive(m, reason):
@@ -612,11 +565,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
         if not shift.quasi_invertible:
             raise ConditioningError(f"{name} has weights failing the "
                                     f"invertibility threshold")
-    if window is None:
-        window = _auto_window(s, t, m)
-    lo, hi = window
-    if depth is None:
-        depth = _auto_depth(s, t, m)
+    spans, (lo, hi), depth, period = _decision_scope(s, t, m, window, depth)
 
     mism = _norm_mismatches(s, t, m, m, lo, hi, tol)[0]
     if mism is not None:
@@ -633,7 +582,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                    f"eigenvalue moduli differ at n={bad.index}")
 
     try:
-        pairs = gram_chains(s, t, m, 0, depth).pairs()
+        pairs = gram_chains(s, t, m, 0, depth)
     except WindowAccessError as exc:
         return _inconclusive(m, f"the Gram chains anchored at row 0 need a weight "
                                 f"the stored windows lack: {exc}")
@@ -663,9 +612,8 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     if not wrep.passed:
         return _inconclusive(m, "constructed witness failed re-verification")
 
-    period = _combined_period(s, t)
     if period is not None:
-        ok, why = _periodic_witness_certificate(s, t, witness, m, period,
+        ok, why = _periodic_witness_certificate(witness, m, period, spans,
                                                 lo, hi, verify_tol)
         if not ok:
             return _inconclusive(m, f"metric conditions hold to depth {depth} but the "
@@ -674,18 +622,17 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                               witness=witness, witness_report=wrep)
 
 
-def _periodic_witness_certificate(s, t, witness, m, period, lo, hi, tol):
+def _periodic_witness_certificate(witness, m, period, spans, lo, hi, tol):
     """A periodic witness extends to all indices; check entries repeat.
 
-    Beyond any eventually-identity supports the recursion has periodic
-    coefficients, so ``V_{n+period} = V_n`` on both window margins implies it
-    for every index.  Empty margins mean the window is too small to certify.
+    Beyond the described ``spans`` (in witness rows) the recursion
+    ``V_n S_{n+m} = T_n V_{n-1}`` has periodic coefficients, so
+    ``V_{n+period} = V_n`` on both window margins implies it for every
+    index.  Empty margins mean the window is too small to certify.
     """
     band = witness.band(m)
-    spans = [rng for rng in (s.weights.described_range(), t.weights.described_range())
-             if rng is not None]
-    upper_start = max([r[1] for r in spans], default=lo - 1) + 1
-    lower_end = min([r[0] for r in spans], default=hi + 1) - 1
+    upper_start = max([b for _, b in spans], default=lo - 1) + 1
+    lower_end = min([a for a, _ in spans], default=hi + 1) - 1
 
     def entries_repeat(a, b):
         w, present = band.rows(a, b)
@@ -725,7 +672,7 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     if k_min > k_max:
         raise ValueError(f"empty offset range [{k_min}, {k_max}]")
     if window is None:
-        base_lo, base_hi = _auto_window(s, t, 0)
+        base_lo, base_hi = _decision_scope(s, t, 0)[1]
         spread = max(abs(k_min), abs(k_max))
         lo, hi = base_lo - spread, base_hi + spread
     else:

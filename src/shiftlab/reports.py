@@ -63,6 +63,8 @@ class RunReport:
             state = ""
             if c.passed is not None:
                 state = "pass" if c.passed else "fail"
+            elif c.kind == "verdict":
+                state = c.details["summary"]
             lines.append(f"  [{flag}] {c.name}: {c.observed}"
                          + (f" ({state})" if state else "")
                          + (f" -- expected {c.expected}"

@@ -24,7 +24,14 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, WindowAccessError
-from .matrices import INVERTIBILITY_THRESHOLD, condition_ratio, frob, operator_norm, require_square
+from .matrices import (
+    DEFAULT_TOL,
+    INVERTIBILITY_THRESHOLD,
+    Tolerance,
+    condition_ratio,
+    operator_norm,
+    require_square,
+)
 
 
 def identity_matrix(dim: int) -> np.ndarray:
@@ -214,7 +221,7 @@ def map_weights(seq: WeightSequence, func, delta: int = 0) -> WeightSequence:
     if isinstance(seq, PeriodicWeights):
         return PeriodicWeights([func(seq.weight_at(i + delta)) for i in range(seq.period)])
     eye = identity_matrix(seq.dim)
-    if isinstance(seq, EventuallyIdentityWeights) and frob(func(eye) - eye) > 1e-14 * seq.dim:
+    if isinstance(seq, EventuallyIdentityWeights) and not DEFAULT_TOL.close(func(eye), eye):
         raise ValueError("transform must fix the identity for "
                          "eventually-identity sequences")
     return type(seq)(seq.lo - delta, [func(w) for w in seq._weights])
@@ -293,12 +300,13 @@ class WindowedVector:
         block[coordinate] = 1.0
         return cls(index, block[None, :])
 
-    def allclose(self, other: "WindowedVector", atol: float = 1e-12) -> bool:
+    def allclose(self, other: "WindowedVector", tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether ``tol.close`` holds for the two vectors, each padded with
+        zero blocks to the union of their ranges, as (count, dim) arrays."""
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        return all(
-            np.allclose(self.block(n), other.block(n), atol=atol)
-            for n in range(lo, hi + 1))
+        padded = [[x.block(n) for n in range(lo, hi + 1)] for x in (self, other)]
+        return bool(tol.close(*padded))
 
     def __repr__(self):
         return f"WindowedVector(lo={self.lo}, hi={self.hi}, dim={self.dim})"

@@ -62,7 +62,7 @@ class TestDiagonalForm:
             shifter = f if k >= 0 else sl.banded_adjoint(f)
             for _ in range(abs(k)):
                 step = sl.apply_banded(shifter, step)
-            assert via_op.allclose(step, atol=1e-12)
+            assert via_op.allclose(step)
 
 
 class TestApplyBanded:
@@ -146,7 +146,7 @@ class TestVerifyIntertwining:
                                   + 1j * rng.standard_normal((5, 2)))
             lhs = sl.apply_banded(a, sl.apply_shift(s, x))
             rhs = sl.apply_shift(t, sl.apply_banded(a, x))
-            agrees = lhs.allclose(rhs, atol=1e-9)
+            agrees = lhs.allclose(rhs, sl.Tolerance(rel=1e-9, abs=1e-9))
             assert rep.passed == agrees
 
     def test_window_edges_skipped_not_failed(self, rng):

@@ -139,6 +139,15 @@ class TestDecideCommand:
                          "--json", str(out), "--quiet"]) == 3
         assert "index 0 outside stored window [3, 12]" in out.read_text()
 
+    def test_human_report_gives_the_verdict_reason(self, tmp_path, rng, capsys):
+        s = sl.BilateralShift(sl.WindowedWeights(
+            3, [np.eye(2) + 0.1 * rng.standard_normal((2, 2)) for _ in range(10)]), "S")
+        spec = write_spec(tmp_path, sl.SpecModel(dim=2, shifts={"S": s}))
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S", "--m", "0"]) == 3
+        line = next(x for x in capsys.readouterr().out.splitlines() if "[ok ]" in x)
+        assert ": inconclusive (inconclusive: " in line
+        assert "index 0 outside stored window [3, 12]" in line
+
     def test_m_range_scan(self, tmp_path, rng, capsys):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s, m=1)

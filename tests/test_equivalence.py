@@ -2,11 +2,16 @@
 
 import cmath
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
+from shiftlab.equivalence import _decision_scope
 from shiftlab.matrices import frob, herm, is_normal
 
 from conftest import (
@@ -137,15 +142,15 @@ class TestEigenModuliScreen:
 class TestGramChains:
     def test_identity_weights_constant_chains(self):
         f = sl.BilateralShift(sl.identity_weights(2))
-        chains = sl.gram_chains(f, f, 0, 0, 4)
-        for chain in chains:
-            for g in chain.matrices:
-                np.testing.assert_allclose(g, I2, atol=1e-14)
+        pairs = sl.gram_chains(f, f, 0, 0, 4)
+        assert pairs.shape == (8, 2, 2, 2)
+        for g in pairs.reshape(-1, 2, 2):
+            np.testing.assert_allclose(g, I2, atol=1e-14)
 
     def test_depth_one_forward_gram(self, rng):
         s = ei_shift(rng, lo=-1, length=3)
-        chains = sl.gram_chains(s, s, 2, 0, 1)
-        np.testing.assert_allclose(chains.forward_s.matrices[0],
+        pairs = sl.gram_chains(s, s, 2, 0, 1)
+        np.testing.assert_allclose(pairs[0, 0],        # forward, S, depth 1
                                    herm(s.weight(2)) @ s.weight(2), atol=1e-13)
 
     def test_gram_equality_matches_vector_norms(self, rng):
@@ -166,26 +171,39 @@ class TestGramChains:
             s = ei_shift(rng, lo=-2, length=5)
             t = ei_shift(rng, lo=-1, length=4)
             m, k, depth = int(rng.integers(-2, 3)), int(rng.integers(-1, 2)), 4
-            chains = sl.gram_chains(s, t, m, k, depth)
-            for shift, base, fwd, bwd in ((s, m + k, chains.forward_s, chains.backward_s),
-                                          (t, k, chains.forward_t, chains.backward_t)):
-                assert fwd.depth == bwd.depth == depth
+            pairs = sl.gram_chains(s, t, m, k, depth)
+            assert pairs.shape == (2 * depth, 2, 2, 2)
+            # rows 0..depth-1 are forward depths 1..depth, then backward
+            for i, (shift, base) in enumerate(((s, m + k), (t, k))):
+                fwd, bwd = pairs[:depth, i], pairs[depth:, i]
                 for n in range(1, depth + 1):
                     p = functools.reduce(np.matmul, [shift.weight(base + j)
                                                      for j in reversed(range(n))])
                     q = functools.reduce(np.matmul, [herm(shift.weight(base - j))
                                                      for j in range(n, 0, -1)])
-                    np.testing.assert_allclose(fwd.matrices[n - 1], herm(p) @ p,
+                    np.testing.assert_allclose(fwd[n - 1], herm(p) @ p,
                                                rtol=1e-12, atol=1e-12)
-                    np.testing.assert_allclose(bwd.matrices[n - 1], herm(q) @ q,
+                    np.testing.assert_allclose(bwd[n - 1], herm(q) @ q,
                                                rtol=1e-12, atol=1e-12)
 
     def test_known_pair_admits_no_joint_conjugator(self):
         ex = sl.load_example("ex31")
         s, t = ex.shifts["S"], ex.shifts["T"]
-        chains = sl.gram_chains(s, t, 0, 0, 3)
-        found = sl.solve_joint_conjugator(chains.pairs())
+        found = sl.solve_joint_conjugator(sl.gram_chains(s, t, 0, 0, 3))
         assert found.unitary is None
+
+    def test_missing_row_named_in_read_order(self, rng):
+        # rows -7..2 stored, m = -3, depth 5: forward S reads rows -3..1 and
+        # forward T rows 0..3, so row 3 is the first missing one (backward S,
+        # read first, would name row -8)
+        s = sl.BilateralShift(sl.WindowedWeights(
+            -7, [random_unitary(rng) for _ in range(10)]), "S")
+        with pytest.raises(sl.WindowAccessError) as err:
+            sl.gram_chains(s, s, -3, 0, 5)
+        assert err.value.index == 3
+        verdict = sl.decide_diagonal_equivalence(s, s, -3, depth=5, window=(1, 2))
+        assert verdict.is_inconclusive
+        assert "index 3 outside stored window [-7, 2]" in verdict.reason
 
 
 class TestSolveJointConjugator:
@@ -214,6 +232,17 @@ class TestSolveJointConjugator:
         assert res.unitary is None
         assert res.certificate == "spectrum-mismatch"
         assert res.pair_index == 0
+
+    def test_ragged_pairs_rejected(self):
+        for pairs in ([(I2, I2), (np.eye(3), np.eye(3))], [(I2, np.eye(3))],
+                      [(np.ones((2, 3)), np.ones((2, 3)))], [(I2, I2, I2)]):
+            with pytest.raises(sl.DimensionError):
+                sl.solve_joint_conjugator(pairs)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError) as err:
+            sl.solve_joint_conjugator([])
+        assert not isinstance(err.value, sl.DimensionError)
 
     def test_random_conjugations_recovered(self, rng):
         for _ in range(10):
@@ -555,9 +584,7 @@ class TestDecide:
         assert verdict.is_not_equivalent
         ob = verdict.obstruction
         assert ob.kind == "gram-spectrum"
-        chains = sl.gram_chains(s, t, 0, 0, max(ob.index, 1))
-        gs = chains.forward_s.matrices[ob.index - 1]
-        gt = chains.forward_t.matrices[ob.index - 1]
+        gs, gt = sl.gram_chains(s, t, 0, 0, max(ob.index, 1))[ob.index - 1]
         es = np.sort(np.linalg.eigvalsh(gs))
         et = np.sort(np.linalg.eigvalsh(gt))
         gap = np.max(np.abs(es - et))
@@ -669,6 +696,127 @@ class TestDecideScan:
         for (n, wa), (_, wb) in zip(band_a.described_items(),
                                     band_b.described_items()):
             np.testing.assert_allclose(wa, wb, atol=0)
+
+
+class TestPeriodicCertificate:
+    def _pair(self, rng, scale=1.0):
+        s = sl.BilateralShift(sl.EventuallyIdentityWeights(
+            0, [random_unitary(rng) for _ in range(3)]), "S")
+        t = sl.BilateralShift(sl.PeriodicWeights([scale * I2]), "T")
+        return s, t
+
+    def test_unitary_support_against_identity_at_every_offset(self, rng):
+        # V_n = V_{n-1} S_{n+m}^{-1} is a unitary intertwiner at every offset;
+        # the certificate's margins lie beyond S's span in witness rows n,
+        # where S's index is n + m
+        s, t = self._pair(rng)
+        for m in range(-3, 4):
+            verdict = sl.decide_diagonal_equivalence(s, t, m)
+            assert verdict.is_equivalent, (m, verdict.reason)
+            band = verdict.witness.band(m)
+            first, hi = band.described_range()
+            lo, hi = first + 1 - 10, hi + 10
+            wide = sl.diagonal_witness(s, t, m, band.weight_at(-1), lo, hi)
+            assert sl.verify_intertwining(wide, s, t, lo, hi).passed
+            entries, present = wide.band(m).rows(lo - 1, hi)
+            assert present.all() and sl.is_unitary(entries).all()
+
+    def test_scaled_identity_is_never_equivalent(self, rng):
+        s, t = self._pair(rng, scale=1.1)
+        for m in range(-3, 4):
+            assert not sl.decide_diagonal_equivalence(s, t, m).is_equivalent
+
+
+def ref_auto_window(s, t, m):
+    """The window rule as it stood in its own function, kept as reference."""
+    periods = [x.weights.period for x in (s, t)
+               if isinstance(x.weights, sl.PeriodicWeights)]
+    period = math.lcm(*periods) if periods else None
+    spans = []
+    for shift, delta in ((s, -m), (t, 0)):
+        rng = shift.weights.described_range()
+        if rng is not None:
+            spans.append((rng[0] + delta, rng[1] + delta))
+    lo = min((a for a, _ in spans), default=0) - 2
+    hi = max((b for _, b in spans), default=0) + 2
+    if period is not None:
+        lo = min(lo, -period - 2)
+        hi = max(hi, period + 2)
+    if isinstance(t.weights, sl.WindowedWeights):
+        a, b = t.weights.described_range()
+        lo, hi = max(lo, a), min(hi, b)
+    if isinstance(s.weights, sl.WindowedWeights):
+        a, b = s.weights.described_range()
+        lo, hi = max(lo, a - m), min(hi, b - m)
+    if hi < lo:
+        raise sl.PreconditionError("no usable decision window")
+    return (lo, hi)
+
+
+def ref_auto_depth(s, t, m):
+    """The depth rule as it stood in its own function, kept as reference."""
+    reaches = []
+    for shift, base in ((s, m), (t, 0)):
+        rng = shift.weights.described_range()
+        if rng is not None:
+            reaches.append(max(rng[1] - base, base - rng[0], 0))
+    periods = [x.weights.period for x in (s, t)
+               if isinstance(x.weights, sl.PeriodicWeights)]
+    if periods:
+        desired = 2 * math.lcm(*periods) + 4 + (max(reaches) if reaches else 0)
+    else:
+        desired = (max(reaches) if reaches else 0) + 4
+    caps = []
+    for shift, base in ((s, m), (t, 0)):
+        if isinstance(shift.weights, sl.WindowedWeights):
+            a, b = shift.weights.described_range()
+            caps.append(b - base + 1)
+            caps.append(base - a)
+    if caps:
+        desired = min(desired, min(caps))
+    return max(desired, 1)
+
+
+VARIANTS = ("periodic", "eventually_identity", "windowed")
+
+
+def _described_shift(variant, lo, length):
+    weights = [np.eye(1)] * length
+    if variant == "periodic":
+        return sl.BilateralShift(sl.PeriodicWeights(weights))
+    if variant == "eventually_identity":
+        return sl.BilateralShift(sl.EventuallyIdentityWeights(lo, weights))
+    return sl.BilateralShift(sl.WindowedWeights(lo, weights))
+
+
+class TestDecisionScope:
+    @pytest.mark.parametrize("variants", list(itertools.product(VARIANTS, repeat=2)))
+    @settings(max_examples=120, deadline=None)
+    @given(lo_s=st.integers(-12, 12), len_s=st.integers(1, 8),
+           lo_t=st.integers(-12, 12), len_t=st.integers(1, 8), m=st.integers(-10, 10))
+    def test_matches_the_reference_rules(self, variants, lo_s, len_s, lo_t, len_t, m):
+        s = _described_shift(variants[0], lo_s, len_s)
+        t = _described_shift(variants[1], lo_t, len_t)
+        depth = ref_auto_depth(s, t, m)
+        try:
+            window = ref_auto_window(s, t, m)
+        except sl.PreconditionError:
+            with pytest.raises(sl.PreconditionError, match="no usable decision window"):
+                _decision_scope(s, t, m)
+        else:
+            assert _decision_scope(s, t, m)[1:3] == (window, depth)
+        # a given window is kept, never raises, and leaves the depth automatic
+        spans, window, got_depth, period = _decision_scope(s, t, m, window=(0, 0))
+        assert (window, got_depth) == ((0, 0), depth)
+        expected = []
+        for x, delta in ((s, m), (t, 0)):          # witness rows: S's index minus m
+            rng = x.weights.described_range()
+            if rng is not None:
+                expected.append((rng[0] - delta, rng[1] - delta))
+        assert spans == expected
+        periods = [x.weights.period for x in (s, t) if x.weights.variant == "periodic"]
+        assert period == (math.lcm(*periods) if periods else None)
+        assert _decision_scope(s, t, m, window=(0, 0), depth=3)[2] == 3
 
 
 # --- batched readers against per-row reference loops -------------------------
