@@ -238,6 +238,7 @@ class _Group(NamedTuple):
     within: int | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflowed residual fails
 def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
               keep: int | None = None):
     """(C, N) arrays of residuals, their acceptance under ``tol`` and
@@ -281,7 +282,7 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             scale = functools.reduce(np.maximum, [
                 s if isinstance(s, float) else np.linalg.norm(total(s, mask), axis=(-2, -1))
                 for s in cond.scale])
-            passed[c, start:stop] = res[c, start:stop] <= tol.bound(scale)
+            passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
                 kept[start:stop] = lhs
     return res, passed, has, kept
@@ -575,7 +576,7 @@ def conjugate_to_shift(u: BandedOperator, s: BilateralShift, lo: int, hi: int,
     scale = norms[main][has[main]].max(initial=1.0)
     off_band = has & (np.arange(len(deltas)) != main)[:, None]
     _emit(rep.checks, ConditionCheck, lo, [c.name for c in conds], off_band, False,
-          norms, norms <= tol.bound(scale))
+          norms, tol.accepts(norms, scale))
     band = slice(main, main + 1)
     _emit(rep.checks, ConditionCheck, lo, ["shift_weight_nonzero"], has[band], False,
           norms[band], norms[band] > tol.abs)

@@ -228,7 +228,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     dim = pairs.shape[2]
     for i, (gs, gt) in enumerate(pairs):
         gap, scale = _eigen_mismatch(gs, gt)
-        if gap > tol.bound(scale):
+        if tol.refutes(gap, scale):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
 
@@ -271,7 +271,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
             w = nearest_unitary(x)
             worst = float(np.max(np.linalg.norm(herm(w) @ g_t @ w - g_s,
                                                 axis=(1, 2)) / scales))
-            if worst <= tol.bound(1.0):
+            if tol.accepts(worst, 1.0):
                 return w, worst, True
             best = min(best, worst)
         return None, best, saw_nonsingular
@@ -329,6 +329,7 @@ class PositiveForm:
     max_residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")    # overflow is caught below
 def positive_form(s: BilateralShift, lo: int, hi: int,
                   tol: Tolerance = DEFAULT_TOL) -> PositiveForm:
     """Diagonal conjugation of a shift to one with positive weights.
@@ -345,6 +346,12 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
         ``shift`` holds the positive weights on [lo, hi] (windowed);
         ``diagonal`` is the conjugating diagonal operator on [lo-1, hi];
         ``max_residual`` is the worst intertwining defect (machine level).
+
+    Raises
+    ------
+    ConditioningError
+        naming the first singular weight, or the first row whose positive
+        weight or conjugator overflows the float range.
     """
     if hi < lo:
         raise ValueError("hi must be >= lo")
@@ -368,6 +375,13 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
 
     t_weights = herm(v[:-1]) @ positives @ v[:-1]
     t_weights = 0.5 * (t_weights + herm(t_weights))
+    # row lo - 1 + j holds v[j] and, from row lo on, t_weights[j - 1]
+    finite = np.isfinite(v).all(axis=(1, 2))
+    finite[1:] &= np.isfinite(t_weights).all(axis=(1, 2))
+    if not finite.all():
+        n = lo - 1 + int(np.argmin(finite))
+        raise ConditioningError(f"positive weight or conjugator at n={n} overflows "
+                                "the float range", index=n)
     res = np.linalg.norm(herm(v[1:]) @ w - t_weights @ herm(v[:-1]), axis=(-2, -1))
 
     shift = BilateralShift(WindowedWeights(lo, t_weights),
@@ -389,7 +403,7 @@ def _norm_mismatches(s, t, k_min, k_max, lo, hi, tol):
         a = norm_s[j:j + count]
         gap = np.abs(a - norm_t)
         bad = np.flatnonzero(has_s[j:j + count] & has_t
-                             & (gap > tol.bound(np.maximum(a, norm_t))))
+                             & tol.refutes(gap, np.maximum(a, norm_t)))
         out.append((lo + int(bad[0]), float(gap[bad[0]])) if bad.size else None)
     return out
 
@@ -432,7 +446,7 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     rep = WindowReport(lo, hi)
     names = ["eigen_moduli"]
     _emit(rep.checks, ConditionCheck, lo, names, both[None], False, gap[None],
-          (gap <= tol.bound(scale))[None])
+          tol.accepts(gap, scale)[None])
     _emit(rep.skipped, SkippedCheck, lo, names, ~both[None], False)
     return rep
 
@@ -544,6 +558,7 @@ def _not_equivalent(m, kind, index, residual, detail, diagnostics=None):
                                 diagnostics or {}))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # overflow is caught below or fails
 def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                 depth: int | None = None,
                                 window: tuple | None = None,
@@ -557,7 +572,8 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     witness.  Verdicts are certified relative to the window; for periodic
     weights an Equivalent verdict additionally requires the witness entries
     to repeat with the combined period, otherwise the result is
-    ``inconclusive`` rather than an extrapolation.
+    ``inconclusive`` rather than an extrapolation, as it is when a Gram
+    product overflows the float range.
     """
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
@@ -586,6 +602,10 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     except WindowAccessError as exc:
         return _inconclusive(m, f"the Gram chains anchored at row 0 need a weight "
                                 f"the stored windows lack: {exc}")
+    if not np.isfinite(pairs).all():
+        finite = np.isfinite(pairs).all(axis=(1, 2, 3)).reshape(2, depth).all(axis=0)
+        return _inconclusive(m, f"the Gram products overflow the float range at depth "
+                                f"{int(np.argmin(finite)) + 1}")
     found = solve_joint_conjugator(pairs, tol=tol, seed=seed)
     if found.unitary is None:
         if found.certificate == "spectrum-mismatch":

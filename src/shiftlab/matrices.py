@@ -31,7 +31,8 @@ class Tolerance:
     """Two-part comparison tolerance.
 
     ``X`` and ``Y`` compare equal when
-    ``||X - Y||_F <= abs + rel * max(||X||_F, ||Y||_F)``.
+    ``||X - Y||_F <= abs + rel * max(||X||_F, ||Y||_F)`` and that bound is
+    finite, or when ``X - Y`` is zero (see ``accepts``).
     """
 
     rel: float = 1e-10
@@ -46,12 +47,27 @@ class Tolerance:
         an array."""
         return self.abs + self.rel * (scale if isinstance(scale, np.ndarray) else float(scale))
 
+    def accepts(self, residual, scale):
+        """Whether a residual passes at its scale, elementwise for arrays:
+        it is within a finite bound, or zero.  An overflowed residual (inf
+        or NaN) never passes; under an overflowed scale only zero does."""
+        bound = self.bound(scale)
+        if isinstance(bound, np.ndarray):
+            return residual <= np.where(bound < math.inf, bound, 0.0)
+        return residual <= (bound if bound < math.inf else 0.0)
+
+    def refutes(self, gap, scale):
+        """Whether a gap certifies a difference, elementwise for arrays: it is
+        finite and beyond the bound.  An overflowed gap refutes nothing."""
+        return (gap > self.bound(scale)) & (gap < math.inf)
+
+    @np.errstate(over="ignore", invalid="ignore")   # an overflowed norm fails
     def close(self, x: np.ndarray, y: np.ndarray):
         """Whether X and Y compare equal; for stacks, pair by pair."""
         norm = functools.partial(np.linalg.norm, axis=(-2, -1))
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        return norm(x - y) <= self.bound(np.maximum(norm(x), norm(y)))
+        return self.accepts(norm(x - y), np.maximum(norm(x), norm(y)))
 
 
 DEFAULT_TOL = Tolerance()

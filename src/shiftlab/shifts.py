@@ -230,6 +230,7 @@ def map_weights(seq: WeightSequence, func, delta: int = 0) -> WeightSequence:
 class BilateralShift:
     """Shift with weights ``{S_n}``: ``(S x)_n = S_n x_{n-1}``."""
 
+    @np.errstate(over="ignore")      # an overflowed norm is inf, not zero
     def __init__(self, weights: WeightSequence, label: str = ""):
         if not isinstance(weights, WeightSequence):
             raise TypeError("weights must be a WeightSequence")

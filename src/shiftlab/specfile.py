@@ -149,9 +149,30 @@ def decode_matrix(data, path: str, dim: int | None = None) -> np.ndarray:
     return mat
 
 
+def _decode_weights(raw: list, path: str, dim: int):
+    """A nonempty weight list as decoded matrices.
+
+    A well-formed list (an (N, dim, dim, 2) nest of finite ``int``/``float``
+    scalars) is converted in one step to an (N, dim, dim) complex stack, each
+    entry bitwise ``complex(re, im)``; any other list goes through
+    ``decode_matrix`` one matrix at a time, which names its first bad cell.
+    """
+    cells = np.array(raw, dtype=object)
+    if (cells.shape == (len(raw), dim, dim, 2)
+            and set(map(type, cells.ravel().tolist())) <= {int, float}):
+        try:
+            pairs = cells.astype(float)
+        except OverflowError:       # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(pairs).all():
+                return pairs.view(complex)[..., 0]
+    return [decode_matrix(w, f"{path}[{i}]", dim) for i, w in enumerate(raw)]
+
+
 def encode_sequence(seq: WeightSequence) -> dict:
     out = {"variant": seq.variant,
-           "weights": [encode_matrix(w) for _, w in seq.described_items()]}
+           "weights": encode_matrix(np.stack([w for _, w in seq.described_items()]))}
     rng = seq.described_range()
     if rng is not None:
         out["lo"] = rng[0]
@@ -166,8 +187,7 @@ def decode_sequence(data, path: str, dim: int) -> WeightSequence:
     if not isinstance(raw, list) or not raw:
         raise SpecFormatError("weights must be a nonempty array",
                               path=f"{path}.weights")
-    mats = [decode_matrix(w, f"{path}.weights[{i}]", dim)
-            for i, w in enumerate(raw)]
+    mats = _decode_weights(raw, f"{path}.weights", dim)
     if variant == "periodic":
         return PeriodicWeights(mats)
     if variant in ("eventually_identity", "windowed"):

@@ -119,6 +119,15 @@ class TestVerifyIntertwining:
         rep = sl.verify_intertwining(sl.identity_operator(2), s, s, -5, 5)
         assert rep.passed
 
+    def test_overflowed_residual_fails(self):
+        # |1e200 - (-1e200)| squared overflows, and so does the scale
+        s = sl.BilateralShift(sl.PeriodicWeights([1e200 * np.eye(1)]))
+        t = sl.BilateralShift(sl.PeriodicWeights([-1e200 * np.eye(1)]))
+        u = sl.identity_operator(1)
+        rep = sl.verify_intertwining(u, s, t, 0, 3)
+        assert not rep.passed and rep.max_residual == np.inf
+        assert sl.verify_intertwining(u, s, s, 0, 3).passed
+
     def test_forward_shift_reindexes(self, rng):
         # F S = T F exactly when T_n = S_{n-1}
         s = ei_shift(rng, lo=0, length=3)

@@ -103,6 +103,17 @@ class TestVerify:
                             "window": [-3, 4], "expect": "equivalent"})
         assert cli_main(["verify", write_spec(tmp_path, model)]) == 1
 
+    def test_overflowed_intertwining_residual_exits_one(self, tmp_path, capsys):
+        model = sl.SpecModel(dim=1, operators={"U": sl.identity_operator(1)})
+        for name, scale in (("S", 1e200), ("T", -1e200)):
+            model.shifts[name] = sl.BilateralShift(
+                sl.PeriodicWeights([scale * np.eye(1)]), name)
+        model.tasks.append({"op": "verify_intertwining", "operator": "U",
+                            "s": "S", "t": "T", "window": [0, 3]})
+        assert cli_main(["verify", write_spec(tmp_path, model)]) == 1
+        model.tasks[0]["t"] = "S"
+        assert cli_main(["verify", write_spec(tmp_path, model)]) == 0
+
 
 class TestDecideCommand:
     def test_self_equivalence_exit_zero(self, tmp_path, rng, capsys):
@@ -127,6 +138,13 @@ class TestDecideCommand:
             sl.PeriodicWeights([np.array([[twist]])]), "B")
         spec = write_spec(tmp_path, model)
         assert cli_main(["decide", spec, "--s", "A", "--t", "B", "--m", "0"]) == 3
+
+    @pytest.mark.parametrize("scale", [1e30, 1e160])
+    def test_overflowing_grams_exit_three(self, tmp_path, scale, capsys):
+        s = sl.BilateralShift(sl.PeriodicWeights([scale * np.eye(2)]))
+        spec = write_spec(tmp_path, sl.SpecModel(dim=2, shifts={"S": s}))
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S", "--m", "0"]) == 3
+        assert "overflow the float range" in capsys.readouterr().out
 
     @pytest.mark.parametrize("offset", [["--m", "0"], ["--m-range", "-1", "1"]])
     def test_window_without_row_zero_exits_three(self, tmp_path, rng, offset):
@@ -230,6 +248,12 @@ class TestOtherCommands:
                          "--bound", "0", "--json", str(out), "--quiet"]) == 1
         report = json.loads(out.read_text())["checks"][0]["details"]["report"]
         assert report["context"]["bound"] == 0
+
+    def test_overflowing_positive_form_exits_one(self, tmp_path, capsys):
+        s = sl.BilateralShift(sl.PeriodicWeights([np.array([[1e308 + 1e308j]])]))
+        spec = write_spec(tmp_path, sl.SpecModel(dim=1, shifts={"S": s}))
+        assert cli_main(["positive-form", spec, "--shift", "S", "--window", "-3", "3"]) == 1
+        assert "at n=-3 overflows the float range" in capsys.readouterr().err
 
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_main([]) == 2

@@ -44,6 +44,12 @@ class TestPositiveForm:
             np.testing.assert_allclose(form.shift.weight(n), [[abs(v)]],
                                        atol=1e-12)
 
+    def test_overflowing_positive_form_names_its_row(self):
+        s = sl.BilateralShift(sl.PeriodicWeights([np.array([[1e308 + 1e308j]])]))
+        with pytest.raises(sl.ConditioningError) as err:
+            sl.positive_form(s, -2, 2)
+        assert err.value.index == -2 and "n=-2" in str(err.value)
+
     def test_known_pair_scalar_positive_parts(self):
         # the positive parts are scalar multiples of the identity, so the
         # conjugation leaves them untouched
@@ -543,6 +549,17 @@ class TestConstructDiagonalIntertwiner:
 
 
 class TestDecide:
+    @pytest.mark.parametrize("scale,depth", [(1e30, 6), (1e160, 1)])
+    def test_overflowing_grams_are_inconclusive(self, scale, depth):
+        s = sl.BilateralShift(sl.PeriodicWeights([scale * I2]))
+        verdict = sl.decide_diagonal_equivalence(s, s, 0)
+        assert verdict.is_inconclusive
+        assert verdict.reason.endswith(f"overflow the float range at depth {depth}")
+
+    def test_large_finite_grams_still_decide(self):
+        s = sl.BilateralShift(sl.PeriodicWeights([1e10 * I2]))
+        assert sl.decide_diagonal_equivalence(s, s, 0).is_equivalent
+
     def test_self_equivalence_identity_witness(self, rng):
         s = ei_shift(rng, lo=0, length=3)
         verdict = sl.decide_diagonal_equivalence(s, s, 0, seed=1)

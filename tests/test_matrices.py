@@ -1,5 +1,7 @@
 """Matrix predicates and decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,22 @@ class TestTolerance:
         tol = sl.Tolerance(rel=0.0, abs=1e-3)
         assert tol.close(np.zeros((2, 2)), 1e-4 * I2)
         assert not tol.close(np.zeros((2, 2)), I2)
+
+    def test_overflowed_residual_never_passes(self):
+        # the Frobenius norm squares, so the residual 2e200 and the scale
+        # 1e200 both overflow to inf
+        assert not sl.DEFAULT_TOL.close([[1e200]], [[-1e200]])
+        assert sl.DEFAULT_TOL.close([[1e200]], [[1e200]])
+        tol = sl.Tolerance()
+        assert list(tol.accepts(np.array([0.0, 1.0, math.inf, math.nan]), math.inf)) \
+            == [True, False, False, False]
+        assert not tol.accepts(math.nan, 1.0) and not tol.accepts(math.inf, 1.0)
+
+    def test_overflowed_gap_refutes_nothing(self):
+        tol = sl.Tolerance()
+        assert list(tol.refutes(np.array([0.0, 1.0, math.inf, math.nan]), 1.0)) \
+            == [False, True, False, False]
+        assert not tol.refutes(1.0, math.inf)
 
 
 class TestPolarDecompose:

@@ -1,15 +1,32 @@
 """Specification-document parsing, resolution, and round-tripping."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.specfile import decode_matrix, encode_matrix, encode_operator, encode_shift
+from shiftlab import specfile
+from shiftlab.specfile import (
+    decode_matrix,
+    decode_sequence,
+    encode_matrix,
+    encode_operator,
+    encode_sequence,
+    encode_shift,
+)
 
-from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
+from conftest import (
+    MALFORMED_SPECS,
+    conjugated_shift,
+    ei_shift,
+    malformed_spec,
+    random_matrix,
+)
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(sl.corpus.__file__), "examples")
 
@@ -37,6 +54,128 @@ class TestMatrixEncoding:
     def test_non_square_rejected(self):
         with pytest.raises(sl.SpecFormatError):
             decode_matrix([[[1.0, 0.0], [0.0, 0.0]]], "x")
+
+
+def _per_cell_decode(data, path, dim):
+    """The reference for ``decode_sequence`` on a periodic list: every
+    matrix read by ``decode_matrix``, cell by cell."""
+    return sl.PeriodicWeights([decode_matrix(w, f"{path}.weights[{i}]", dim)
+                               for i, w in enumerate(data["weights"])])
+
+
+def _decoded(decode, data, dim):
+    """The stored weights, bit for bit, or the error's text and path."""
+    try:
+        seq = decode(data, "shifts.S", dim)
+    except sl.SpecFormatError as exc:
+        return str(exc), exc.path
+    return [(n, w.shape, w.dtype, w.tobytes()) for n, w in seq.described_items()]
+
+
+#: Scalars a JSON weight cell may hold, valid ones among them.
+_CELL_SCALARS = [True, False, "1", None, math.nan, math.inf, -math.inf, 10 ** 400,
+                 -10 ** 400, 2 ** 70, -0.0, 1e308, -1e308, 0]
+#: Other things found where a [re, im] cell belongs.
+_ODD_CELLS = [[], [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], 1.0, "x", None, {}]
+#: Other things found where a matrix or a row belongs.
+_ODD_MATRICES = [3, "m", {}, [], [[]], None]
+
+
+def _replace_scalar(raw, k, i, j, c, value):
+    raw[k][i][j][c] = value
+
+
+def _replace_cell(raw, k, i, j, c, value):
+    raw[k][i][j] = value
+
+
+def _ragged_row(raw, k, i, j, c, value):
+    del raw[k][i][j]
+
+
+def _extra_cell(raw, k, i, j, c, value):
+    raw[k][i].append([1.0, 0.0])
+
+
+def _wrong_dim(raw, k, i, j, c, value):
+    raw[k] = encode_matrix(np.eye(len(raw[k]) + 1))
+
+
+def _replace_matrix(raw, k, i, j, c, value):
+    raw[k] = value
+
+
+def _replace_row(raw, k, i, j, c, value):
+    raw[k][i] = value
+
+
+_FAULTS = ([(_replace_scalar, v) for v in _CELL_SCALARS]
+           + [(_replace_cell, v) for v in _ODD_CELLS]
+           + [(_ragged_row, None), (_extra_cell, None), (_wrong_dim, None)]
+           + [(_replace_matrix, v) for v in _ODD_MATRICES]
+           + [(_replace_row, v) for v in _ODD_MATRICES])
+
+
+@st.composite
+def _weight_documents(draw):
+    """(JSON-decoded periodic sequence, dim): 1-5 matrices of dim 1-3 with
+    finite numbers, and at most one fault at a random position."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 5))
+    scalar = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-2 ** 80, 2 ** 80))
+    raw = [[[[draw(scalar), draw(scalar)] for _ in range(dim)] for _ in range(dim)]
+           for _ in range(count)]
+    fault = draw(st.none() | st.sampled_from(_FAULTS))
+    if fault is not None:
+        apply, value = fault
+        k, i, j = (draw(st.integers(0, n - 1)) for n in (count, dim, dim))
+        apply(raw, k, i, j, draw(st.integers(0, 1)), value)
+    return json.loads(json.dumps({"variant": "periodic", "weights": raw})), dim
+
+
+class TestWeightListDecoding:
+    @settings(max_examples=400, deadline=None)
+    @given(_weight_documents())
+    def test_matches_the_per_cell_reference(self, case):
+        data, dim = case
+        assert _decoded(decode_sequence, data, dim) == _decoded(_per_cell_decode, data, dim)
+
+    def test_well_formed_list_is_converted_in_one_step(self, monkeypatch):
+        raw = [encode_matrix(np.array([[1, -0.0j], [2 ** 70, 1e308]])) for _ in range(3)]
+        monkeypatch.setattr(specfile, "decode_matrix", None)    # any call fails
+        seq = decode_sequence({"variant": "windowed", "lo": -1, "weights": raw}, "x", 2)
+        assert [n for n, _ in seq.described_items()] == [-1, 0, 1]
+        assert np.signbit(seq.weight_at(0)[0, 1].imag)
+
+    def test_fallback_names_the_first_bad_cell(self):
+        raw = [encode_matrix(np.eye(2)) for _ in range(3)]
+        raw[1][1][0] = [0.0, True]
+        raw[2][0][0] = [math.nan, 0.0]
+        with pytest.raises(sl.SpecFormatError) as err:
+            decode_sequence({"variant": "periodic", "weights": raw}, "shifts.S", 2)
+        assert err.value.path == "shifts.S.weights[1][1][0]"
+
+    def test_encoding_matches_the_per_matrix_encoding(self, rng):
+        mats = [random_matrix(rng, 3) for _ in range(4)]
+        mats[1][0, 2] = complex(-0.0, -0.0)
+        for seq in (sl.PeriodicWeights(mats), sl.WindowedWeights(-2, mats),
+                    sl.EventuallyIdentityWeights(5, mats)):
+            per_matrix = [encode_matrix(w) for _, w in seq.described_items()]
+            # json.dumps tells -0.0 from 0.0, which == does not
+            assert json.dumps(encode_sequence(seq)["weights"]) == json.dumps(per_matrix)
+
+    def test_thousand_weight_window_round_trips(self, rng):
+        mats = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+        mats[7, 0, 1] = complex(-0.0, 0.0)
+        model = sl.SpecModel(dim=2, shifts={
+            "W": sl.BilateralShift(sl.WindowedWeights(-500, mats), "W")})
+        text = sl.serialize_model(model)
+        back = sl.parse_shift_spec(text)
+        assert sl.serialize_model(back) == text
+        items = back.shifts["W"].weights.described_items()
+        assert [n for n, _ in items] == list(range(-500, 500))
+        assert np.stack([w for _, w in items]).tobytes() == mats.tobytes()
 
 
 class TestParse:
