@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .matrices import DEFAULT_TOL, Tolerance, herm
+from .matrices import DEFAULT_TOL, Tolerance, frob_norms, herm
 from .shifts import (
     BilateralShift,
     WeightSequence,
@@ -278,9 +278,9 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         for c, cond in enumerate(conds):
             mask = has[c, start:stop]
             lhs = total(cond.lhs, mask)
-            res[c, start:stop] = np.linalg.norm(lhs - total(cond.rhs, mask), axis=(-2, -1))
+            res[c, start:stop] = frob_norms(lhs - total(cond.rhs, mask))
             scale = functools.reduce(np.maximum, [
-                s if isinstance(s, float) else np.linalg.norm(total(s, mask), axis=(-2, -1))
+                s if isinstance(s, float) else frob_norms(total(s, mask))
                 for s in cond.scale])
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:

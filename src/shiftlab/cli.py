@@ -18,6 +18,7 @@ SHIFTLAB_SEED environment variable, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -36,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+@functools.cache      # one parser per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-rel", type=float, default=1e-10,
@@ -83,8 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--op", required=True)
     p.add_argument("--mode", choices=("two", "three", "count"), required=True)
-    p.add_argument("--window", nargs=2, type=int, default=(-8, 8),
-                   metavar=("LO", "HI"))
+    p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
     p.add_argument("--bound", type=int, default=None,
                    help="band-count bound (default: block dimension)")
 
@@ -124,12 +125,6 @@ def cli_main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for key in ("window", "m_range"):
-            pair = getattr(args, key, None)
-            if pair is not None and pair[0] > pair[1]:
-                parser.error(f"--{key.replace('_', '-')} LO HI needs LO <= HI")
-        if getattr(args, "depth", None) is not None and args.depth < 1:
-            parser.error("--depth must be a positive integer")
         for key in ("tol_rel", "tol_abs"):
             if not 0 <= getattr(args, key) < math.inf:
                 parser.error(f"--{key.replace('_', '-')} must be finite and nonnegative")
@@ -148,69 +143,42 @@ def cli_main(argv) -> int:
             return _emit(run_example(args.name, tol=tol, seed=seed), args)
         model = load_spec_file(args.spec)
         if args.command != "verify":
-            model = replace(model, tasks=_command_tasks(args, model))
+            model = replace(model, tasks=_command_tasks(args))
         report = run_spec(model, args.command, args.spec, tol, seed)
         code = _emit(report, args)
         if args.command == "decide" and code == EXIT_OK:
             return _verdict_exit(VerdictStatus(report.checks[-1].observed))
         return code
-    except SpecFormatError as exc:
+    except (SpecFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: unresolved name {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ShiftLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
 
-def _command_tasks(args, model):
-    """The task blocks a subcommand other than ``verify`` stands for."""
+def _command_tasks(args):
+    """The task blocks a subcommand other than ``verify`` stands for.  The
+    spec validator checks them, so a bad flag is named by its task path."""
+    given = {key: getattr(args, key) for key in ("window", "depth", "bound")
+             if getattr(args, key, None) is not None}
     if args.command in ("positive-form", "norms"):
-        _require_name(model.shifts, args.shift, "shift")
-        op = args.command.replace("-", "_")
-        return [{"op": op, "shift": args.shift, "window": list(args.window),
-                 "label": f"{args.command} {args.shift}"}]
+        return [{"op": args.command.replace("-", "_"), "shift": args.shift,
+                 "label": f"{args.command} {args.shift}", **given}]
     if args.command == "decide":
-        _require_name(model.shifts, args.s, "shift")
-        _require_name(model.shifts, args.t, "shift")
-        task = {"op": "decide", "s": args.s, "t": args.t,
-                "label": f"decide {args.s} vs {args.t}"}
-        if args.depth is not None:
-            task["depth"] = args.depth
-        if args.window is not None:
-            task["window"] = list(args.window)
-        if args.m is not None:
-            task["m"] = args.m
-        else:
-            task["m_range"] = list(args.m_range)
-        return [task]
-    if args.command == "bands":
-        _require_name(model.operators, args.op, "operator")
-        common = {"operator": args.op, "window": list(args.window)}
-        if args.mode == "two":
-            return [{"op": "verify_unitary", "mode": "two_band",
-                     "label": f"two-band unitarity {args.op}", **common},
-                    {"op": "two_band_structure",
-                     "label": f"two-band structure {args.op}", **common}]
-        if args.mode == "three":
-            return [{"op": "verify_unitary", "mode": "three_band",
-                     "label": f"three-band unitarity {args.op}", **common}]
-        task = {"op": "band_count_bound", "label": f"band count {args.op}",
-                **common}
-        if args.bound is not None:
-            task["bound"] = args.bound
-        return [task]
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _require_name(table, name, what):
-    if name not in table:
-        raise SpecFormatError(f"undefined {what} {name!r}", path=what)
+        offset = {"m": args.m} if args.m is not None else {"m_range": args.m_range}
+        return [{"op": "decide", "s": args.s, "t": args.t,
+                 "label": f"decide {args.s} vs {args.t}", **offset, **given}]
+    given["operator"] = args.op
+    if args.mode == "two":
+        return [{"op": "verify_unitary", "mode": "two_band",
+                 "label": f"two-band unitarity {args.op}", **given},
+                {"op": "two_band_structure", "label": f"two-band structure {args.op}",
+                 **given}]
+    if args.mode == "three":
+        return [{"op": "verify_unitary", "mode": "three_band",
+                 "label": f"three-band unitarity {args.op}", **given}]
+    return [{"op": "band_count_bound", "label": f"band count {args.op}", **given}]
 
 
 def main():  # pragma: no cover - thin wrapper

@@ -14,7 +14,6 @@ them rather than restating them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -64,10 +63,9 @@ class Tolerance:
     @np.errstate(over="ignore", invalid="ignore")   # an overflowed norm fails
     def close(self, x: np.ndarray, y: np.ndarray):
         """Whether X and Y compare equal; for stacks, pair by pair."""
-        norm = functools.partial(np.linalg.norm, axis=(-2, -1))
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        return self.accepts(norm(x - y), np.maximum(norm(x), norm(y)))
+        return self.accepts(frob_norms(x - y), np.maximum(frob_norms(x), frob_norms(y)))
 
 
 DEFAULT_TOL = Tolerance()
@@ -100,6 +98,28 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
+
+
+@np.errstate(over="ignore", invalid="ignore")     # an overflow is redone below
+def frob_norms(m: np.ndarray):
+    """Frobenius norm over the last two axes: a float for one matrix, an
+    array for a stack.
+
+    ``np.linalg.norm`` squares the entries, so a norm above about 1e154
+    overflows to inf.  Only where it did, the norm is taken again of the
+    matrix divided by its largest real or imaginary part, and scaled back;
+    a matrix with an infinite entry keeps the norm inf.
+    """
+    m = np.asarray(m)
+    out = np.asarray(np.linalg.norm(m, axis=(-2, -1)))
+    over = np.isinf(out)
+    if over.any():
+        big = m[over]
+        top = np.maximum(np.abs(big.real).max(axis=(-2, -1)),
+                         np.abs(big.imag).max(axis=(-2, -1)))
+        scaled = top * np.linalg.norm(big / top[:, None, None], axis=(-2, -1))
+        out[over] = np.where(top < math.inf, scaled, math.inf)
+    return _scalar_or_array(out)
 
 
 def _scalar_or_array(a: np.ndarray):

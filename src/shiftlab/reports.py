@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -84,5 +85,26 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        """Compact encoding: without ``indent``, ``json`` keeps its C encoder."""
-        return json.dumps(self.to_jsonable(), separators=(",", ":"), sort_keys=True)
+        """Compact encoding: without ``indent``, ``json`` keeps its C encoder.
+
+        The output is strict JSON: a non-finite float (an overflowed
+        residual, say) is written as the string ``"Infinity"``,
+        ``"-Infinity"`` or ``"NaN"``.  Only a report holding one is walked to
+        replace them, so every other report is encoded in one pass.
+        """
+        data = self.to_jsonable()
+        try:
+            return json.dumps(data, separators=(",", ":"), sort_keys=True, allow_nan=False)
+        except ValueError:
+            return json.dumps(_finite(data), separators=(",", ":"), sort_keys=True)
+
+
+def _finite(obj):
+    """``obj`` with each non-finite float replaced by its JSON token as a string."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj

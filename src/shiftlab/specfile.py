@@ -24,6 +24,9 @@ operators, and task blocks to run::
 ``run_spec`` runs the task blocks into a run report.  It is the one task
 runner: ``shiftlab verify``, the other CLI commands (each states its own
 task blocks) and the bundled examples of ``corpus`` all go through it.
+Each task op is defined once, as an entry of ``_OPS`` (its required keys,
+its ``expect`` values and its runner), and every task block passes
+``_validate_task`` before it runs, wherever it came from.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,26 +69,6 @@ from .shifts import (
     WindowedWeights,
     weight_norm_profile,
 )
-
-_PASS_FAIL = ("pass", "fail")
-
-#: Each task op with the keys it requires and the values its ``expect``
-#: takes (None: the op takes no ``expect``).  A ``decide`` task also needs
-#: exactly one of ``m`` and ``m_range``.
-KNOWN_TASK_OPS = {
-    "verify_intertwining": (("operator", "s", "t"), _PASS_FAIL),
-    "verify_unitary": (("operator",), _PASS_FAIL),
-    "two_band_structure": (("operator",), _PASS_FAIL),
-    "diagonal_propagation": (("operator",), _PASS_FAIL),
-    "band_count_bound": (("operator",), _PASS_FAIL),
-    "conjugate_to_shift": (("operator", "s"), ("shift", "not_shift")),
-    "positive_form": (("shift",), None),
-    "norms": (("shift",), None),
-    "norm_offset_screen": (("s", "t"), None),
-    "eigen_moduli_screen": (("s", "t"), _PASS_FAIL),
-    "decide": (("s", "t"), tuple(status.value for status in VerdictStatus)),
-}
-
 
 @dataclass
 class SpecModel:
@@ -227,35 +212,162 @@ def decode_operator(data, path: str, dim: int) -> BandedOperator:
     return BandedOperator(bands)
 
 
+# --- task ops -----------------------------------------------------------------
+
+_PASS_FAIL = ("pass", "fail")
+#: The window of a task that names none; a ``decide`` task instead leaves
+#: its window to the decision procedure.
+_DEFAULT_WINDOW = (-8, 8)
+#: The ``mode`` values of a ``verify_unitary`` task: mode M runs
+#: ``verify_unitary_M``.
+_UNITARY_MODES = ("banded", "three_band", "two_band")
+
+
+class _Op(NamedTuple):
+    """A task op: the keys it requires, the values its ``expect`` takes
+    (None: it takes no ``expect``) and its runner.
+
+    ``run(c)`` reads the task ``c.task``, its resolved names (``c.operator``,
+    ``c.s``, ``c.t``, ``c.shift``; None when absent), its window ``c.lo``,
+    ``c.hi`` and the run's ``c.tol`` and ``c.seed``.  It returns the fields
+    of the task's report check other than its name, and the witness the
+    report keeps under the task's label, or None.  Every runner calls the
+    functions of this module's namespace at call time, so rebinding one of
+    these names (as a tracer does) reaches every task that uses it.
+    """
+
+    keys: tuple
+    expect: tuple | None
+    run: Callable
+
+
+def _verification(check):
+    """The runner of an op whose ``check(c)`` is a window report that passes
+    or fails, judged against ``expect`` (default ``pass``)."""
+    def run(c):
+        rep = check(c)
+        expect = c.task.get("expect", "pass")
+        return dict(kind="verification", passed=rep.passed, expected=expect,
+                    observed=rep.summary(), expectation_met=rep.passed == (expect == "pass"),
+                    details={"report": rep.to_jsonable()}), None
+    return run
+
+
+def _conjugate(c):
+    res = conjugate_to_shift(c.operator, c.s, c.lo, c.hi, c.tol)
+    expect = c.task.get("expect", "shift")
+    details = {"report": res.report.to_jsonable()}
+    if res.is_shift:
+        details["shift"] = encode_shift(res.shift)
+    return dict(kind="verification", passed=res.is_shift, expected=expect,
+                observed="shift" if res.is_shift else "not a shift",
+                expectation_met=res.is_shift == (expect == "shift"),
+                details=details), details.get("shift")
+
+
+def _positive_form(c):
+    form = positive_form(c.shift, c.lo, c.hi, c.tol)
+    witness = {"shift": encode_shift(form.shift), "diagonal": encode_operator(form.diagonal)}
+    return dict(kind="value", passed=True, expected="positive-weight form",
+                observed=f"max intertwining residual {form.max_residual:.3e}",
+                expectation_met=True, details={"max_residual": form.max_residual}), witness
+
+
+def _norms(c):
+    return dict(kind="value", passed=True, expected="profile",
+                observed=f"norms on [{c.lo}, {c.hi}]", expectation_met=True,
+                details={"norms": weight_norm_profile(c.shift, c.lo, c.hi)}), None
+
+
+def _screen(c):
+    k_lo, k_hi = c.task.get("k_range", (-4, 4))
+    feasible = sorted(norm_offset_screen(c.s, c.t, k_lo, k_hi, c.lo, c.hi, c.tol))
+    expect = c.task.get("expect_feasible")
+    return dict(kind="screen", passed=None,
+                expected="any" if expect is None else str(sorted(expect)),
+                observed=f"feasible offsets {feasible}",
+                expectation_met=expect is None or feasible == sorted(expect),
+                details={"feasible": feasible}), None
+
+
+def _decide(c):
+    kwargs = dict(depth=c.task.get("depth"), window=c.task.get("window"), tol=c.tol,
+                  seed=c.seed)
+    if "m" in c.task:
+        verdict = decide_diagonal_equivalence(c.s, c.t, c.task["m"], **kwargs)
+    else:
+        verdict = decide_diagonal_equivalence_scan(c.s, c.t, *c.task["m_range"], **kwargs)
+    expect = c.task.get("expect")
+    details = {"summary": verdict.summary()}
+    if verdict.witness is not None:
+        details["witness"] = encode_operator(verdict.witness)
+    if verdict.obstruction is not None:
+        details["obstruction"] = vars(verdict.obstruction)
+    return dict(kind="verdict", passed=None, expected=expect or "any verdict",
+                observed=verdict.status.value,
+                expectation_met=expect is None or verdict.status.value == expect,
+                details=details), details.get("witness")
+
+
+#: Every task op.  A ``decide`` task also needs exactly one of ``m`` and
+#: ``m_range``; a ``diagonal_propagation`` task takes both ``s`` and ``t``
+#: or neither.
+_OPS = {
+    "verify_intertwining": _Op(("operator", "s", "t"), _PASS_FAIL, _verification(
+        lambda c: verify_intertwining(c.operator, c.s, c.t, c.lo, c.hi, c.tol))),
+    "verify_unitary": _Op(("operator",), _PASS_FAIL, _verification(
+        lambda c: globals()["verify_unitary_" + c.task.get("mode", "banded")](
+            c.operator, c.lo, c.hi, c.tol))),
+    "two_band_structure": _Op(("operator",), _PASS_FAIL, _verification(
+        lambda c: check_two_band_structure(c.operator, c.lo, c.hi, c.tol))),
+    "diagonal_propagation": _Op(("operator",), _PASS_FAIL, _verification(
+        lambda c: check_diagonal_propagation(c.operator, c.s, c.t, c.lo, c.hi, c.tol))),
+    "band_count_bound": _Op(("operator",), _PASS_FAIL, _verification(
+        lambda c: check_band_count_bound(c.operator, c.task.get("bound", c.operator.dim),
+                                         c.lo, c.hi, c.tol))),
+    "conjugate_to_shift": _Op(("operator", "s"), ("shift", "not_shift"), _conjugate),
+    "positive_form": _Op(("shift",), None, _positive_form),
+    "norms": _Op(("shift",), None, _norms),
+    "norm_offset_screen": _Op(("s", "t"), None, _screen),
+    "eigen_moduli_screen": _Op(("s", "t"), _PASS_FAIL, _verification(
+        lambda c: eigen_moduli_screen(c.s, c.t, c.task.get("k", 0), c.lo, c.hi, c.tol))),
+    "decide": _Op(("s", "t"), tuple(status.value for status in VerdictStatus), _decide),
+}
+
+
 def _validate_task(task, index: int, model: SpecModel):
+    """Raise SpecFormatError, with the JSON path, unless ``task`` (the
+    block at ``tasks[index]``) is one ``run_spec`` can run on ``model``."""
     path = f"tasks[{index}]"
     if not isinstance(task, dict):
         raise SpecFormatError("task must be an object", path=path)
     op = task.get("op")
-    if not isinstance(op, str) or op not in KNOWN_TASK_OPS:
+    if not isinstance(op, str) or op not in _OPS:
         raise SpecFormatError(f"unknown task op {op!r}", path=f"{path}.op")
-    required, expect_values = KNOWN_TASK_OPS[op]
-    for key in required:
+    for key in _OPS[op].keys:
         if key not in task:
             raise SpecFormatError(f"task op {op!r} requires {key!r}",
                                   path=f"{path}.{key}")
     if op == "decide" and ("m" in task) == ("m_range" in task):
         raise SpecFormatError("task op 'decide' requires exactly one of 'm' "
                               "and 'm_range'", path=f"{path}.m")
+    if op == "diagonal_propagation" and ("s" in task) != ("t" in task):
+        raise SpecFormatError("task op 'diagonal_propagation' takes both 's' and 't' "
+                              "or neither", path=f"{path}.{'t' if 's' in task else 's'}")
     for key, names, kind in (("s", model.shifts, "shift"),
                              ("t", model.shifts, "shift"),
                              ("shift", model.shifts, "shift"),
                              ("operator", model.operators, "operator")):
         name = task.get(key)
-        if name is not None and not (isinstance(name, str) and name in names):
+        if key in task and not (isinstance(name, str) and name in names):
             raise SpecFormatError(f"undefined {kind} {name!r}",
                                   path=f"{path}.{key}")
     for key in ("window", "k_range", "m_range"):
         pair = task.get(key)
         if key in task and not (isinstance(pair, list) and len(pair) == 2
                                 and all(map(_is_int, pair)) and pair[0] <= pair[1]):
-            raise SpecFormatError(f"'{key}' must be two integers [lo, hi] with "
-                                  f"lo <= hi", path=f"{path}.{key}")
+            raise SpecFormatError(f"'{key}' must be two integers [LO, HI] with "
+                                  f"LO <= HI", path=f"{path}.{key}")
     for key in ("m", "k", "bound"):
         if key in task and not _is_int(task[key]):
             raise SpecFormatError(f"'{key}' must be an integer", path=f"{path}.{key}")
@@ -263,10 +375,10 @@ def _validate_task(task, index: int, model: SpecModel):
     if depth is not None and not (_is_int(depth) and depth >= 1):
         raise SpecFormatError("'depth' must be a positive integer or null",
                               path=f"{path}.depth")
-    mode = task.get("mode")
-    if "mode" in task and not (isinstance(mode, str) and mode in _UNITARITY):
-        raise SpecFormatError(f"'mode' must be one of {sorted(_UNITARITY)}",
+    if "mode" in task and task["mode"] not in _UNITARY_MODES:
+        raise SpecFormatError(f"'mode' must be one of {list(_UNITARY_MODES)}",
                               path=f"{path}.mode")
+    expect_values = _OPS[op].expect
     if "expect" in task and task["expect"] not in (expect_values or ()):
         allowed = (f"one of {list(expect_values)}" if expect_values
                    else f"absent for task op {op!r}")
@@ -344,123 +456,26 @@ def run_spec(model: SpecModel, name: str, title: str,
              tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> RunReport:
     """Run the task blocks of ``model`` in order; one report check per task.
 
+    Every task must pass the spec validator first, wherever it came from;
+    a bad one raises SpecFormatError naming its path before any task runs.
     A task without a ``window`` runs on ``[-8, 8]``, except ``decide``,
     which leaves the window to the decision procedure.  Asserted
     obstructions are expected failures, so a report can be fully "as
     expected" while its exit code still signals that an obstruction was found.
     """
+    for i, task in enumerate(model.tasks):
+        _validate_task(task, i, model)
     report = RunReport(name=name, title=title, seed=seed,
                        tolerance={"rel": tol.rel, "abs": tol.abs})
     for task in model.tasks:
-        _run_task(task, model, report, tol, seed)
+        lo, hi = task.get("window", _DEFAULT_WINDOW)
+        c = SimpleNamespace(task=task, lo=lo, hi=hi, tol=tol, seed=seed,
+                            operator=model.operators.get(task.get("operator")),
+                            **{key: model.shifts.get(task.get(key))
+                               for key in ("s", "t", "shift")})
+        fields, witness = _OPS[task["op"]].run(c)
+        label = task.get("label", task["op"])
+        if witness is not None:
+            report.witnesses[label] = witness
+        report.add(ReportCheck(name=label, **fields))
     return report
-
-
-_UNITARITY = {"two_band": verify_unitary_two_band,
-              "three_band": verify_unitary_three_band,
-              "banded": verify_unitary_banded}
-
-
-def _run_task(task, model, report, tol, seed):
-    op = task["op"]
-    lo, hi = task.get("window", (-8, 8))
-    label = task.get("label", op)
-    shifts = model.shifts
-    operators = model.operators
-
-    if op == "verify_intertwining":
-        rep = verify_intertwining(operators[task["operator"]],
-                                  shifts[task["s"]], shifts[task["t"]],
-                                  lo, hi, tol)
-    elif op == "verify_unitary":
-        fn = _UNITARITY[task.get("mode", "banded")]
-        rep = fn(operators[task["operator"]], lo, hi, tol)
-    elif op == "two_band_structure":
-        rep = check_two_band_structure(operators[task["operator"]], lo, hi, tol)
-    elif op == "diagonal_propagation":
-        s = shifts[task["s"]] if "s" in task else None
-        t = shifts[task["t"]] if "t" in task else None
-        rep = check_diagonal_propagation(operators[task["operator"]],
-                                         s, t, lo, hi, tol)
-    elif op == "band_count_bound":
-        u = operators[task["operator"]]
-        rep = check_band_count_bound(u, task.get("bound", u.dim), lo, hi, tol)
-    elif op == "eigen_moduli_screen":
-        rep = eigen_moduli_screen(shifts[task["s"]], shifts[task["t"]],
-                                  task.get("k", 0), lo, hi, tol)
-    elif op == "conjugate_to_shift":
-        res = conjugate_to_shift(operators[task["operator"]],
-                                 shifts[task["s"]], lo, hi, tol)
-        expect = task.get("expect", "shift")
-        details = {"report": res.report.to_jsonable()}
-        if res.is_shift:
-            details["shift"] = encode_shift(res.shift)
-            report.witnesses[label] = details["shift"]
-        report.add(ReportCheck(name=label, kind="verification",
-                               passed=res.is_shift, expected=expect,
-                               observed="shift" if res.is_shift else "not a shift",
-                               expectation_met=res.is_shift == (expect == "shift"),
-                               details=details))
-        return
-    elif op == "positive_form":
-        form = positive_form(shifts[task["shift"]], lo, hi, tol)
-        report.witnesses[label] = {
-            "shift": encode_shift(form.shift),
-            "diagonal": encode_operator(form.diagonal),
-        }
-        report.add(ReportCheck(
-            name=label, kind="value", passed=True,
-            expected="positive-weight form",
-            observed=f"max intertwining residual {form.max_residual:.3e}",
-            expectation_met=True,
-            details={"max_residual": form.max_residual}))
-        return
-    elif op == "norms":
-        profile = weight_norm_profile(shifts[task["shift"]], lo, hi)
-        report.add(ReportCheck(
-            name=label, kind="value", passed=True, expected="profile",
-            observed=f"norms on [{lo}, {hi}]", expectation_met=True,
-            details={"norms": profile}))
-        return
-    elif op == "norm_offset_screen":
-        k_lo, k_hi = task.get("k_range", (-4, 4))
-        feasible = sorted(norm_offset_screen(shifts[task["s"]], shifts[task["t"]],
-                                             k_lo, k_hi, lo, hi, tol))
-        expect = task.get("expect_feasible")
-        met = True if expect is None else feasible == sorted(expect)
-        report.add(ReportCheck(
-            name=label, kind="screen", passed=None,
-            expected=str(sorted(expect)) if expect is not None else "any",
-            observed=f"feasible offsets {feasible}", expectation_met=met,
-            details={"feasible": feasible}))
-        return
-    elif op == "decide":
-        s, t = shifts[task["s"]], shifts[task["t"]]
-        kwargs = dict(depth=task.get("depth"), window=task.get("window"),
-                      tol=tol, seed=seed)
-        if "m" in task:
-            verdict = decide_diagonal_equivalence(s, t, task["m"], **kwargs)
-        else:
-            m_lo, m_hi = task["m_range"]
-            verdict = decide_diagonal_equivalence_scan(s, t, m_lo, m_hi, **kwargs)
-        expect = task.get("expect")
-        details = {"summary": verdict.summary()}
-        if verdict.witness is not None:
-            details["witness"] = encode_operator(verdict.witness)
-            report.witnesses[label] = details["witness"]
-        if verdict.obstruction is not None:
-            details["obstruction"] = vars(verdict.obstruction)
-        report.add(ReportCheck(
-            name=label, kind="verdict", passed=None,
-            expected=expect or "any verdict", observed=verdict.status.value,
-            expectation_met=expect is None or verdict.status.value == expect,
-            details=details))
-        return
-    else:  # pragma: no cover - guarded by the spec parser
-        raise ValueError(f"unhandled task op {op!r}")
-    expect_pass = task.get("expect", "pass") == "pass"
-    report.add(ReportCheck(
-        name=label, kind="verification", passed=rep.passed,
-        expected="pass" if expect_pass else "fail", observed=rep.summary(),
-        expectation_met=rep.passed == expect_pass,
-        details={"report": rep.to_jsonable()}))

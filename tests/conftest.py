@@ -228,6 +228,12 @@ MALFORMED_SPECS = {
     "unitary-without-operator": (_op_task(op="verify_unitary"), "tasks[0].operator"),
     "positive-form-without-shift": (_op_task(op="positive_form"), "tasks[0].shift"),
     "shift-name-array": (_task(shift=["S"]), "tasks[0].shift"),
+    "shift-name-null": (_task(shift=None), "tasks[0].shift"),
+    # check_diagonal_propagation takes both shifts or neither
+    "propagation-without-t": (_op_task(op="diagonal_propagation", operator="U", s="S"),
+                              "tasks[0].t"),
+    "propagation-without-s": (_op_task(op="diagonal_propagation", operator="U", t="S"),
+                              "tasks[0].s"),
     "label-array": (_task(label=["x"]), "tasks[0].label"),
     # band offsets are read only in canonical form: "01" and "1" would alias one band
     "band-key-alias": (_band_keys("1", "01"), "operators.U.bands"),

@@ -120,13 +120,23 @@ class TestVerifyIntertwining:
         assert rep.passed
 
     def test_overflowed_residual_fails(self):
-        # |1e200 - (-1e200)| squared overflows, and so does the scale
+        # |1e200 - (-1e200)| squared overflows, and so does the scale; both
+        # norms are taken again after scaling, and 2e200 fails at scale 1e200
         s = sl.BilateralShift(sl.PeriodicWeights([1e200 * np.eye(1)]))
         t = sl.BilateralShift(sl.PeriodicWeights([-1e200 * np.eye(1)]))
         u = sl.identity_operator(1)
         rep = sl.verify_intertwining(u, s, t, 0, 3)
-        assert not rep.passed and rep.max_residual == np.inf
+        assert not rep.passed and rep.max_residual == 2e200
         assert sl.verify_intertwining(u, s, s, 0, 3).passed
+
+    @pytest.mark.parametrize("scale", [1e200, -1e200, 1e200j])
+    def test_huge_weights_one_ulp_apart_pass(self, scale):
+        # the residual (about 1.7e184) and the scale overflow when squared
+        near = scale * np.nextafter(1.0, 2.0)
+        s = sl.BilateralShift(sl.PeriodicWeights([scale * np.eye(1)]))
+        t = sl.BilateralShift(sl.PeriodicWeights([near * np.eye(1)]))
+        rep = sl.verify_intertwining(sl.identity_operator(1), s, t, 0, 3)
+        assert rep.passed and rep.max_residual == abs(near - scale) > 1e180
 
     def test_forward_shift_reindexes(self, rng):
         # F S = T F exactly when T_n = S_{n-1}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
+from shiftlab import cli
 from shiftlab.cli import cli_main
 
 from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
@@ -114,6 +115,23 @@ class TestVerify:
         model.tasks[0]["t"] = "S"
         assert cli_main(["verify", write_spec(tmp_path, model)]) == 0
 
+    @pytest.mark.parametrize("scale,residual", [(1e200, 2e200), (1e308, "Infinity")])
+    def test_overflowed_report_is_strict_json(self, tmp_path, capsys, scale, residual):
+        model = sl.SpecModel(dim=1, operators={"U": sl.identity_operator(1)})
+        for name, weight in (("S", scale), ("T", -scale)):
+            model.shifts[name] = sl.BilateralShift(
+                sl.PeriodicWeights([weight * np.eye(1)]), name)
+        model.tasks.append({"op": "verify_intertwining", "operator": "U",
+                            "s": "S", "t": "T", "window": [0, 3]})
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", write_spec(tmp_path, model), "--json", str(out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["checks"][0]["details"]["report"]["max_residual"] == residual
+
 
 class TestDecideCommand:
     def test_self_equivalence_exit_zero(self, tmp_path, rng, capsys):
@@ -200,6 +218,18 @@ class TestBadNumericArguments:
         assert cli_main([argv[0], spec, *argv[1:]]) == 2
         assert "LO <= HI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,path", [
+        (["decide", "--s", "S", "--t", "S", "--m-range", "2", "-2"], "tasks[0].m_range"),
+        (["decide", "--s", "S", "--t", "S", "--m", "0", "--depth", "0"], "tasks[0].depth"),
+        (["decide", "--s", "S", "--t", "X", "--m", "0"], "tasks[0].t"),
+        (["norms", "--shift", "X", "--window", "0", "1"], "tasks[0].shift"),
+        (["bands", "--op", "X", "--mode", "three"], "tasks[0].operator"),
+        (["bands", "--op", "U", "--mode", "count", "--window", "3", "1"], "tasks[0].window"),
+    ])
+    def test_bad_flag_names_its_task_path(self, spec, capsys, argv, path):
+        assert cli_main([argv[0], spec, *argv[1:]]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"(at {path})")
+
     def test_zero_depth_is_usage_error(self, spec, capsys):
         assert cli_main(["decide", spec, "--s", "S", "--t", "S", "--m", "0",
                          "--depth", "0"]) == 2
@@ -254,6 +284,20 @@ class TestOtherCommands:
         spec = write_spec(tmp_path, sl.SpecModel(dim=1, shifts={"S": s}))
         assert cli_main(["positive-form", spec, "--shift", "S", "--window", "-3", "3"]) == 1
         assert "at n=-3 overflows the float range" in capsys.readouterr().err
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        u = sl.load_example("ex31").operators["U"]
+        spec = write_spec(tmp_path, sl.SpecModel(dim=2, operators={"U": u}))
+        windows = []
+        for extra in (["--window", "-5", "5"], []):
+            out = tmp_path / "two.json"
+            assert cli_main(["bands", spec, "--op", "U", "--mode", "two", *extra,
+                             "--json", str(out), "--quiet"]) == 0
+            checks = json.loads(out.read_text())["checks"]
+            windows.append([c["details"]["report"]["window"] for c in checks])
+        # without --window each task runs on the task default [-8, 8]
+        assert windows == [[[-5, 5]] * 2, [[-8, 8]] * 2]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_main([]) == 2

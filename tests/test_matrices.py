@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.matrices import condition_ratio, frob, herm, is_normal, operator_norm
+from shiftlab.matrices import (
+    condition_ratio,
+    frob,
+    frob_norms,
+    herm,
+    is_normal,
+    operator_norm,
+)
 
 from conftest import random_matrix, random_unitary
 
@@ -44,6 +51,11 @@ class TestTolerance:
         assert list(tol.accepts(np.array([0.0, 1.0, math.inf, math.nan]), math.inf)) \
             == [True, False, False, False]
         assert not tol.accepts(math.nan, 1.0) and not tol.accepts(math.inf, 1.0)
+
+    def test_close_rescales_norms_that_overflow(self):
+        # the difference (about 1.7e184) and both norms overflow when squared
+        assert sl.DEFAULT_TOL.close([[1e200]], [[np.nextafter(1e200, np.inf)]])
+        assert not sl.DEFAULT_TOL.close([[1e200]], [[1.5e200]])
 
     def test_overflowed_gap_refutes_nothing(self):
         tol = sl.Tolerance()
@@ -195,3 +207,20 @@ class TestStackInputs:
     def test_empty_or_vector_input_rejected(self, shape):
         with pytest.raises(sl.DimensionError):
             operator_norm(np.ones(shape))
+
+
+class TestFrobNorms:
+    def test_equals_numpy_without_overflow(self, rng):
+        stack = np.stack([random_matrix(rng, 3) for _ in range(4)])
+        assert np.array_equal(frob_norms(stack), np.linalg.norm(stack, axis=(-2, -1)))
+        one = frob_norms(stack[0])
+        assert isinstance(one, float) and one == np.linalg.norm(stack[0])
+
+    def test_rescaled_only_where_squaring_overflows(self):
+        stack = np.array([I2, 1e200 * I2, [[1e308 + 1e308j, 0], [0, 1e-300]],
+                          [[math.inf, 0], [0, 1]]], dtype=complex)
+        norms = frob_norms(stack)
+        assert norms[0] == SQ2
+        np.testing.assert_allclose(norms[1:3], [SQ2 * 1e200, SQ2 * 1e308], rtol=1e-15)
+        assert norms[3] == math.inf
+        assert frob_norms([[1e200, 0], [0, -1e200]]) == pytest.approx(SQ2 * 1e200, rel=1e-15)

@@ -367,3 +367,49 @@ class TestRunSpec:
         assert check.observed == verdict.status.value
         assert check.details["summary"] == verdict.summary()
         assert check.details["witness"] == encode_operator(verdict.witness)
+
+    def test_tasks_are_validated_before_any_runs(self, rng):
+        s = ei_shift(rng, lo=0, length=2)
+        model = sl.SpecModel(dim=2, shifts={"S": s},
+                             tasks=[{"op": "norms", "shift": "S"},
+                                    {"op": "norms", "shift": "S", "window": [3, 1]}])
+        with pytest.raises(sl.SpecFormatError) as err:
+            sl.run_spec(model, "norms", "reversed window")
+        assert err.value.path == "tasks[1].window"
+
+    def test_runners_call_the_module_functions_at_call_time(self, monkeypatch):
+        # a tracer rebinds these names in shiftlab.specfile; every task op's
+        # runner must reach the rebound function
+        names = ("verify_intertwining", "verify_unitary_banded", "verify_unitary_two_band",
+                 "verify_unitary_three_band", "check_two_band_structure",
+                 "check_diagonal_propagation", "check_band_count_bound",
+                 "conjugate_to_shift", "positive_form", "weight_norm_profile",
+                 "norm_offset_screen", "eigen_moduli_screen",
+                 "decide_diagonal_equivalence", "decide_diagonal_equivalence_scan")
+        called = set()
+        for name in names:
+            fn = getattr(specfile, name)
+            monkeypatch.setattr(specfile, name, lambda *a, _f=fn, _n=name, **k:
+                                called.add(_n) or _f(*a, **k))
+        ex = sl.load_example("ex31")
+        window = {"window": [-3, 3]}
+        tasks = [{"op": "verify_intertwining", "operator": "U", "s": "S", "t": "T"},
+                 {"op": "verify_unitary", "operator": "U", "mode": "banded"},
+                 {"op": "verify_unitary", "operator": "U", "mode": "two_band"},
+                 {"op": "verify_unitary", "operator": "U3", "mode": "three_band"},
+                 {"op": "two_band_structure", "operator": "U"},
+                 {"op": "diagonal_propagation", "operator": "U", "s": "S", "t": "T"},
+                 {"op": "band_count_bound", "operator": "U"},
+                 {"op": "conjugate_to_shift", "operator": "U", "s": "S"},
+                 {"op": "positive_form", "shift": "S"},
+                 {"op": "norms", "shift": "S"},
+                 {"op": "norm_offset_screen", "s": "S", "t": "T"},
+                 {"op": "eigen_moduli_screen", "s": "S", "t": "T"},
+                 {"op": "decide", "s": "S", "t": "T", "m": 0},
+                 {"op": "decide", "s": "S", "t": "T", "m_range": [0, 1]}]
+        operators = {**ex.operators, "U3": sl.load_example("ex33-three-band").operators["U"]}
+        model = sl.SpecModel(dim=2, shifts=ex.shifts, operators=operators,
+                             tasks=[{**task, **window} for task in tasks])
+        report = sl.run_spec(model, "all ops", "every task op")
+        assert len(report.checks) == len(tasks)
+        assert called == set(names)
