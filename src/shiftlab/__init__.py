@@ -18,14 +18,10 @@ from .bands import (
     ConjugationResult,
     SkippedCheck,
     WindowReport,
-    apply_banded,
-    banded_adjoint,
     check_band_count_bound,
     check_diagonal_propagation,
     check_two_band_structure,
     conjugate_to_shift,
-    diagonal_form,
-    forward_shift_operator,
     identity_operator,
     single_band,
     verify_intertwining,
@@ -71,9 +67,7 @@ from .shifts import (
     EventuallyIdentityWeights,
     PeriodicWeights,
     WeightSequence,
-    WindowedVector,
     WindowedWeights,
-    apply_shift,
     identity_weights,
     reindex_weights,
     weight_norm_profile,

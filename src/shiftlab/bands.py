@@ -33,12 +33,9 @@ from .matrices import DEFAULT_TOL, Tolerance, frob_norms, herm
 from .shifts import (
     BilateralShift,
     WeightSequence,
-    WindowedVector,
     WindowedWeights,
     _BLOCK_ROWS,
-    _require_rows,
     identity_weights,
-    map_weights,
 )
 
 
@@ -142,13 +139,6 @@ class BandedOperator:
     def band(self, k: int) -> WeightSequence:
         return self._bands[k]
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        """Matrix entry at (i, j); structurally zero off the stored bands."""
-        k = j - i
-        if k not in self._bands:
-            return np.zeros((self._dim, self._dim), dtype=complex)
-        return self._bands[k].weight_at(i)
-
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
         return f"BandedOperator{name}(offsets={self.offsets}, dim={self.dim})"
@@ -160,44 +150,6 @@ def single_band(offset: int, seq: WeightSequence, label: str = "") -> BandedOper
 
 def identity_operator(dim: int) -> BandedOperator:
     return single_band(0, identity_weights(dim), label="identity")
-
-
-def forward_shift_operator(dim: int) -> BandedOperator:
-    """The unweighted bilateral shift F (band -1 filled with identities)."""
-    return single_band(-1, identity_weights(dim), label="F")
-
-
-def diagonal_form(k: int, diag: WeightSequence, label: str = "") -> BandedOperator:
-    """The operator ``F^k D`` for a diagonal operator D with entries D_n.
-
-    Applying D and then k forward shifts lands entry ``D_{i-k}`` at matrix
-    position (i, i-k), i.e. a single band at offset ``-k`` whose row-i entry
-    is ``D.weight_at(i - k)``.
-    """
-    return single_band(-k, map_weights(diag, lambda w: w, delta=-k), label=label)
-
-
-def banded_adjoint(u: BandedOperator) -> BandedOperator:
-    """Adjoint operator: band d of U* holds ``(U_{i+d, i})*`` at row i."""
-    bands = {}
-    for k in u.offsets:
-        bands[-k] = map_weights(u.band(k), herm, delta=-k)
-    return BandedOperator(bands, label=f"{u.label}*" if u.label else "")
-
-
-def apply_banded(u: BandedOperator, x: WindowedVector) -> WindowedVector:
-    """``y_i = sum_k U_{i, i+k} x_{i+k}`` over the stored bands."""
-    if u.dim != x.dim:
-        raise DimensionError(f"operator dim {u.dim} does not match vector dim {x.dim}")
-    offs = u.offsets
-    lo = x.lo - max(offs)
-    hi = x.hi - min(offs)
-    out = np.zeros((hi - lo + 1, x.dim), dtype=complex)
-    for k in offs:
-        w, present = u.band(k).rows(x.lo - k, x.hi - k)
-        _require_rows(u.band(k), x.lo - k, present)
-        out[x.lo - k - lo:x.hi - k - lo + 1] += (w @ x.blocks[:, :, None])[:, :, 0]
-    return WindowedVector(lo, out)
 
 
 # --- the windowed-condition engine -------------------------------------------

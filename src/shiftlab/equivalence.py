@@ -511,9 +511,11 @@ def _decision_scope(s, t, m, window=None, depth=None):
     Returns ``(spans, window, depth, period)``.  ``spans`` are the described
     ranges of S and T in witness rows n, where S's index is n + m; ``period``
     is the lcm of the periods, or None.  The automatic window covers the
-    spans with a margin of 2 rows, and [-period - 2, period + 2] for periodic
-    weights.  The automatic depth is the largest reach of a span from the
-    anchor rows 0/-1, plus 4, plus twice the period for periodic weights:
+    spans with a margin of 2 rows, widened to ``period + 1`` rows when a
+    period exists (the periodic certificate needs that many rows past each
+    span), and [-period - 2, period + 2] for periodic weights.  The
+    automatic depth is the largest reach of a span from the anchor rows
+    0/-1, plus 4, plus twice the period for periodic weights:
     eventually-identity products stabilize once the supports are exhausted,
     periodic ones are sampled over two periods.  Windowed descriptions clip
     the window and cap the depth at the rows they store.  A given window or
@@ -530,8 +532,9 @@ def _decision_scope(s, t, m, window=None, depth=None):
         if isinstance(seq, WindowedWeights):
             stored.append(spans[-1])
     period = math.lcm(*periods) if periods else None
-    lo = min((a for a, _ in spans), default=0) - 2
-    hi = max((b for _, b in spans), default=0) + 2
+    margin = 2 if period is None else max(2, period + 1)
+    lo = min((a for a, _ in spans), default=0) - margin
+    hi = max((b for _, b in spans), default=0) + margin
     reach = max((max(b, -a, 0) for a, b in spans), default=0) + 4
     if period is not None:
         lo, hi = min(lo, -period - 2), max(hi, period + 2)

@@ -10,7 +10,9 @@ was given (never one stacked copy, so a long window repeating a few matrices
 stays small) and differs only in what the other rows hold: the stored
 matrices again (periodic), the identity (eventually-identity) or nothing
 (windowed).  ``weight_at(n)`` reads one row; ``rows(lo, hi)`` reads a range
-as an (N, d, d) stack with the mask of the rows the sequence defines.  Only
+as an (N, d, d) stack with the mask of the rows the sequence defines;
+``reindex_weights`` moves a sequence along the indices, keeping its variant
+and its stored matrices.  Only
 this module maps indices to stored matrices: the readers of a range (norm
 profiles, the verifiers' engine, the screens of ``equivalence``) go through
 ``rows``, and those reading whole stored spans do so in blocks of
@@ -25,9 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, WindowAccessError
 from .matrices import (
-    DEFAULT_TOL,
     INVERTIBILITY_THRESHOLD,
-    Tolerance,
     condition_ratio,
     operator_norm,
     require_square,
@@ -208,23 +208,10 @@ def identity_weights(dim: int) -> PeriodicWeights:
 
 
 def reindex_weights(seq: WeightSequence, j: int) -> WeightSequence:
-    """New sequence with ``weight_at(n) = seq.weight_at(n + j)``."""
-    return map_weights(seq, lambda w: w, delta=j)
-
-
-def map_weights(seq: WeightSequence, func, delta: int = 0) -> WeightSequence:
-    """Transform ``weight_at(n) -> func(seq.weight_at(n + delta))``.
-
-    Preserves the variant.  For eventually-identity input ``func`` must fix
-    the identity matrix, otherwise the implicit tail would be misdescribed.
-    """
+    """New sequence of the same variant with ``weight_at(n) = seq.weight_at(n + j)``."""
     if isinstance(seq, PeriodicWeights):
-        return PeriodicWeights([func(seq.weight_at(i + delta)) for i in range(seq.period)])
-    eye = identity_matrix(seq.dim)
-    if isinstance(seq, EventuallyIdentityWeights) and not DEFAULT_TOL.close(func(eye), eye):
-        raise ValueError("transform must fix the identity for "
-                         "eventually-identity sequences")
-    return type(seq)(seq.lo - delta, [func(w) for w in seq._weights])
+        return PeriodicWeights([seq.weight_at(i + j) for i in range(seq.period)])
+    return type(seq)(seq.lo - j, seq._weights)
 
 
 class BilateralShift:
@@ -249,9 +236,6 @@ class BilateralShift:
     def weight(self, n: int) -> np.ndarray:
         return self.weights.weight_at(n)
 
-    def has_weight(self, n: int) -> bool:
-        return self.weights.has_index(n)
-
     @property
     def quasi_invertible(self) -> bool:
         """Every described weight passes the invertibility threshold."""
@@ -262,65 +246,6 @@ class BilateralShift:
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
         return f"BilateralShift{name}({self.weights!r})"
-
-
-class WindowedVector:
-    """Finitely supported block vector: blocks on [lo, hi], zero outside."""
-
-    def __init__(self, lo: int, blocks):
-        arr = np.asarray(blocks, dtype=complex)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise DimensionError("blocks must form a nonempty (count, dim) array")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("vector entries must be finite")
-        self.lo = int(lo)
-        self.blocks = arr
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.blocks.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[1]
-
-    def block(self, n: int) -> np.ndarray:
-        if self.lo <= n <= self.hi:
-            return self.blocks[n - self.lo]
-        return np.zeros(self.dim, dtype=complex)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.blocks))
-
-    @classmethod
-    def basis(cls, dim: int, index: int, coordinate: int) -> "WindowedVector":
-        """Standard basis block vector: e_coordinate placed at index."""
-        block = np.zeros(dim, dtype=complex)
-        block[coordinate] = 1.0
-        return cls(index, block[None, :])
-
-    def allclose(self, other: "WindowedVector", tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Whether ``tol.close`` holds for the two vectors, each padded with
-        zero blocks to the union of their ranges, as (count, dim) arrays."""
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        padded = [[x.block(n) for n in range(lo, hi + 1)] for x in (self, other)]
-        return bool(tol.close(*padded))
-
-    def __repr__(self):
-        return f"WindowedVector(lo={self.lo}, hi={self.hi}, dim={self.dim})"
-
-
-def apply_shift(shift: BilateralShift, x: WindowedVector) -> WindowedVector:
-    """Image of x under the shift; support moves from [lo, hi] to [lo+1, hi+1]."""
-    if shift.dim != x.dim:
-        raise DimensionError(
-            f"shift dim {shift.dim} does not match vector dim {x.dim}")
-    w, present = shift.weights.rows(x.lo + 1, x.hi + 1)
-    _require_rows(shift.weights, x.lo + 1, present)
-    return WindowedVector(x.lo + 1, (w @ x.blocks[:, :, None])[:, :, 0])
 
 
 def weight_norm_profile(shift: BilateralShift, lo: int, hi: int):

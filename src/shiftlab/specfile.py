@@ -221,6 +221,14 @@ _DEFAULT_WINDOW = (-8, 8)
 #: The ``mode`` values of a ``verify_unitary`` task: mode M runs
 #: ``verify_unitary_M``.
 _UNITARY_MODES = ("banded", "three_band", "two_band")
+#: The largest magnitude of a row or offset a task names (an end of its
+#: ``window``, ``k_range`` or ``m_range``, its ``m`` or ``k``): ten times the
+#: longest window the benchmarks run, so no task steps through an unbounded
+#: range of rows or allocates arrays for it.
+_INDEX_LIMIT = 10**5
+#: The largest ``depth``; the Gram chains of a decision hold
+#: ``(2 * depth, 2, d, d)`` matrices.
+_DEPTH_LIMIT = 10**4
 
 
 class _Op(NamedTuple):
@@ -371,10 +379,15 @@ def _validate_task(task, index: int, model: SpecModel):
     for key in ("m", "k", "bound"):
         if key in task and not _is_int(task[key]):
             raise SpecFormatError(f"'{key}' must be an integer", path=f"{path}.{key}")
+    for key in ("window", "k_range", "m_range", "m", "k"):
+        value = task.get(key, 0)
+        if max(map(abs, value if isinstance(value, list) else [value])) > _INDEX_LIMIT:
+            raise SpecFormatError(f"'{key}' must lie within [-{_INDEX_LIMIT}, "
+                                  f"{_INDEX_LIMIT}]", path=f"{path}.{key}")
     depth = task.get("depth")
-    if depth is not None and not (_is_int(depth) and depth >= 1):
-        raise SpecFormatError("'depth' must be a positive integer or null",
-                              path=f"{path}.depth")
+    if depth is not None and not (_is_int(depth) and 1 <= depth <= _DEPTH_LIMIT):
+        raise SpecFormatError(f"'depth' must be an integer in [1, {_DEPTH_LIMIT}] "
+                              "or null", path=f"{path}.depth")
     if "mode" in task and task["mode"] not in _UNITARY_MODES:
         raise SpecFormatError(f"'mode' must be one of {list(_UNITARY_MODES)}",
                               path=f"{path}.mode")

@@ -77,6 +77,21 @@ def conjugated_shift(rng, s, m=0, label="T", diagonal=False):
     return t, vat
 
 
+def dense_section(u, lo, hi):
+    """Block matrix of the banded operator u on rows and columns lo..hi, with
+    ``U_{i, i+k}`` from band k at row i and unstored entries zero.  A shift
+    S is the band at offset -1: ``dense_section(sl.single_band(-1, S.weights),
+    lo, hi)`` maps block n - 1 of a vector to ``S_n`` times it at block n."""
+    d, n = u.dim, hi - lo + 1
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for k in u.offsets:
+        for i in range(max(lo, lo - k), min(hi, hi - k) + 1):
+            if u.band(k).has_index(i):
+                out[(i - lo) * d:(i - lo + 1) * d,
+                    (i + k - lo) * d:(i + k - lo + 1) * d] = u.band(k).weight_at(i)
+    return out
+
+
 def perturb_one_singular_value(rng, shift, factor=1.25):
     """Scale one singular value of one interior weight by `factor`."""
     lo, hi = shift.weights.described_range()
@@ -198,6 +213,20 @@ MALFORMED_SPECS = {
                    "tasks[0].depth"),
     "k-float": ({"tasks": [{"op": "eigen_moduli_screen", "s": "S", "t": "S", "k": 0.5}]},
                 "tasks[0].k"),
+    # rows and offsets beyond 10**5 and depths beyond 10**4 are refused before
+    # any task runs: such a window would be allocated, such a range stepped through
+    "window-huge": (_op_task(op="verify_unitary", operator="U", window=[-10**30, 10**30]),
+                    "tasks[0].window"),
+    "window-past-limit": (_task(window=[0, 10**5 + 1]), "tasks[0].window"),
+    "k-range-huge": (_op_task(op="norm_offset_screen", s="S", t="S",
+                              k_range=[-10**30, 10**30]), "tasks[0].k_range"),
+    "m-range-past-limit": (_op_task(op="decide", s="S", t="S", m_range=[-10**5 - 1, 0]),
+                           "tasks[0].m_range"),
+    "m-huge": (_op_task(op="decide", s="S", t="S", m=10**30), "tasks[0].m"),
+    "k-past-limit": (_op_task(op="eigen_moduli_screen", s="S", t="S", k=-10**5 - 1),
+                     "tasks[0].k"),
+    "depth-past-limit": (_op_task(op="decide", s="S", t="S", m=0, depth=10**4 + 1),
+                         "tasks[0].depth"),
     "expect-passed": (_op_task(op="verify_unitary", operator="U", expect="passed"),
                       "tasks[0].expect"),
     "expect-null": (_op_task(op="verify_unitary", operator="U", expect=None),

@@ -225,6 +225,10 @@ class TestBadNumericArguments:
         (["norms", "--shift", "X", "--window", "0", "1"], "tasks[0].shift"),
         (["bands", "--op", "X", "--mode", "three"], "tasks[0].operator"),
         (["bands", "--op", "U", "--mode", "count", "--window", "3", "1"], "tasks[0].window"),
+        (["bands", "--op", "U", "--mode", "two", "--window", "0", str(10**30)],
+         "tasks[0].window"),
+        (["decide", "--s", "S", "--t", "S", "--m", str(-10**30)], "tasks[0].m"),
+        (["decide", "--s", "S", "--t", "S", "--m", "0", "--depth", "10001"], "tasks[0].depth"),
     ])
     def test_bad_flag_names_its_task_path(self, spec, capsys, argv, path):
         assert cli_main([argv[0], spec, *argv[1:]]) == 2

@@ -743,6 +743,23 @@ class TestPeriodicCertificate:
         for m in range(-3, 4):
             assert not sl.decide_diagonal_equivalence(s, t, m).is_equivalent
 
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_mixed_pair_certified_at_every_offset(self, rng, period):
+        # T_n = V_n V_{n-1}* is periodic and unitary, so both shifts are
+        # equivalent to F at every offset; with a margin of 2 rows around the
+        # spans the window held too few rows past S's span for the periodic
+        # certificate, and offsets m <= 0 were inconclusive
+        s, _ = self._pair(rng)
+        v = [random_unitary(rng) for _ in range(period)]
+        t = sl.BilateralShift(sl.PeriodicWeights(
+            [v[i] @ herm(v[i - 1]) for i in range(period)]), "T")
+        squeezed = sl.BilateralShift(sl.PeriodicWeights(
+            [v[i] @ np.diag([1.0, 0.7]) @ herm(v[i - 1]) for i in range(period)]), "T")
+        for m in range(-4, 5):
+            verdict = sl.decide_diagonal_equivalence(s, t, m)
+            assert verdict.is_equivalent, (m, verdict.reason)
+            assert sl.decide_diagonal_equivalence(s, squeezed, m).is_not_equivalent
+
 
 def ref_auto_window(s, t, m):
     """The window rule as it stood in its own function, kept as reference."""
@@ -754,8 +771,9 @@ def ref_auto_window(s, t, m):
         rng = shift.weights.described_range()
         if rng is not None:
             spans.append((rng[0] + delta, rng[1] + delta))
-    lo = min((a for a, _ in spans), default=0) - 2
-    hi = max((b for _, b in spans), default=0) + 2
+    margin = 2 if period is None else max(2, period + 1)
+    lo = min((a for a, _ in spans), default=0) - margin
+    hi = max((b for _, b in spans), default=0) + margin
     if period is not None:
         lo = min(lo, -period - 2)
         hi = max(hi, period + 2)
@@ -840,12 +858,12 @@ class TestDecisionScope:
 #
 # The screens, the norm profile and the positive form read whole windows at
 # once through ``WeightSequence.rows``; the references below read one row at
-# a time through ``has_weight``/``weight``.
+# a time through ``has_index``/``weight``.
 
 def ref_norm_mismatch(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
     """First (n, |gap|) with ``||S_{n+k}|| != ||T_n||`` on rows both store."""
     for n in range(lo, hi + 1):
-        if not (s.has_weight(n + k) and t.has_weight(n)):
+        if not (s.weights.has_index(n + k) and t.weights.has_index(n)):
             continue
         a = float(np.linalg.norm(s.weight(n + k), 2))
         b = float(np.linalg.norm(t.weight(n), 2))
@@ -858,7 +876,7 @@ def ref_eigen_moduli(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
     """((n, gap, passed) checks, skipped rows), or ("not normal", name, n)."""
     checks, skipped = [], []
     for n in range(lo, hi + 1):
-        if not (s.has_weight(n + k) and t.has_weight(n)):
+        if not (s.weights.has_index(n + k) and t.weights.has_index(n)):
             skipped.append(n)
             continue
         ws, wt = s.weight(n + k), t.weight(n)

@@ -1,4 +1,4 @@
-"""Weight sequences, shifts, windowed vectors, and norm profiles."""
+"""Weight sequences, shifts, their action on block vectors, and norm profiles."""
 
 import tracemalloc
 
@@ -7,7 +7,7 @@ import pytest
 
 import shiftlab as sl
 
-from conftest import ei_shift, random_invertible, s_val
+from conftest import dense_section, ei_shift, random_invertible, s_val
 
 I2 = np.eye(2, dtype=complex)
 
@@ -71,47 +71,47 @@ class TestBilateralShift:
 
 
 class TestApplyShift:
+    """A shift acts on block vectors as the band at offset -1 of its dense
+    section: ``(S x)_n = S_n x_{n-1}``."""
+
+    @staticmethod
+    def apply(shift, x, lo):
+        """S x for the (N, d) blocks x on rows lo.., through the section."""
+        m = dense_section(sl.single_band(-1, shift.weights), lo, lo + len(x) - 1)
+        return (m @ x.ravel()).reshape(x.shape)
+
     def test_identity_weights_shift_support(self):
         f = sl.BilateralShift(sl.identity_weights(2))
-        x = sl.WindowedVector.basis(2, 0, 1)
-        y = sl.apply_shift(f, x)
-        assert (y.lo, y.hi) == (1, 1)
-        np.testing.assert_allclose(y.block(1), x.block(0))
+        x = np.zeros((3, 2))
+        x[1, 1] = 1.0                                   # e_1 at index 0 of [-1, 1]
+        y = self.apply(f, x, -1)
+        np.testing.assert_array_equal(y, np.roll(x, 1, axis=0))
 
     def test_known_pair_first_basis_vector(self):
         s = sl.load_example("ex31").shifts["S"]
-        x = sl.WindowedVector.basis(2, 0, 0)
-        y = sl.apply_shift(s, x)
-        np.testing.assert_allclose(y.block(1), [1.0, -1.0], atol=1e-14)
-
-    def test_zero_vector(self):
-        f = sl.BilateralShift(sl.identity_weights(2))
-        y = sl.apply_shift(f, sl.WindowedVector(0, np.zeros((3, 2))))
-        assert y.norm() == 0.0
+        x = np.zeros((2, 2))
+        x[0, 0] = 1.0                                   # e_0 at index 0 of [0, 1]
+        y = self.apply(s, x, 0)
+        np.testing.assert_allclose(y[1], [1.0, -1.0], atol=1e-14)
 
     def test_support_shift_and_norm_bound(self, rng):
         s = ei_shift(rng, dim=2, lo=-1, length=4)
-        x = sl.WindowedVector(-2, rng.standard_normal((5, 2))
-                              + 1j * rng.standard_normal((5, 2)))
-        y = sl.apply_shift(s, x)
-        assert (y.lo, y.hi) == (x.lo + 1, x.hi + 1)
-        bound = max(sl.weight_norm_profile(s, x.lo + 1, x.hi + 1))
-        assert y.norm() <= bound * x.norm() + 1e-12
-
-    def test_dim_mismatch(self):
-        f = sl.BilateralShift(sl.identity_weights(3))
-        with pytest.raises(sl.DimensionError):
-            sl.apply_shift(f, sl.WindowedVector.basis(2, 0, 0))
+        x = np.zeros((7, 2), dtype=complex)            # rows -3..3, support -2..2
+        x[1:6] = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        y = self.apply(s, x, -3)
+        np.testing.assert_array_equal(y[:2], 0)
+        assert np.abs(y[2:]).max() > 0
+        bound = max(sl.weight_norm_profile(s, -1, 3))
+        assert np.linalg.norm(y) <= bound * np.linalg.norm(x) + 1e-12
 
     def test_matches_the_row_products(self, rng):
+        # rows past a windowed sequence's stored range hold zero blocks
         s = sl.BilateralShift(sl.WindowedWeights(-3, [random_invertible(rng) for _ in range(8)]))
-        x = sl.WindowedVector(-4, rng.standard_normal((6, 2)))
-        y = sl.apply_shift(s, x)
-        for n in range(y.lo, y.hi + 1):
-            np.testing.assert_allclose(y.block(n), s.weight(n) @ x.block(n - 1), atol=1e-14)
-        with pytest.raises(sl.WindowAccessError) as err:
-            sl.apply_shift(s, sl.WindowedVector(-5, rng.standard_normal((12, 2))))
-        assert err.value.index == -4
+        x = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        y = self.apply(s, x, -5)
+        for n in range(-5, 7):
+            expected = s.weight(n) @ x[n - 1 + 5] if s.weights.has_index(n) else np.zeros(2)
+            np.testing.assert_allclose(y[n + 5], expected, atol=1e-14)
 
 
 class TestNormProfile:

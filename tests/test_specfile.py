@@ -254,6 +254,16 @@ class TestMalformed:
         doc["tasks"] = [task]
         assert sl.parse_shift_spec(json.dumps(doc)).tasks[0][key] == pair
 
+    def test_index_and_depth_limits_accepted(self):
+        # parsing runs no task, so the limits themselves cost nothing here
+        doc = minimal_doc()
+        doc["tasks"] = [
+            {"op": "decide", "s": "S", "t": "S", "m_range": [-10**5, 10**5],
+             "window": [-10**5, 10**5], "depth": 10**4},
+            {"op": "decide", "s": "S", "t": "S", "m": -10**5},
+            {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [-10**5, 10**5]}]
+        assert len(sl.parse_shift_spec(json.dumps(doc)).tasks) == 3
+
     @pytest.mark.parametrize("task", [
         {"op": "verify_unitary", "operator": "U", "mode": mode, "expect": expect}
         for mode in ("banded", "two_band", "three_band") for expect in ("pass", "fail")
