@@ -12,17 +12,20 @@ All verifiers are tables for one engine, run on an explicit index window
 residual is the Frobenius norm of the difference.  Where a windowed sequence
 lacks an entry that a group of conditions needs, the group is skipped and
 recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS`` with
-batched ``matmul``, so working memory does not grow with the window, and
-reports list checks row by row or condition by condition.  Each sequence a
-block needs is read once per block, over the block's rows plus the shifts
-its factors reach, by ``WeightSequence.rows``; this module never maps an
-index to a stored matrix itself.
+batched ``matmul``, so working memory for the products does not grow with
+the window.  Each sequence a block needs is read once per block, over the
+block's rows plus the shifts its factors reach, by ``WeightSequence.rows``;
+this module never maps an index to a stored matrix itself.  A report keeps
+its checks and skips as columns (condition, row, residual, verdict), in row
+order or condition order, and builds a record only when one is read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,6 +42,9 @@ from .shifts import (
 )
 
 
+_OUTSIDE = "index outside a stored window"
+
+
 @dataclass(slots=True)
 class ConditionCheck:
     condition: str
@@ -51,33 +57,100 @@ class ConditionCheck:
 class SkippedCheck:
     condition: str
     index: int
-    reason: str = "index outside a stored window"
+    reason: str = _OUTSIDE
+
+
+class _Records(Sequence):
+    """Read-only sequence of check records held as columns.
+
+    Each record is ``make(name, lo + row, *values)``: a name index into a
+    table of condition names, a row offset from the report's ``lo`` and one
+    array per further field.  Producers append whole columns with ``_add``;
+    a record is built only when it is read.
+    """
+
+    def __init__(self, make, lo: int, dtypes: tuple):
+        self._make, self._lo, self._names = make, operator.index(lo), []
+        self._columns = tuple(np.empty(0, dtype) for dtype in (np.intp, np.intp, *dtypes))
+
+    def _add(self, names, conds, rows, *values):
+        """Append the records ``(names[conds[i]], lo + rows[i], *values[i])``."""
+        new = (np.asarray(conds) + len(self._names), rows, *values)
+        self._columns = tuple(np.concatenate([old, np.asarray(col, old.dtype)])
+                              for old, col in zip(self._columns, new))
+        self._names.extend(names)
+
+    def _build(self, columns):
+        conds, rows, *values = (col.tolist() for col in columns)
+        return map(self._make, map(self._names.__getitem__, conds),
+                   map(self._lo.__add__, rows), *values)
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(self._build(col[key] for col in self._columns))
+        i, n = operator.index(key), len(self)
+        if not -n <= i < n:
+            raise IndexError("record index out of range")
+        return next(self._build(col[i % n:i % n + 1] for col in self._columns))
+
+    def __iter__(self):
+        return self._build(self._columns)
+
+    def __add__(self, other):
+        return [*self, *other]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Records)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 @dataclass
 class WindowReport:
-    """Outcome of verifying a family of indexed conditions on [lo, hi]."""
+    """Outcome of verifying a family of indexed conditions on [lo, hi].
+
+    ``checks`` and ``skipped`` are read-only sequences of ``ConditionCheck``
+    and ``SkippedCheck`` records, held as columns; the verdict, the worst
+    residual and ``to_jsonable`` read the columns without building records.
+    """
 
     lo: int
     hi: int
-    checks: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
     context: dict = field(default_factory=dict)
+    checks: _Records = field(init=False)
+    skipped: _Records = field(init=False)
+
+    def __post_init__(self):
+        self.checks = _Records(ConditionCheck, self.lo, (float, bool))
+        self.skipped = _Records(SkippedCheck, self.lo, ())
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        *_, passed = self.checks._columns
+        return bool(passed.all())
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        _, _, res, _ = self.checks._columns
+        # as Python's max over the records: a leading NaN wins, later NaNs are passed over
+        return max(float(res[0]), float(np.fmax.reduce(res))) if res.size else 0.0
 
     def failures(self):
-        return [c for c in self.checks if not c.passed]
+        columns = self.checks._columns
+        return list(self.checks._build(col[~columns[-1]] for col in columns))
 
     def first_failure(self):
-        bad = self.failures()
-        return bad[0] if bad else None
+        *_, passed = self.checks._columns
+        bad = np.flatnonzero(~passed)
+        return self.checks[bad[0]] if bad.size else None
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -90,14 +163,21 @@ class WindowReport:
         return head
 
     def to_jsonable(self) -> dict:
+        conds, rows, res, passed = self.checks._columns
+        names, lo = self.checks._names, self.checks._lo
+        checks = [{"condition": names[c], "index": lo + r, "residual": x, "passed": p}
+                  for c, r, x, p in zip(conds.tolist(), rows.tolist(), res.tolist(),
+                                        passed.tolist())]
+        conds, rows = self.skipped._columns
+        names = self.skipped._names
+        skipped = [{"condition": names[c], "index": lo + r, "reason": _OUTSIDE}
+                   for c, r in zip(conds.tolist(), rows.tolist())]
         return {
             "window": [self.lo, self.hi],
             "passed": self.passed,
             "max_residual": self.max_residual,
-            "checks": [{"condition": c.condition, "index": c.index,
-                        "residual": c.residual, "passed": c.passed} for c in self.checks],
-            "skipped": [{"condition": s.condition, "index": s.index, "reason": s.reason}
-                        for s in self.skipped],
+            "checks": checks,
+            "skipped": skipped,
             "context": self.context,
         }
 
@@ -240,19 +320,15 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
     return res, passed, has, kept
 
 
-def _emit(out: list, make, lo: int, names, mask, row_major: bool, *columns):
-    """Append ``make(name, index, *column values)`` wherever the (C, N)
-    ``mask`` holds, row by row or condition by condition, in chunks so the
-    index arrays stay small; each row index is one shared int."""
-    index = list(range(lo, lo + mask.shape[1]))
+def _emit(out: _Records, names, mask, row_major: bool, *columns):
+    """Append to ``out`` a record for each entry of the (C, N) ``mask`` that
+    holds, naming condition c by ``names[c]`` and taking its values from
+    the (C, N) ``columns``, row by row or condition by condition."""
     if row_major:
-        chunks = ((c, r + s) for s in range(0, mask.shape[1], _BLOCK_ROWS)
-                  for r, c in [np.nonzero(mask[:, s:s + _BLOCK_ROWS].T)])
+        rows, conds = np.nonzero(mask.T)
     else:
-        chunks = ((np.full(r.size, c), r) for c, r in enumerate(map(np.flatnonzero, mask)))
-    for c, r in chunks:
-        out.extend(map(make, map(names.__getitem__, c), map(index.__getitem__, r),
-                       *(col[c, r].tolist() for col in columns)))
+        conds, rows = np.nonzero(mask)
+    out._add(names, conds, rows, *(col[conds, rows] for col in columns))
 
 
 def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
@@ -269,10 +345,9 @@ def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
         gate = True if g.within is None else ran[g.within]
         ran.append(ready & gate)
         missed.append(~ready & gate)
-    _emit(rep.checks, ConditionCheck, rep.lo, [c.name for c in conds],
-          np.repeat(np.array(ran), sizes, axis=0), row_major, res, passed)
-    _emit(rep.skipped, SkippedCheck, rep.lo, [g.skip for g in groups], np.array(missed),
-          row_major)
+    _emit(rep.checks, [c.name for c in conds], np.repeat(np.array(ran), sizes, axis=0),
+          row_major, res, passed)
+    _emit(rep.skipped, [g.skip for g in groups], np.array(missed), row_major)
     return rep
 
 
@@ -432,18 +507,16 @@ def check_diagonal_propagation(a: BandedOperator,
     norms, _, has, _ = _evaluate([_Cond(name, ((_At(a.band(k)),),))
                                   for name, k in zip(names, a.offsets)], lo, hi, a.dim, tol)
     rep = WindowReport(lo, hi)
-    _emit(rep.skipped, SkippedCheck, lo, names, ~has, False)
-    counts = {}
-    for k, name, norm, stored in zip(a.offsets, names, norms, has):
+    _emit(rep.skipped, names, ~has, False)
+    counts, rows, mixed = {}, [], []
+    for k, norm, stored in zip(a.offsets, norms, has):
         nonzero = norm > tol.abs
         classes = (np.flatnonzero(stored & nonzero), np.flatnonzero(stored & ~nonzero))
         counts[k] = {"nonzero": len(classes[0]), "zero": len(classes[1])}
-        if all(map(len, classes)):
-            # name the first index of the minority class (nonzero on a tie)
-            bad = min(classes, key=len)[0]
-            rep.checks.append(ConditionCheck(name, int(bad) + lo, 0.0, False))
-        else:
-            rep.checks.append(ConditionCheck(name, lo, 0.0, True))
+        mixed.append(all(map(len, classes)))
+        # name the first index of the minority class (nonzero on a tie)
+        rows.append(min(classes, key=len)[0] if mixed[-1] else 0)
+    rep.checks._add(names, range(len(names)), rows, np.zeros(len(names)), np.logical_not(mixed))
     rep.context["band_support"] = counts
     return rep
 
@@ -481,7 +554,7 @@ def check_band_count_bound(u: BandedOperator, bound: int, lo: int, hi: int,
           for (ki, wi), (kj, wj) in itertools.combinations(effective, 2))))],
         u.dim, tol)
     excess = len(effective) - bound
-    rep.checks.append(ConditionCheck("band_count", lo, float(max(excess, 0)), excess <= 0))
+    rep.checks._add(["band_count"], [0], [0], [max(excess, 0)], [excess <= 0])
     rep.context.update(effective_band_count=len(effective), bound=bound)
     return rep
 
@@ -524,14 +597,14 @@ def conjugate_to_shift(u: BandedOperator, s: BilateralShift, lo: int, hi: int,
     main = deltas.index(-1)
     norms, _, has, values = _evaluate(conds, lo, hi, u.dim, tol, keep=main)
     rep = WindowReport(lo, hi)
-    _emit(rep.skipped, SkippedCheck, lo, [f"conjugated[{d:+d}]" for d in deltas], ~has, True)
+    _emit(rep.skipped, [f"conjugated[{d:+d}]" for d in deltas], ~has, True)
     scale = norms[main][has[main]].max(initial=1.0)
     off_band = has & (np.arange(len(deltas)) != main)[:, None]
-    _emit(rep.checks, ConditionCheck, lo, [c.name for c in conds], off_band, False,
-          norms, tol.accepts(norms, scale))
+    _emit(rep.checks, [c.name for c in conds], off_band, False, norms,
+          tol.accepts(norms, scale))
     band = slice(main, main + 1)
-    _emit(rep.checks, ConditionCheck, lo, ["shift_weight_nonzero"], has[band], False,
-          norms[band], norms[band] > tol.abs)
+    _emit(rep.checks, ["shift_weight_nonzero"], has[band], False, norms[band],
+          norms[band] > tol.abs)
     rows = np.flatnonzero(has[main])
     rep.context["row_range"] = [int(rows[0]) + lo, int(rows[-1]) + lo] if rows.size else None
     shift = None

@@ -29,8 +29,6 @@ import numpy as np
 
 from .bands import (
     BandedOperator,
-    ConditionCheck,
-    SkippedCheck,
     WindowReport,
     _emit,
     single_band,
@@ -445,9 +443,8 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     scale = np.maximum(np.maximum(ms.max(axis=-1), mt.max(axis=-1)), 1.0)
     rep = WindowReport(lo, hi)
     names = ["eigen_moduli"]
-    _emit(rep.checks, ConditionCheck, lo, names, both[None], False, gap[None],
-          tol.accepts(gap, scale)[None])
-    _emit(rep.skipped, SkippedCheck, lo, names, ~both[None], False)
+    _emit(rep.checks, names, both[None], False, gap[None], tol.accepts(gap, scale)[None])
+    _emit(rep.skipped, names, ~both[None], False)
     return rep
 
 

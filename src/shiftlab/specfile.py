@@ -229,6 +229,15 @@ _INDEX_LIMIT = 10**5
 #: The largest ``depth``; the Gram chains of a decision hold
 #: ``(2 * depth, 2, d, d)`` matrices.
 _DEPTH_LIMIT = 10**4
+#: The most (offset, row) pairs a ``norm_offset_screen`` task compares: its
+#: ``k_range`` width times its window rows.  The screen's cost grows with
+#: both, and at this budget it stays within seconds.
+_SCREEN_BUDGET = 10**7
+#: The widest ``m_range`` of a ``decide`` task: it may run one decision per
+#: offset.
+_SCAN_LIMIT = 100
+#: The offsets a ``norm_offset_screen`` task that names none compares.
+_DEFAULT_K_RANGE = (-4, 4)
 
 
 class _Op(NamedTuple):
@@ -288,7 +297,7 @@ def _norms(c):
 
 
 def _screen(c):
-    k_lo, k_hi = c.task.get("k_range", (-4, 4))
+    k_lo, k_hi = c.task.get("k_range", _DEFAULT_K_RANGE)
     feasible = sorted(norm_offset_screen(c.s, c.t, k_lo, k_hi, c.lo, c.hi, c.tol))
     expect = c.task.get("expect_feasible")
     return dict(kind="screen", passed=None,
@@ -384,6 +393,15 @@ def _validate_task(task, index: int, model: SpecModel):
         if max(map(abs, value if isinstance(value, list) else [value])) > _INDEX_LIMIT:
             raise SpecFormatError(f"'{key}' must lie within [-{_INDEX_LIMIT}, "
                                   f"{_INDEX_LIMIT}]", path=f"{path}.{key}")
+    if op == "norm_offset_screen":
+        (k_lo, k_hi), (lo, hi) = (task.get("k_range", _DEFAULT_K_RANGE),
+                                  task.get("window", _DEFAULT_WINDOW))
+        if (k_hi - k_lo + 1) * (hi - lo + 1) > _SCREEN_BUDGET:
+            raise SpecFormatError(f"'k_range' width times 'window' rows must not exceed "
+                                  f"{_SCREEN_BUDGET}", path=f"{path}.k_range")
+    if "m_range" in task and task["m_range"][1] - task["m_range"][0] + 1 > _SCAN_LIMIT:
+        raise SpecFormatError(f"'m_range' must span at most {_SCAN_LIMIT} offsets",
+                              path=f"{path}.m_range")
     depth = task.get("depth")
     if depth is not None and not (_is_int(depth) and 1 <= depth <= _DEPTH_LIMIT):
         raise SpecFormatError(f"'depth' must be an integer in [1, {_DEPTH_LIMIT}] "

@@ -227,6 +227,15 @@ MALFORMED_SPECS = {
                      "tasks[0].k"),
     "depth-past-limit": (_op_task(op="decide", s="S", t="S", m=0, depth=10**4 + 1),
                          "tasks[0].depth"),
+    # work budgets: a screen compares at most 10**7 (offset, row) pairs, a
+    # decide task scans at most 100 offsets
+    "screen-past-budget": (_op_task(op="norm_offset_screen", s="S", t="S", k_range=[0, 99],
+                                    window=[0, 10**5]), "tasks[0].k_range"),
+    "screen-wide-k-past-budget": (_op_task(op="norm_offset_screen", s="S", t="S",
+                                           k_range=[-10**5, 10**5], window=[0, 49]),
+                                  "tasks[0].k_range"),
+    "m-range-past-budget": (_op_task(op="decide", s="S", t="S", m_range=[0, 100]),
+                            "tasks[0].m_range"),
     "expect-passed": (_op_task(op="verify_unitary", operator="U", expect="passed"),
                       "tasks[0].expect"),
     "expect-null": (_op_task(op="verify_unitary", operator="U", expect=None),

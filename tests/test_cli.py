@@ -248,6 +248,13 @@ class TestBadNumericArguments:
         assert cli_main(["decide", spec, "--s", "S", "--t", "S",
                          "--m-range", "0", "0"]) == 0
 
+    def test_m_range_budget(self, spec, capsys):
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S",
+                         "--m-range", "0", "100"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("(at tasks[0].m_range)")
+        assert cli_main(["decide", spec, "--s", "S", "--t", "S",
+                         "--m-range", "-99", "0"]) == 0
+
 
 class TestOtherCommands:
     def test_norms(self, tmp_path, rng, capsys):

@@ -258,11 +258,24 @@ class TestMalformed:
         # parsing runs no task, so the limits themselves cost nothing here
         doc = minimal_doc()
         doc["tasks"] = [
-            {"op": "decide", "s": "S", "t": "S", "m_range": [-10**5, 10**5],
+            {"op": "decide", "s": "S", "t": "S", "m_range": [-10**5, -10**5 + 99],
              "window": [-10**5, 10**5], "depth": 10**4},
             {"op": "decide", "s": "S", "t": "S", "m": -10**5},
             {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [-10**5, 10**5]}]
         assert len(sl.parse_shift_spec(json.dumps(doc)).tasks) == 3
+
+    def test_work_budgets_accepted_at_their_edges(self):
+        # 100 offsets times 10**5 rows, 200001 offsets times 49 rows, the
+        # default window under the widest k_range, and a 100-offset scan
+        doc = minimal_doc()
+        doc["tasks"] = [
+            {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [0, 99],
+             "window": [1, 10**5]},
+            {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [-10**5, 10**5],
+             "window": [0, 48]},
+            {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [-10**5, 10**5]},
+            {"op": "decide", "s": "S", "t": "S", "m_range": [10**5 - 99, 10**5]}]
+        assert len(sl.parse_shift_spec(json.dumps(doc)).tasks) == 4
 
     @pytest.mark.parametrize("task", [
         {"op": "verify_unitary", "operator": "U", "mode": mode, "expect": expect}
