@@ -37,12 +37,12 @@ from .shifts import (
     BilateralShift,
     WeightSequence,
     WindowedWeights,
-    _BLOCK_ROWS,
     identity_weights,
 )
 
 
 _OUTSIDE = "index outside a stored window"
+_BLOCK_ROWS = 512        # rows evaluated at once; keeps working memory flat
 
 
 @dataclass(slots=True)

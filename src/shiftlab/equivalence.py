@@ -8,15 +8,24 @@ matrices.  A found conjugator is turned into a full diagonal witness by a
 two-sided recursion and re-verified; certified failures carry a recomputable
 obstruction.
 
-The joint conjugator is solved in the eigenbases of the first Gram pair.
-There the first constraint is diagonal, so only the conjugator entries
-joining (nearly) equal eigenvalues stay unknown: about d of them for a
-simple spectrum, not d^2, which removes the d^6 cost of an SVD of the full
+A decision decomposes each shift's weights once: one batched SVD of the
+distinct stored matrices per shift (``WeightSequence.singular_values``),
+read three times, by the quasi-invertibility check, the norm screen and
+the conditioning checks of the witness recursion.  The Gram chains read
+each shift's rows once and advance as one batched product.  So a decision
+that the screens refute makes two SVD calls.
+
+The joint conjugator is solved in the eigenbases of one Gram pair: the
+first, unless it keeps all d^2 unknowns (a scalar Gram, say); then the
+pair that keeps the fewest.  There that constraint is diagonal, so only the conjugator entries joining
+(nearly) equal eigenvalues stay unknown: about d of them for a simple
+spectrum, not d^2, which removes the d^6 cost of an SVD of the full
 Kronecker system.  Dropping the other entries can only raise singular
 values, and by a bounded amount, so infeasibility is certified against a
 correspondingly looser cutoff; where the reduced system can neither verify a
 unitary nor certify, the full system decides (see
-``solve_joint_conjugator``).
+``solve_joint_conjugator``).  When every pair is (nearly) scalar the
+identity is tried before the full system.
 """
 
 from __future__ import annotations
@@ -44,13 +53,11 @@ from .matrices import (
     herm,
     is_normal,
     nearest_unitary,
-    operator_norm,
     polar_decompose,
 )
 from .shifts import (
     BilateralShift,
     WindowedWeights,
-    _blockwise,
     _require_rows,
 )
 
@@ -121,21 +128,35 @@ def gram_chains(s: BilateralShift, t: BilateralShift, m: int, k_base: int,
     forward depths 1..depth, then backward depths 1..depth.  Weights are
     read forward S, forward T, backward S, backward T, each outward from its
     anchor row, so a missing row is the first one that order meets.
+
+    Each shift's rows are read once; the four products then advance
+    together, one batched ``matmul`` per depth, and every Gram comes from
+    one batched ``P* P``.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
-    grams = np.empty((2, depth, 2, s.dim, s.dim), dtype=complex)
-    for j, forward in enumerate((True, False)):
-        for i, (shift, base) in enumerate(((s, m + k_base), (t, k_base))):
-            acc = np.eye(shift.dim, dtype=complex)
-            for n in range(depth):
-                # each new factor sits leftmost: the next row forward, or
-                # the adjoint of the next row backward
-                acc = (shift.weight(base + n) if forward
-                       else herm(shift.weight(base - 1 - n))) @ acc
-                grams[j, n, i] = herm(acc) @ acc
+    anchors = ((s, m + k_base), (t, k_base))
+    stacks = [shift.weights.rows(base - depth, base + depth - 1) for shift, base in anchors]
+    for forward in (True, False):
+        for (shift, base), (_, present) in zip(anchors, stacks):
+            outward = present[depth:] if forward else present[depth - 1::-1]
+            if not outward.all():
+                n = int(np.argmin(outward))
+                shift.weight(base + n if forward else base - 1 - n)    # raises
+    # factors[j, n, i]: direction j (forward, backward), depth n + 1, shift i
+    factors = np.empty((2, depth, 2, s.dim, s.dim), dtype=complex)
+    for i, (w, _) in enumerate(stacks):
+        factors[0, :, i] = w[depth:]
+        factors[1, :, i] = herm(w[depth - 1::-1])
+    products = np.empty_like(factors)
+    acc = np.eye(s.dim, dtype=complex)
+    for n in range(depth):
+        # each new factor sits leftmost: the next row forward, or the
+        # adjoint of the next row backward
+        acc = products[:, n] = factors[:, n] @ acc
+    grams = np.matmul(herm(products), products, out=factors)
     return grams.reshape(2 * depth, 2, s.dim, s.dim)
 
 
@@ -159,17 +180,18 @@ class ConjugatorResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _eigen_mismatch(g_s, g_t):
-    """Largest gap between the sorted spectra of two Hermitian matrices."""
-    es = np.sort(np.linalg.eigvalsh(0.5 * (g_s + herm(g_s))))
-    et = np.sort(np.linalg.eigvalsh(0.5 * (g_t + herm(g_t))))
+def _eigen_mismatch(pair):
+    """Largest gap between the spectra of a Hermitian pair ``(G_s, G_t)``,
+    its scale, and the two ascending spectra, from one ``eigvalsh`` of the
+    stacked pair."""
+    es, et = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
     gap = float(np.max(np.abs(es - et)))
     scale = max(float(np.max(np.abs(es))), float(np.max(np.abs(et))), 1.0)
-    return gap, scale
+    return gap, scale, es, et
 
 
-#: First-pair eigenvalue gap, relative to that pair's scale, beyond which an
-#: entry of the conjugator in the eigenbasis is dropped from the system.
+#: Eigenvalue gap of the reducing pair, relative to that pair's scale, beyond
+#: which an entry of the conjugator in its eigenbasis is dropped from the system.
 _TAU = 1e-2
 #: Random combinations of the null-space basis tried after the basis itself.
 _RESTARTS = 64
@@ -182,15 +204,21 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     ``pairs`` is a list of pairs or the (P, 2, d, d) array of ``gram_chains``.
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
     ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system A.  It is
-    solved in the eigenbases of the first pair, ``G_s1 = Y_s L_s Y_s*`` and
-    ``G_t1 = Y_t L_t Y_t*``: with ``U = Y_t X Y_s*`` block i becomes
+    solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
+    ``G_tc = Y_t L_t Y_t*``: with ``U = Y_t X Y_s*`` block i becomes
     ``(Y_t* G_t Y_t) X - X (Y_s* G_s Y_s)``, a unitary change of both the
     unknown and each block's output, so the singular values are unchanged.
-    Block 1 is now diagonal, entry ``X_ab`` scaled by
-    ``delta_ab = (l_t,a - l_s,b) / s_1``, and only the k entries with
+    Block c is now diagonal, entry ``X_ab`` scaled by
+    ``delta_ab = (l_t,a - l_s,b) / s_c``, and only the k entries with
     ``|delta_ab| <= tau`` are kept (about d for a simple spectrum instead of
     d^2).  The restricted system is filled without Kronecker products and
     reduced by a thin SVD.
+
+    The reducing pair c is the first pair unless that keeps all d^2
+    entries; then it is the pair that keeps the fewest, counted from the
+    spectra of the spectrum screen.  When every pair keeps all d^2 entries
+    (scalar Grams, say) the identity is tried first, and returned if it
+    passes ``tol.accepts`` against every pair.
 
     The span of singular values ``<= c`` is searched for a unitary element
     by projecting candidate combinations to their unitary polar factor; the
@@ -213,6 +241,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     Certified results carry the smallest singular value of the system they
     rest on as ``residual``; ``diagnostics`` holds ``cutoff``,
     ``certify_cutoff``, ``columns_kept`` and ``tau``.
+    An accepted identity solves no system and keeps no columns.
     """
     try:
         pairs = np.asarray(pairs, dtype=complex)
@@ -224,27 +253,53 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
         raise DimensionError("constraint pairs must form a (P, 2, d, d) array, "
                              f"got shape {pairs.shape}")
     dim = pairs.shape[2]
-    for i, (gs, gt) in enumerate(pairs):
-        gap, scale = _eigen_mismatch(gs, gt)
+    spectra = []
+    for i, pair in enumerate(pairs):
+        gap, scale, es, et = _eigen_mismatch(pair)
         if tol.refutes(gap, scale):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
+        spectra.append((es, et))
 
     g_s, g_t = pairs[:, 0], pairs[:, 1]
     norm_s = np.linalg.norm(g_s, axis=(1, 2))
     norm_t = np.linalg.norm(g_t, axis=(1, 2))
     scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
-    _, y_s = np.linalg.eigh(0.5 * (g_s[0] + herm(g_s[0])))
-    _, y_t = np.linalg.eigh(0.5 * (g_t[0] + herm(g_t[0])))
-    h_s = herm(y_s) @ g_s @ y_s
-    h_t = herm(y_t) @ g_t @ y_t
-    diag_s, diag_t = h_s[0].diagonal(), h_t[0].diagonal()
-    scale1 = float(scales[0])
-    leak = (frob(h_t[0] - np.diag(diag_t)) + frob(h_s[0] - np.diag(diag_s))) / scale1
-    delta = np.abs(diag_t[:, None] - diag_s[None, :]) / scale1
     norm_bound = float(np.sqrt(np.sum(((norm_s + norm_t) / scales) ** 2)))
     rel = max(tol.rel, 1e-11)
     bound_cutoff = max(norm_bound, 1.0) * rel
+
+    def kept(i, width):
+        """Entries ``X_ab`` whose eigenvalues in pair i differ by at most
+        ``width`` relative to its scale, counted from its two spectra."""
+        es, et = spectra[i]
+        return np.count_nonzero(np.abs(et[:, None] - es[None, :]) <= width * scales[i])
+
+    tau0 = max(_TAU, 2.0 * bound_cutoff)
+    c = 0
+    if kept(0, tau0) == dim * dim:
+        counts = [kept(i, tau0) for i in range(len(pairs))]
+        c = int(np.argmin(counts))
+        if counts[c] == dim * dim:
+            worst = float(np.max(np.linalg.norm(g_t - g_s, axis=(1, 2)) / scales))
+            if tol.accepts(worst, 1.0):
+                # no system is solved: block i has the singular values
+                # |l_t,a - l_s,b| / s_i, so each pair bounds the null space,
+                # and the tightest bound is exact for commuting pairs
+                null = min(kept(i, rel) for i in range(len(pairs)))
+                return ConjugatorResult(np.eye(dim, dtype=complex), residual=worst,
+                                        nullspace_dim=null,
+                                        diagnostics={"columns_kept": 0,
+                                                     "note": "the identity satisfies "
+                                                             "every pair"})
+    _, y_s = np.linalg.eigh(0.5 * (g_s[c] + herm(g_s[c])))
+    _, y_t = np.linalg.eigh(0.5 * (g_t[c] + herm(g_t[c])))
+    h_s = herm(y_s) @ g_s @ y_s
+    h_t = herm(y_t) @ g_t @ y_t
+    diag_s, diag_t = h_s[c].diagonal(), h_t[c].diagonal()
+    scale_c = float(scales[c])
+    leak = (frob(h_t[c] - np.diag(diag_t)) + frob(h_s[c] - np.diag(diag_s))) / scale_c
+    delta = np.abs(diag_t[:, None] - diag_s[None, :]) / scale_c
     # tau stays at least twice the cutoff, so rho <= 1/2
     tau = max(_TAU, 2.0 * (bound_cutoff + leak))
     rng = np.random.default_rng(seed)
@@ -389,13 +444,14 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     return PositiveForm(shift, diagonal, float(res.max()))
 
 
-def _norm_mismatches(s, t, k_min, k_max, lo, hi, tol):
+def _norm_mismatches(values_s, values_t, k_min, k_max, lo, hi, tol):
     """For each offset k in [k_min, k_max], the first (n, |gap|) where
     ``||S_{n+k}|| != ||T_n||`` on the window, or None.  Each shift's norm
-    profile is computed once, over the rows the offsets reach."""
+    profile is gathered once from its ``SingularValues``, over the rows the
+    offsets reach."""
     count = max(hi - lo + 1, 0)
-    norm_s, has_s = _blockwise(s.weights, lo + k_min, hi + k_max, operator_norm)
-    norm_t, has_t = _blockwise(t.weights, lo, hi, operator_norm)
+    norm_s, has_s = values_s.norms(lo + k_min, hi + k_max)
+    norm_t, has_t = values_t.norms(lo, hi)
     out = []
     for j in range(k_max - k_min + 1):
         a = norm_s[j:j + count]
@@ -414,7 +470,9 @@ def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
     An empty result certifies that no diagonal-form intertwiner with offset
     in the range exists.
     """
-    mismatches = _norm_mismatches(s, t, k_min, k_max, lo, hi, tol)
+    mismatches = _norm_mismatches(s.weights.singular_values(),
+                                  t.weights.singular_values(),
+                                  k_min, k_max, lo, hi, tol)
     return {k for k, mism in enumerate(mismatches, k_min) if mism is None}
 
 
@@ -451,7 +509,7 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
 def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
                      u0: np.ndarray, lo: int, hi: int,
                      tol: Tolerance = DEFAULT_TOL,
-                     unitary_tol: float = 1e-8) -> BandedOperator:
+                     unitary_tol: float = 1e-8, *, _values=None) -> BandedOperator:
     """Single-band intertwiner at offset m built from the anchor unitary.
 
     The band holds the entries ``V_n`` for rows ``lo-1 .. hi`` of the
@@ -459,7 +517,10 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     obey ``V_n S_{n+m} = T_n V_{n-1}`` with the anchor ``V_{-1} = u0``;
     upward entries use weight inverses of S, downward entries inverses of T.
     Each entry is checked for unitarity, which holds exactly when the Gram
-    conditions held for ``u0`` at the required depth.
+    conditions held for ``u0`` at the required depth.  Each weight inverted
+    is checked for conditioning first, from the shifts' singular values:
+    ``_values``, the ``(S, T)`` pair of ``singular_values()`` a caller has
+    already read, or read here.
 
     Raises
     ------
@@ -485,19 +546,24 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
                 f"conditions fail at this depth", residual=res, index=n)
         return mat
 
-    def solve(a, x, n):
-        """``a^{-1} x`` for a (possibly transposed) weight a of row n."""
-        if condition_ratio(a) <= INVERTIBILITY_THRESHOLD:
+    def solve(a, x, n, ratio):
+        """``a^{-1} x`` for a (possibly transposed) weight a of row n, whose
+        smin/smax is ``ratio``."""
+        if ratio <= INVERTIBILITY_THRESHOLD:
             raise ConditioningError(f"weight at n={n} is not invertible", index=n)
         return np.linalg.solve(a, x)
 
+    values_s, values_t = _values or (s.weights.singular_values(),
+                                     t.weights.singular_values())
+    ratio_s, _ = values_s.ratios(m, hi + m)      # S_{n+m} for n = 0 .. hi
+    ratio_t, _ = values_t.ratios(lo, -1)         # T_n for n = lo .. -1
     entries = {-1: u0}
     for n in range(0, hi + 1):          # V_n = T_n V_{n-1} S_{n+m}^{-1}
-        entries[n] = checked(n, t.weight(n) @ solve(s.weight(n + m).T,
-                                                    entries[n - 1].T, n + m).T)
+        entries[n] = checked(n, t.weight(n) @ solve(s.weight(n + m).T, entries[n - 1].T,
+                                                    n + m, ratio_s[n]).T)
     for n in range(-1, lo - 1, -1):     # V_{n-1} = T_n^{-1} V_n S_{n+m}
-        entries[n - 1] = checked(n - 1, solve(t.weight(n),
-                                              entries[n] @ s.weight(n + m), n))
+        entries[n - 1] = checked(n - 1, solve(t.weight(n), entries[n] @ s.weight(n + m),
+                                              n, ratio_t[n - lo]))
     mats = [entries[n] for n in range(lo - 1, hi + 1)]
     return single_band(m, WindowedWeights(lo - 1, mats), label="diagonal witness")
 
@@ -577,20 +643,22 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     """
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
+    values = []          # each shift's singular values, read once
     for name, shift in (("S", s), ("T", t)):
-        if not shift.quasi_invertible:
+        values.append(shift.weights.singular_values())
+        if not values[-1].invertible:
             raise ConditioningError(f"{name} has weights failing the "
                                     f"invertibility threshold")
     spans, (lo, hi), depth, period = _decision_scope(s, t, m, window, depth)
 
-    mism = _norm_mismatches(s, t, m, m, lo, hi, tol)[0]
+    mism = _norm_mismatches(*values, m, m, lo, hi, tol)[0]
     if mism is not None:
         n, gap = mism
         return _not_equivalent(m, "norm-profile", n, gap,
                                f"||S_{{n+{m}}}|| != ||T_n|| at n={n}")
 
-    if s.dim == 2 and all(_blockwise(x.weights, x.weights.lo, x.weights.hi,
-                                     lambda w: is_normal(w, tol))[0].all() for x in (s, t)):
+    if s.dim == 2 and all(is_normal(np.array(x.weights._distinct), tol).all()
+                          for x in (s, t)):
         rep = eigen_moduli_screen(s, t, m, lo, hi, tol)
         if not rep.passed:
             bad = rep.first_failure()
@@ -625,7 +693,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
 
     verify_tol = Tolerance(rel=max(tol.rel, 1e-8), abs=max(tol.abs, 1e-10))
     try:
-        witness = diagonal_witness(s, t, m, found.unitary, lo, hi, tol)
+        witness = diagonal_witness(s, t, m, found.unitary, lo, hi, tol, _values=values)
     except (PreconditionError, ConditioningError, WindowAccessError) as exc:
         return _inconclusive(m, f"witness construction failed: {exc}")
     wrep = verify_intertwining(witness, s, t, lo, hi, verify_tol)

@@ -132,11 +132,17 @@ def operator_norm(m: np.ndarray):
     return _scalar_or_array(np.linalg.svd(as_matrix(m), compute_uv=False)[..., 0])
 
 
+def singular_ratio(s: np.ndarray) -> np.ndarray:
+    """smin/smax of descending singular values on the last axis; 0.0 where
+    they are all zero."""
+    top = s[..., 0]
+    return s[..., -1] / (top + (top == 0.0))    # zero matrix: 0 / 1
+
+
 def condition_ratio(m: np.ndarray):
     """smin/smax of the matrix; 0.0 for the zero matrix."""
-    s = np.linalg.svd(require_square(m), compute_uv=False)
-    top = s[..., 0]
-    return _scalar_or_array(s[..., -1] / (top + (top == 0.0)))    # zero matrix: 0 / 1
+    return _scalar_or_array(singular_ratio(
+        np.linalg.svd(require_square(m), compute_uv=False)))
 
 
 def polar_decompose(m):

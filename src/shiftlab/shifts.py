@@ -12,11 +12,20 @@ matrices again (periodic), the identity (eventually-identity) or nothing
 (windowed).  ``weight_at(n)`` reads one row; ``rows(lo, hi)`` reads a range
 as an (N, d, d) stack with the mask of the rows the sequence defines;
 ``reindex_weights`` moves a sequence along the indices, keeping its variant
-and its stored matrices.  Only
-this module maps indices to stored matrices: the readers of a range (norm
-profiles, the verifiers' engine, the screens of ``equivalence``) go through
-``rows``, and those reading whole stored spans do so in blocks of
-``_BLOCK_ROWS`` rows, so their working memory does not grow with the span.
+and its stored matrices.  Only this module maps indices to stored matrices.
+The verifiers' engine, the Gram chains, the positive form and the
+eigenvalue screen read ranges through ``rows``.
+
+Singular values have one reader, ``singular_values()``: a table with one
+row per distinct stored matrix (and one for the matrix the variant puts
+off its span), onto which any range of rows maps by the variant's index
+rule.  Each read decomposes the matrices it reaches that are not yet in
+the table, with one batched SVD.  Quasi-invertibility, norm profiles and
+the norm and conditioning screens of ``equivalence`` all read it, gathering
+one value per row, so a range of N rows costs O(N) floats whatever the
+block dimension.  A reader is made per call and never kept: a sequence
+holds the caller's arrays, which the caller may change.  Only which
+stored rows share one array is worked out once, when the sequence is made.
 """
 
 from __future__ import annotations
@@ -26,27 +35,27 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, WindowAccessError
-from .matrices import (
-    INVERTIBILITY_THRESHOLD,
-    condition_ratio,
-    operator_norm,
-    require_square,
-)
+from .matrices import INVERTIBILITY_THRESHOLD, require_square, singular_ratio
 
 
 def identity_matrix(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def _validated(weights) -> tuple:
+def _validated(weights):
     """The weights as complex arrays, checked in one pass over the list:
     nonempty, one square shape, finite entries.  Complex arrays are kept as
-    given, not copied, so a window repeating a few matrices stays small."""
+    given, not copied, so a window repeating a few matrices stays small.
+
+    Returns the tuple of arrays, the sequence of its distinct arrays
+    (distinct as objects, in order of first appearance) and, for each
+    weight, the index of its array in that sequence."""
     mats = tuple(np.asarray(w, dtype=complex) for w in weights)
     if not mats:
         raise ValueError("weight list must be nonempty")
     shape = mats[0].shape
-    distinct = list({id(m): m for m in mats}.values())
+    by_id = {id(m): m for m in mats}
+    distinct = list(by_id.values())
     if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
             or any(m.shape != shape for m in distinct)):
         i = next((i for i, m in enumerate(mats) if m.shape != shape), 0)
@@ -54,22 +63,28 @@ def _validated(weights) -> tuple:
             raise DimensionError(f"expected a matrix, got ndim={mats[i].ndim}")
         require_square(mats[i], f"weight {i}")     # raises unless square
         raise DimensionError(f"weight {i} has shape {mats[i].shape}, expected {shape}")
-    if not np.isfinite(np.stack(distinct)).all():
+    if not np.isfinite(np.array(distinct)).all():
         raise ValueError("matrix entries must be finite")
-    return mats
+    dtype = np.min_scalar_type(len(distinct))      # a window of few arrays stays small
+    if len(distinct) == len(mats):
+        return mats, mats, np.arange(len(mats), dtype=dtype)
+    index = {key: i for i, key in enumerate(by_id)}
+    return mats, distinct, np.fromiter((index[id(m)] for m in mats), dtype, len(mats))
 
 
 class WeightSequence(ABC):
     """Two-sided sequence of dim x dim complex matrices.
 
     Every variant stores the matrices of rows lo..hi; the variant decides
-    what the other rows hold.  ``rows`` reads any range at once.
+    what the other rows hold.  ``rows`` reads any range at once, and
+    ``singular_values`` the singular values of any range.
     """
 
     variant: str
+    _outside = None          # the matrix ``rows`` puts off the stored span, if any
 
     def __init__(self, lo: int, weights):
-        self._weights = _validated(weights)
+        self._weights, self._distinct, self._slots = _validated(weights)
         self.lo = int(lo)
         self.hi = self.lo + len(self._weights) - 1
         self.dim = self._weights[0].shape[0]
@@ -87,6 +102,16 @@ class WeightSequence(ABC):
         """Rows lo..hi at once: an (N, d, d) stack of ``weight_at(n)``, zero
         where it is undefined, and the (N,) ``has_index`` mask."""
 
+    @abstractmethod
+    def _table_rows(self, lo: int, hi: int):
+        """Rows lo..hi as (N,) indices into ``_distinct``, with
+        ``len(_distinct)`` where the row holds ``_outside``, and the (N,)
+        ``has_index`` mask."""
+
+    def singular_values(self) -> SingularValues:
+        """A new reader of the singular values of every row."""
+        return SingularValues(self)
+
     def described_items(self):
         """``(n, W_n)`` over the explicitly stored entries."""
         return [(self.lo + i, w) for i, w in enumerate(self._weights)]
@@ -96,19 +121,95 @@ class WeightSequence(ABC):
         implicitly (periodic)."""
         return (self.lo, self.hi)
 
-    def _span_rows(self, lo: int, hi: int, outside):
-        """Rows lo..hi with ``outside`` off the stored span, and the mask of
-        the rows inside it."""
+    def _span(self, lo: int, hi: int):
+        """The range [a, b) of the rows lo..hi that are stored, and the mask
+        of those rows."""
         count = max(hi - lo + 1, 0)
-        # rows [a, b) of the range are stored
         a, b = (min(max(i, 0), count) for i in (self.lo - lo, self.hi + 1 - lo))
-        stack = np.empty((count, self.dim, self.dim), dtype=complex)
-        stack[:a] = stack[b:] = outside
-        if a < b:
-            stack[a:b] = self._weights[lo + a - self.lo:lo + b - self.lo]
         inside = np.zeros(count, dtype=bool)
         inside[a:b] = True
+        return a, b, inside
+
+    def _span_rows(self, lo: int, hi: int):
+        """Rows lo..hi with ``_outside`` off the stored span, and the mask of
+        the rows inside it."""
+        a, b, inside = self._span(lo, hi)
+        stack = np.empty((len(inside), self.dim, self.dim), dtype=complex)
+        stack[:a] = stack[b:] = self._outside
+        if a < b:
+            stack[a:b] = self._weights[lo + a - self.lo:lo + b - self.lo]
         return stack, inside
+
+    def _span_table_rows(self, lo: int, hi: int):
+        """``_table_rows`` of rows lo..hi, and the mask of the rows inside
+        the stored span."""
+        a, b, inside = self._span(lo, hi)
+        rows = np.full(len(inside), len(self._distinct))
+        rows[a:b] = self._slots[lo + a - self.lo:lo + b - self.lo]
+        return rows, inside
+
+
+class SingularValues:
+    """The singular values of every row of a weight sequence.
+
+    ``table`` holds the descending singular values of each distinct stored
+    matrix (distinct as objects, in order of first appearance), then those
+    of the sequence's ``_outside`` matrix if it has one.  Rows map onto the
+    table by the variant's index rule: ``n mod p`` (periodic), the
+    identity's all-ones row off the span (eventually-identity), and the
+    zero matrix's row where a windowed sequence lacks the row, which the
+    ``has_index`` mask marks.  A table row is filled when a read first
+    reaches it, by one batched ``np.linalg.svd`` per read, so a short range
+    of a long stored span decomposes only the matrices it holds; rows not
+    filled yet are NaN.
+    """
+
+    def __init__(self, seq: WeightSequence):
+        self._seq = seq
+        self._mats = (seq._distinct if seq._outside is None else
+                      [*seq._distinct, np.broadcast_to(seq._outside, (seq.dim, seq.dim))])
+        self.table = np.full((len(self._mats), seq.dim), np.nan)
+        self._unfilled = len(self._mats)
+
+    def _fill(self, rows=None):
+        """Decompose the table rows ``rows`` (every row when None) that are
+        not filled yet."""
+        if not self._unfilled:
+            return
+        todo = np.isnan(self.table[:, 0])
+        if rows is not None:
+            wanted = np.zeros_like(todo)
+            wanted[rows] = True
+            todo &= wanted
+        todo = np.flatnonzero(todo)
+        if todo.size:
+            stack = np.array([self._mats[i] for i in todo])
+            self.table[todo] = np.linalg.svd(stack, compute_uv=False)
+            self._unfilled -= todo.size
+
+    @property
+    def invertible(self) -> bool:
+        """Every stored matrix passes the invertibility threshold.  Fills the
+        whole table, so later reads decompose nothing more."""
+        self._fill()
+        return bool(np.all(singular_ratio(self.table[:len(self._seq._distinct)])
+                           > INVERTIBILITY_THRESHOLD))
+
+    def gather(self, lo: int, hi: int, func):
+        """``func(table)[r]`` for the table row r of each row lo..hi, where
+        ``func`` maps the (K, d) table to one value per table row, and the
+        ``has_index`` mask."""
+        rows, present = self._seq._table_rows(lo, hi)
+        self._fill(rows)
+        return func(self.table)[rows], present
+
+    def norms(self, lo: int, hi: int):
+        """Operator norms of rows lo..hi, and the ``has_index`` mask."""
+        return self.gather(lo, hi, lambda table: table[:, 0])
+
+    def ratios(self, lo: int, hi: int):
+        """smin/smax of rows lo..hi, and the ``has_index`` mask."""
+        return self.gather(lo, hi, singular_ratio)
 
 
 class PeriodicWeights(WeightSequence):
@@ -133,6 +234,10 @@ class PeriodicWeights(WeightSequence):
             stack[r::self.period] = self._weights[(lo + r) % self.period]
         return stack, np.ones(count, dtype=bool)
 
+    def _table_rows(self, lo: int, hi: int):
+        rows = self._slots[np.arange(lo, hi + 1) % self.period]
+        return rows, np.ones(len(rows), dtype=bool)
+
     def described_range(self):
         return None
 
@@ -147,14 +252,18 @@ class EventuallyIdentityWeights(WeightSequence):
 
     def __init__(self, lo: int, weights):
         super().__init__(lo, weights)
-        self._eye = identity_matrix(self.dim)
+        self._outside = identity_matrix(self.dim)
 
     def weight_at(self, n: int) -> np.ndarray:
-        return self._weights[n - self.lo] if self.lo <= n <= self.hi else self._eye
+        return self._weights[n - self.lo] if self.lo <= n <= self.hi else self._outside
 
     def rows(self, lo: int, hi: int):
-        stack, _ = self._span_rows(lo, hi, self._eye)
+        stack, _ = self._span_rows(lo, hi)
         return stack, np.ones(len(stack), dtype=bool)
+
+    def _table_rows(self, lo: int, hi: int):
+        rows, _ = self._span_table_rows(lo, hi)
+        return rows, np.ones(len(rows), dtype=bool)
 
     def __repr__(self):
         return (f"EventuallyIdentityWeights(lo={self.lo}, hi={self.hi}, "
@@ -165,6 +274,7 @@ class WindowedWeights(WeightSequence):
     """Stored matrices on [lo, hi]; any other index is an access error."""
 
     variant = "windowed"
+    _outside = 0.0           # zero blocks where a row is undefined
 
     def weight_at(self, n: int) -> np.ndarray:
         if self.lo <= n <= self.hi:
@@ -176,24 +286,13 @@ class WindowedWeights(WeightSequence):
         return self.lo <= n <= self.hi
 
     def rows(self, lo: int, hi: int):
-        return self._span_rows(lo, hi, 0)
+        return self._span_rows(lo, hi)
+
+    def _table_rows(self, lo: int, hi: int):
+        return self._span_table_rows(lo, hi)
 
     def __repr__(self):
         return f"WindowedWeights(lo={self.lo}, hi={self.hi}, dim={self.dim})"
-
-
-_BLOCK_ROWS = 512        # rows read at once from long ranges; keeps working memory flat
-
-
-def _blockwise(seq: WeightSequence, lo: int, hi: int, func):
-    """``func`` of the stack of ``seq.rows(lo, hi)``, evaluated on blocks of
-    ``_BLOCK_ROWS`` rows and concatenated, and the ``has_index`` mask."""
-    values, present = [], []
-    for a in range(lo, max(hi, lo) + 1, _BLOCK_ROWS):     # one empty block if hi < lo
-        stack, has = seq.rows(a, min(a + _BLOCK_ROWS - 1, hi))
-        values.append(func(stack))
-        present.append(has)
-    return np.concatenate(values), np.concatenate(present)
 
 
 def _require_rows(seq: WeightSequence, lo: int, present: np.ndarray):
@@ -221,9 +320,8 @@ class BilateralShift:
     def __init__(self, weights: WeightSequence, label: str = ""):
         if not isinstance(weights, WeightSequence):
             raise TypeError("weights must be a WeightSequence")
-        norms, _ = _blockwise(weights, weights.lo, weights.hi,
-                              lambda w: np.linalg.norm(w, axis=(-2, -1)))
-        zero = np.flatnonzero(norms == 0.0)
+        norms = np.linalg.norm(np.array(weights._distinct), axis=(-2, -1))
+        zero = np.flatnonzero(norms[weights._slots] == 0.0)
         if zero.size:
             raise ValueError(f"shift weight at index {weights.lo + zero[0]} is zero")
         self.weights = weights
@@ -239,9 +337,7 @@ class BilateralShift:
     @property
     def quasi_invertible(self) -> bool:
         """Every described weight passes the invertibility threshold."""
-        seq = self.weights
-        ratios, _ = _blockwise(seq, seq.lo, seq.hi, condition_ratio)
-        return bool(np.all(ratios > INVERTIBILITY_THRESHOLD))
+        return self.weights.singular_values().invertible
 
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
@@ -252,6 +348,6 @@ def weight_norm_profile(shift: BilateralShift, lo: int, hi: int):
     """Operator norms ``||S_n||`` for n = lo .. hi."""
     if hi < lo:
         raise ValueError("hi must be >= lo")
-    norms, present = _blockwise(shift.weights, lo, hi, operator_norm)
+    norms, present = shift.weights.singular_values().norms(lo, hi)
     _require_rows(shift.weights, lo, present)
     return norms.tolist()
