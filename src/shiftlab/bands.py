@@ -11,11 +11,22 @@ All verifiers are tables for one engine, run on an explicit index window
 ``W_{n+j}`` or ``W_{n+j}*`` with the identity, zero or another such sum; its
 residual is the Frobenius norm of the difference.  Where a windowed sequence
 lacks an entry that a group of conditions needs, the group is skipped and
-recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS`` with
-batched ``matmul``, so working memory for the products does not grow with
-the window.  Each sequence a block needs is read once per block, over the
-block's rows plus the shifts its factors reach, by ``WeightSequence.rows``;
-this module never maps an index to a stored matrix itself.  A report keeps
+recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS``, so
+working memory for the products does not grow with the window.  Each
+sequence a block needs is read once per block, over the block's rows plus
+the shifts its factors reach, by ``WeightSequence.rows``; this module never
+maps an index to a stored matrix itself.
+
+A block holds every stack rows-last, as a (d, d, rows) array, so a product
+is computed for all rows of the block at once.  ``matmul`` over a stack
+pays a fixed cost per matrix, about 0.3 µs, which at block dims 2 to 4 is
+most of the product: at 512 rows a (512, d, d) ``matmul`` took 130-220 µs,
+and d broadcast multiply-adds over stacks contiguous along the rows took
+12-95 µs.  From d = 5 up the broadcast work (d^3 per row) overtakes BLAS,
+so above ``_BROADCAST_DIM`` the products run as ``matmul`` on (rows, d, d)
+views of the same arrays.  The kernel follows the block dim alone.  The
+broadcast sums run in another order than BLAS, so residuals differ from
+``matmul``'s in the last digits; pass/fail results do not.  A report keeps
 its checks and skips as columns (condition, row, residual, verdict), in row
 order or condition order, and builds a record only when one is read.
 """
@@ -32,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .matrices import DEFAULT_TOL, Tolerance, frob_norms, herm
+from .matrices import DEFAULT_TOL, Tolerance, frob_norms
 from .shifts import (
     BilateralShift,
     WeightSequence,
@@ -43,6 +54,16 @@ from .shifts import (
 
 _OUTSIDE = "index outside a stored window"
 _BLOCK_ROWS = 512        # rows evaluated at once; keeps working memory flat
+# Largest block dim whose products are broadcast multiply-adds, not ``matmul``
+# (see ``_mul``).  Measured on 2 cores, numpy 2.4 with one OpenBLAS thread,
+# broadcast over matmul time, medians of 31 interleaved runs of
+# verify_unitary_banded plus verify_intertwining of a periodic three-band
+# operator on 100 to 1000 rows: 0.3-0.7 at d = 3, 0.55-1.1 at d = 4, 0.8-1.5
+# at d = 5, 1.0-2.3 at d = 6; on the d = 4 operations of the verify-window
+# benchmark (seed 1) 0.67.  Each broadcast product allocates d + 1 arrays
+# of a block's size, which from d = 5 on also cost page faults (at 512 rows
+# they pass the 128 KiB above which glibc maps memory afresh).
+_BROADCAST_DIM = 4
 
 
 @dataclass(slots=True)
@@ -270,6 +291,27 @@ class _Group(NamedTuple):
     within: int | None = None
 
 
+def _rows_last(w):
+    """An (M, d, d) stack as the (d, d, M) operand of ``_mul``: a contiguous
+    copy for the broadcast product, a view of the rows-first array for
+    ``matmul``."""
+    w = w.transpose(1, 2, 0)
+    return np.ascontiguousarray(w) if len(w) <= _BROADCAST_DIM else w
+
+
+def _mul(a, b):
+    """Matrix products of two (d, d, M) stacks, row by row along the last axis.
+
+    Up to ``_BROADCAST_DIM`` the product is d broadcast multiply-adds over
+    whole rows; above it ``matmul`` (BLAS) runs on (M, d, d) views."""
+    if len(a) > _BROADCAST_DIM:
+        return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, len(a)):
+        out += a[:, j, None] * b[None, j]
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")    # an overflowed residual fails
 def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
               keep: int | None = None):
@@ -281,6 +323,7 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
     passed = np.zeros((len(conds), count), dtype=bool)
     has = np.ones((len(conds), count), dtype=bool)
     kept = None if keep is None else np.zeros((count, dim, dim), dtype=complex)
+    eye = np.eye(dim, dtype=complex)[:, :, None]     # broadcast along the rows
     reach = {}                          # least and greatest shift of each sequence
     for cond in conds:
         for f in (x for s in (cond.lhs, cond.rhs, *cond.scale)
@@ -289,34 +332,33 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             reach[f.seq] = min(first, f.shift), max(last, f.shift)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
         # each sequence once per block, over the block's rows plus its reach
-        stacks = {seq: (first, *seq.rows(lo + start + first, lo + stop - 1 + last))
-                  for seq, (first, last) in reach.items()}
+        stacks = {}
+        for seq, (first, last) in reach.items():
+            w, present = seq.rows(lo + start + first, lo + stop - 1 + last)
+            stacks[seq] = first, _rows_last(w), present
 
         def factor(f, mask):
             first, w, present = stacks[f.seq]
             rows = slice(f.shift - first, f.shift - first + stop - start)
             mask &= present[rows]
-            return herm(w[rows]) if f.adjoint else w[rows]
+            w = w[..., rows]
+            return w.conj().swapaxes(0, 1) if f.adjoint else w
 
         def total(terms, mask):
-            out = np.zeros_like(eye)
-            for product in terms:
-                out = out + functools.reduce(
-                    np.matmul, [factor(f, mask) for f in product] or [eye])
-            return out
+            return sum((functools.reduce(_mul, [factor(f, mask) for f in product] or [eye])
+                        for product in terms), 0.0)
 
         for c, cond in enumerate(conds):
             mask = has[c, start:stop]
             lhs = total(cond.lhs, mask)
-            res[c, start:stop] = frob_norms(lhs - total(cond.rhs, mask))
+            res[c, start:stop] = frob_norms(np.moveaxis(lhs - total(cond.rhs, mask), -1, 0))
             scale = functools.reduce(np.maximum, [
-                s if isinstance(s, float) else frob_norms(total(s, mask))
+                s if isinstance(s, float) else frob_norms(np.moveaxis(total(s, mask), -1, 0))
                 for s in cond.scale])
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
-                kept[start:stop] = lhs
+                kept[start:stop] = np.moveaxis(lhs, -1, 0)
     return res, passed, has, kept
 
 

@@ -13,7 +13,8 @@ distinct stored matrices per shift (``WeightSequence.singular_values``),
 read three times, by the quasi-invertibility check, the norm screen and
 the conditioning checks of the witness recursion.  The Gram chains read
 each shift's rows once and advance as one batched product.  So a decision
-that the screens refute makes two SVD calls.
+that the screens refute makes two SVD calls.  An offset scan reads the pair
+of readers once, for its norm screen, and passes them to every decision.
 
 The joint conjugator is solved in the eigenbases of one Gram pair: the
 first, unless it keeps all d^2 unknowns (a scalar Gram, say); then the
@@ -464,14 +465,15 @@ def _norm_mismatches(values_s, values_t, k_min, k_max, lo, hi, tol):
 
 def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
                        k_max: int, lo: int, hi: int,
-                       tol: Tolerance = DEFAULT_TOL) -> set:
+                       tol: Tolerance = DEFAULT_TOL, *, _values=None) -> set:
     """Offsets k in [k_min, k_max] with ``||S_{n+k}|| = ||T_n||`` on the window.
 
     An empty result certifies that no diagonal-form intertwiner with offset
-    in the range exists.
+    in the range exists.  ``_values`` is the ``(S, T)`` pair of
+    ``singular_values()`` a caller has already read, or None to read it here.
     """
-    mismatches = _norm_mismatches(s.weights.singular_values(),
-                                  t.weights.singular_values(),
+    mismatches = _norm_mismatches(*(_values or (s.weights.singular_values(),
+                                                t.weights.singular_values())),
                                   k_min, k_max, lo, hi, tol)
     return {k for k, mism in enumerate(mismatches, k_min) if mism is None}
 
@@ -629,7 +631,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                 depth: int | None = None,
                                 window: tuple | None = None,
                                 tol: Tolerance = DEFAULT_TOL,
-                                seed: int = 0) -> EquivalenceVerdict:
+                                seed: int = 0, *, _values=None) -> EquivalenceVerdict:
     """Decide unitary equivalence by a single-band intertwiner at offset m.
 
     Pipeline: weight-norm screen at offset m, eigenvalue-moduli screen (2x2
@@ -639,14 +641,15 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     weights an Equivalent verdict additionally requires the witness entries
     to repeat with the combined period, otherwise the result is
     ``inconclusive`` rather than an extrapolation, as it is when a Gram
-    product overflows the float range.
+    product overflows the float range.  Each shift's singular values are
+    read once: ``_values``, the ``(S, T)`` pair of ``singular_values()`` a
+    caller has already read, or read here.
     """
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
-    values = []          # each shift's singular values, read once
-    for name, shift in (("S", s), ("T", t)):
-        values.append(shift.weights.singular_values())
-        if not values[-1].invertible:
+    values = _values or (s.weights.singular_values(), t.weights.singular_values())
+    for name, reader in zip("ST", values):
+        if not reader.invertible:
             raise ConditioningError(f"{name} has weights failing the "
                                     f"invertibility threshold")
     spans, (lo, hi), depth, period = _decision_scope(s, t, m, window, depth)
@@ -765,7 +768,9 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
         lo, hi = base_lo - spread, base_hi + spread
     else:
         lo, hi = window
-    feasible = sorted(norm_offset_screen(s, t, k_min, k_max, lo, hi, tol),
+    # one singular-value reader per shift serves the screen and every decision
+    values = (s.weights.singular_values(), t.weights.singular_values())
+    feasible = sorted(norm_offset_screen(s, t, k_min, k_max, lo, hi, tol, _values=values),
                       key=lambda k: (abs(k), -k))
     if not feasible:
         return _not_equivalent(
@@ -774,8 +779,8 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     inconclusive = []
     last = None
     for m in feasible:
-        verdict = decide_diagonal_equivalence(s, t, m, depth=depth,
-                                              window=window, tol=tol, seed=seed)
+        verdict = decide_diagonal_equivalence(s, t, m, depth=depth, window=window,
+                                              tol=tol, seed=seed, _values=values)
         if verdict.is_equivalent:
             return verdict
         if verdict.is_inconclusive:

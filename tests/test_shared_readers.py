@@ -215,6 +215,36 @@ class TestDecompositionCount:
         assert verdict.obstruction.kind == predicted
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_an_offset_scan_reads_each_shift_once(self, rng, monkeypatch, dim):
+        # period 3: offsets -3, 0 and 3 pass the norm screen, and each is
+        # refuted by its Gram spectra, which need no SVD
+        s, t = _refuted_pair(rng, dim, "gram", periodic=True)
+        feasible = sl.norm_offset_screen(s, t, -3, 3, -6, 8)
+        assert {-3, 0, 3} <= feasible
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        verdict = sl.decide_diagonal_equivalence_scan(s, t, -3, 3)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        # the verdict of the last offset tried, as its own decision gives it
+        last = sorted(feasible, key=lambda k: (abs(k), -k))[-1]
+        alone = sl.decide_diagonal_equivalence(s, t, last)
+        assert verdict.is_not_equivalent and alone.is_not_equivalent
+        assert (verdict.offset, verdict.obstruction.kind, verdict.obstruction.index,
+                verdict.obstruction.residual) == (
+            alone.offset, alone.obstruction.kind, alone.obstruction.index,
+            alone.obstruction.residual)
+        assert verdict.obstruction.detail == (
+            f"{alone.obstruction.detail} (last of {len(feasible)} norm-feasible "
+            f"offsets scanned)")
+
 
 class TestNoStateBetweenCalls:
     def test_an_edited_weight_is_read_again(self, rng):
