@@ -351,14 +351,16 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
 
         for c, cond in enumerate(conds):
             mask = has[c, start:stop]
-            lhs = total(cond.lhs, mask)
-            res[c, start:stop] = frob_norms(np.moveaxis(lhs - total(cond.rhs, mask), -1, 0))
+            # scale entries that repeat lhs or rhs read their sums from here
+            sums = {cond.lhs: total(cond.lhs, mask), cond.rhs: total(cond.rhs, mask)}
+            res[c, start:stop] = frob_norms(np.moveaxis(sums[cond.lhs] - sums[cond.rhs], -1, 0))
             scale = functools.reduce(np.maximum, [
-                s if isinstance(s, float) else frob_norms(np.moveaxis(total(s, mask), -1, 0))
+                s if isinstance(s, float) else frob_norms(np.moveaxis(
+                    sums[s] if s in sums else total(s, mask), -1, 0))
                 for s in cond.scale])
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
-                kept[start:stop] = np.moveaxis(lhs, -1, 0)
+                kept[start:stop] = np.moveaxis(sums[cond.lhs], -1, 0)
     return res, passed, has, kept
 
 

@@ -1,20 +1,24 @@
 """Canonical forms and the diagonal-form unitary-equivalence decision.
 
 The decision procedure reduces "is there a unitary intertwiner supported on
-one diagonal?" to finitely many matrix conditions: a weight-norm screen, an
-eigenvalue-moduli screen for normal 2x2 weights, and the Gram-chain
-conditions, which ask for one unitary conjugating two families of positive
-matrices.  A found conjugator is turned into a full diagonal witness by a
-two-sided recursion and re-verified; certified failures carry a recomputable
-obstruction.
+one diagonal?" to finitely many matrix conditions: a singular-value screen
+and the Gram-chain conditions, which ask for one unitary conjugating two
+families of positive matrices.  A diagonal-form intertwiner at offset m
+gives ``T_n = V_n S_{n+m} V_{n-1}*`` with every ``V_n`` unitary, so
+``S_{n+m}`` and ``T_n`` have the same singular values at every row; the
+screen compares all of them, row by row, at any block dimension (for d = 1
+this is Shields' criterion that the weight moduli match).  A found
+conjugator is turned into a full diagonal witness by a two-sided recursion
+and re-verified; certified failures carry a recomputable obstruction.
 
 A decision decomposes each shift's weights once: one batched SVD of the
 distinct stored matrices per shift (``WeightSequence.singular_values``),
-read three times, by the quasi-invertibility check, the norm screen and
-the conditioning checks of the witness recursion.  The Gram chains read
-each shift's rows once and advance as one batched product.  So a decision
-that the screens refute makes two SVD calls.  An offset scan reads the pair
-of readers once, for its norm screen, and passes them to every decision.
+read three times, by the quasi-invertibility check, the singular-value
+screen and the conditioning checks of the witness recursion.  The Gram
+chains read each shift's rows once and advance as one batched product.  So
+a decision that the screen or the Gram spectra refute makes two SVD calls.
+An offset scan reads the pair of readers once, for its screen over every
+offset, and passes them to every decision.
 
 The joint conjugator is solved in the eigenbases of one Gram pair: the
 first, unless it keeps all d^2 unknowns (a scalar Gram, say); then the
@@ -38,6 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .bands import (
+    _BLOCK_ROWS,
     BandedOperator,
     WindowReport,
     _emit,
@@ -73,7 +78,7 @@ class VerdictStatus(str, Enum):
 class Obstruction:
     """A recomputable reason why no diagonal-form intertwiner exists."""
 
-    kind: str          # "norm-profile" | "eigenvalue-moduli" | "gram-spectrum"
+    kind: str          # "norm-profile" | "singular-values" | "gram-spectrum"
                        # | "conjugator-infeasible"
     offset: int
     index: int | None
@@ -445,36 +450,55 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     return PositiveForm(shift, diagonal, float(res.max()))
 
 
-def _norm_mismatches(values_s, values_t, k_min, k_max, lo, hi, tol):
-    """For each offset k in [k_min, k_max], the first (n, |gap|) where
-    ``||S_{n+k}|| != ||T_n||`` on the window, or None.  Each shift's norm
-    profile is gathered once from its ``SingularValues``, over the rows the
-    offsets reach."""
-    count = max(hi - lo + 1, 0)
-    norm_s, has_s = values_s.norms(lo + k_min, hi + k_max)
-    norm_t, has_t = values_t.norms(lo, hi)
-    out = []
-    for j in range(k_max - k_min + 1):
-        a = norm_s[j:j + count]
-        gap = np.abs(a - norm_t)
-        bad = np.flatnonzero(has_s[j:j + count] & has_t
-                             & tol.refutes(gap, np.maximum(a, norm_t)))
-        out.append((lo + int(bad[0]), float(gap[bad[0]])) if bad.size else None)
+def _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=None):
+    """For each offset k in [k_min, k_max], the first row n of the window
+    where ``S_{n+k}`` and ``T_n`` have different singular values, as
+    ``(n, kind, gap)``, or None.  ``columns`` limits the comparison to the
+    largest values, 1 to the operator norms; None compares them all.
+
+    A value differs when ``tol`` refutes its gap at the scale of the larger
+    top value of the row.  ``kind`` and ``gap`` come from the first column
+    that differs: "norm-profile" for the top value, the operator norm, and
+    "singular-values" for a lower one.  ``values`` is the ``(S, T)`` pair of
+    ``SingularValues``; the rows are gathered in blocks of ``_BLOCK_ROWS``, so
+    memory stays flat however wide the window.
+    """
+    values_s, values_t = values
+    out = [None] * (k_max - k_min + 1)
+    for a in range(lo, hi + 1, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, hi + 1)
+        sv_s, has_s = values_s.gather(a + k_min, b - 1 + k_max, lambda x: x[:, :columns])
+        sv_t, has_t = values_t.gather(a, b - 1, lambda x: x[:, :columns])
+        # columns first, so a row's largest gap is a maximum across columns;
+        # it decides the row, since no gap exceeds the row's scale
+        sv_s, sv_t = np.ascontiguousarray(sv_s.T), np.ascontiguousarray(sv_t.T)
+        for j in (j for j, mism in enumerate(out) if mism is None):
+            sv_k = sv_s[:, j:j + b - a]
+            gap, scale = np.abs(sv_k - sv_t), np.maximum(sv_k[0], sv_t[0])
+            bad = np.flatnonzero(has_s[j:j + b - a] & has_t
+                                 & tol.refutes(gap.max(axis=0), scale))
+            if bad.size:
+                i = int(bad[0])
+                col = int(np.argmax(tol.refutes(gap[:, i], scale[i])))
+                out[j] = (a + i, "singular-values" if col else "norm-profile",
+                          float(gap[col, i]))
+        if None not in out:
+            break
     return out
 
 
 def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
                        k_max: int, lo: int, hi: int,
                        tol: Tolerance = DEFAULT_TOL, *, _values=None) -> set:
-    """Offsets k in [k_min, k_max] with ``||S_{n+k}|| = ||T_n||`` on the window.
+    """Offsets k in [k_min, k_max] at which ``S_{n+k}`` and ``T_n`` have the
+    same singular values on the window, the operator norm among them.
 
     An empty result certifies that no diagonal-form intertwiner with offset
     in the range exists.  ``_values`` is the ``(S, T)`` pair of
     ``singular_values()`` a caller has already read, or None to read it here.
     """
-    mismatches = _norm_mismatches(*(_values or (s.weights.singular_values(),
-                                                t.weights.singular_values())),
-                                  k_min, k_max, lo, hi, tol)
+    values = _values or (s.weights.singular_values(), t.weights.singular_values())
+    mismatches = _profile_mismatches(values, k_min, k_max, lo, hi, tol)
     return {k for k, mism in enumerate(mismatches, k_min) if mism is None}
 
 
@@ -634,14 +658,15 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                 seed: int = 0, *, _values=None) -> EquivalenceVerdict:
     """Decide unitary equivalence by a single-band intertwiner at offset m.
 
-    Pipeline: weight-norm screen at offset m, eigenvalue-moduli screen (2x2
-    normal weights), Gram chains to the stabilization depth, joint-conjugator
-    search, then construction and re-verification of the full diagonal
-    witness.  Verdicts are certified relative to the window; for periodic
-    weights an Equivalent verdict additionally requires the witness entries
-    to repeat with the combined period, otherwise the result is
-    ``inconclusive`` rather than an extrapolation, as it is when a Gram
-    product overflows the float range.  Each shift's singular values are
+    Pipeline: singular-value screen at offset m (refuting as "norm-profile"
+    when the operator norms differ at the first differing row, else as
+    "singular-values"), Gram chains to the stabilization depth,
+    joint-conjugator search, then construction and re-verification of the
+    full diagonal witness.  Verdicts are certified relative to the window;
+    for periodic weights an Equivalent verdict additionally requires the
+    witness entries to repeat with the combined period, otherwise the
+    result is ``inconclusive`` rather than an extrapolation, as it is when a
+    Gram product overflows the float range.  Each shift's singular values are
     read once: ``_values``, the ``(S, T)`` pair of ``singular_values()`` a
     caller has already read, or read here.
     """
@@ -654,19 +679,11 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                     f"invertibility threshold")
     spans, (lo, hi), depth, period = _decision_scope(s, t, m, window, depth)
 
-    mism = _norm_mismatches(*values, m, m, lo, hi, tol)[0]
+    mism = _profile_mismatches(values, m, m, lo, hi, tol)[0]
     if mism is not None:
-        n, gap = mism
-        return _not_equivalent(m, "norm-profile", n, gap,
-                               f"||S_{{n+{m}}}|| != ||T_n|| at n={n}")
-
-    if s.dim == 2 and all(is_normal(np.array(x.weights._distinct), tol).all()
-                          for x in (s, t)):
-        rep = eigen_moduli_screen(s, t, m, lo, hi, tol)
-        if not rep.passed:
-            bad = rep.first_failure()
-            return _not_equivalent(m, "eigenvalue-moduli", bad.index, bad.residual,
-                                   f"eigenvalue moduli differ at n={bad.index}")
+        n, kind, gap = mism
+        return _not_equivalent(m, kind, n, gap, f"the singular values of S_{{n+{m}}} "
+                                                f"and T_n differ at n={n}")
 
     try:
         pairs = gram_chains(s, t, m, 0, depth)
@@ -749,11 +766,14 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
                                      window: tuple | None = None,
                                      tol: Tolerance = DEFAULT_TOL,
                                      seed: int = 0) -> EquivalenceVerdict:
-    """Scan offsets in [k_min, k_max], trying norm-feasible ones first.
+    """Scan offsets in [k_min, k_max], deciding those the singular-value
+    screen leaves on the window.
 
     Returns the first Equivalent verdict (offsets ordered by |m|, positive
     first on ties); otherwise Inconclusive if any offset was inconclusive;
-    otherwise NotEquivalent with the scan summary as obstruction.
+    otherwise NotEquivalent: the last decision's obstruction, or, when the
+    screen leaves no offset, a summary of kind "norm-profile" if the
+    operator norms alone refute every offset, else "singular-values".
 
     Raises
     ------
@@ -773,22 +793,18 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     feasible = sorted(norm_offset_screen(s, t, k_min, k_max, lo, hi, tol, _values=values),
                       key=lambda k: (abs(k), -k))
     if not feasible:
+        norms = _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=1)
         return _not_equivalent(
-            0, "norm-profile", None, 0.0,
-            f"no offset in [{k_min}, {k_max}] matches the weight-norm profile")
-    inconclusive = []
-    last = None
+            0, "singular-values" if None in norms else "norm-profile", None, 0.0,
+            f"no offset in [{k_min}, {k_max}] matches the singular-value profile")
+    verdicts = []
     for m in feasible:
-        verdict = decide_diagonal_equivalence(s, t, m, depth=depth, window=window,
-                                              tol=tol, seed=seed, _values=values)
-        if verdict.is_equivalent:
-            return verdict
-        if verdict.is_inconclusive:
-            inconclusive.append(verdict)
-        last = verdict
-    if inconclusive:
-        return inconclusive[0]
-    verdict = last
-    verdict.obstruction.detail += (
-        f" (last of {len(feasible)} norm-feasible offsets scanned)")
+        verdicts.append(decide_diagonal_equivalence(s, t, m, depth=depth, window=window,
+                                                    tol=tol, seed=seed, _values=values))
+        if verdicts[-1].is_equivalent:
+            return verdicts[-1]
+    verdict = next((v for v in verdicts if v.is_inconclusive), verdicts[-1])
+    if verdict.is_not_equivalent:
+        verdict.obstruction.detail += (
+            f" (last of {len(feasible)} offsets the singular-value screen left)")
     return verdict

@@ -21,11 +21,13 @@ row per distinct stored matrix (and one for the matrix the variant puts
 off its span), onto which any range of rows maps by the variant's index
 rule.  Each read decomposes the matrices it reaches that are not yet in
 the table, with one batched SVD.  Quasi-invertibility, norm profiles and
-the norm and conditioning screens of ``equivalence`` all read it, gathering
-one value per row, so a range of N rows costs O(N) floats whatever the
-block dimension.  A reader is made per call and never kept: a sequence
-holds the caller's arrays, which the caller may change.  Only which
-stored rows share one array is worked out once, when the sequence is made.
+the conditioning checks of ``equivalence`` read it one value per row, so a
+range of N rows costs O(N) floats whatever the block dimension; the
+singular-value screen of ``equivalence`` reads all d values of each row, a
+block of rows at a time, so its memory does not grow with the range.  A
+reader is made per call and never kept: a sequence holds the caller's
+arrays, which the caller may change.  Only which stored rows share one
+array is worked out once, when the sequence is made.
 """
 
 from __future__ import annotations

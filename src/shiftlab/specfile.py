@@ -231,7 +231,10 @@ _INDEX_LIMIT = 10**5
 _DEPTH_LIMIT = 10**4
 #: The most (offset, row) pairs a ``norm_offset_screen`` task compares: its
 #: ``k_range`` width times its window rows.  The screen's cost grows with
-#: both, and at this budget it stays within seconds.
+#: both and with the block dim, since a pair compares d singular values: at
+#: this budget a dim-16 period-1 shift against itself, where every offset
+#: passes and so reads every row, took 0.6-0.7 s (2 cores, numpy 2.4, one
+#: BLAS thread; 0.06 s when the screen compared operator norms alone).
 _SCREEN_BUDGET = 10**7
 #: The widest ``m_range`` of a ``decide`` task: it may run one decision per
 #: offset.

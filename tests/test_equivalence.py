@@ -132,6 +132,32 @@ class TestEigenModuliScreen:
         assert not rep.passed
         assert rep.first_failure().index == 1
 
+    def test_decide_refutes_a_moduli_gap_by_the_singular_value_screen(self, rng):
+        # normal weights have their eigenvalue moduli as singular values: a
+        # pair whose moduli differ at row 1 fails this screen there, and the
+        # decision refutes it at that row by its singular-value screen
+        for which, kind in ((0, "norm-profile"), (1, "singular-values")):
+            q = [random_unitary(rng) for _ in range(3)]
+            lam = [rng.uniform(0.5, 1.0, 2) * np.exp(2j * np.pi * rng.random(2))
+                   for _ in range(3)]
+            lam = [x[np.argsort(-np.abs(x))] for x in lam]      # moduli descending
+            s_w = [q[n] @ np.diag(lam[n]) @ herm(q[n]) for n in range(3)]
+            v = random_unitary(rng)
+            t_w = [v @ w @ herm(v) for w in s_w]
+            lam[1][which] *= 1.5 if which == 0 else 0.5
+            t_w[1] = v @ q[1] @ np.diag(lam[1]) @ herm(q[1]) @ herm(v)
+            s, t = (sl.BilateralShift(sl.EventuallyIdentityWeights(0, w)) for w in (s_w, t_w))
+            rep = sl.eigen_moduli_screen(s, t, 0, -3, 5)
+            assert not rep.passed and rep.first_failure().index == 1
+            verdict = sl.decide_diagonal_equivalence(s, t, 0)
+            assert verdict.is_not_equivalent
+            assert (verdict.obstruction.kind, verdict.obstruction.index) == (kind, 1)
+        # equal moduli and singular values: the Gram spectra refute
+        ex = sl.load_example("counterexample-sec2")
+        s, t = ex.shifts["S"], ex.shifts["T"]
+        assert sl.eigen_moduli_screen(s, t, 0, -3, 4).passed
+        assert sl.decide_diagonal_equivalence(s, t, 0).obstruction.kind == "gram-spectrum"
+
     def test_non_normal_weight_rejected(self):
         s = sl.BilateralShift(sl.EventuallyIdentityWeights(
             0, [np.array([[1.0, 1.0], [0.0, 1.0]])]))
@@ -585,14 +611,23 @@ class TestDecide:
                 assert frob(herm(w) @ w - I2) < 1e-8
 
     def test_perturbed_spectrum_refuted(self, rng):
+        # the singular-value screen refutes at the perturbed row, naming the
+        # operator norm when the top value moved, before any Gram chain
+        kinds = set()
         for k in range(8):
             s = ei_shift(rng, lo=0, length=3)
             t, _ = conjugated_shift(rng, s)
             t_bad = perturb_one_singular_value(rng, t, factor=1.2)
             verdict = sl.decide_diagonal_equivalence(s, t_bad, 0, seed=k)
             assert verdict.is_not_equivalent
-            assert verdict.obstruction.kind in ("norm-profile", "gram-spectrum",
-                                                "eigenvalue-moduli")
+            lo, hi = t.weights.described_range()
+            (row,) = [n for n in range(lo, hi + 1) if t_bad.weight(n) is not t.weight(n)]
+            moved = np.abs(np.linalg.svd(t_bad.weight(row), compute_uv=False)
+                           - np.linalg.svd(s.weight(row), compute_uv=False)) > 1e-8
+            kind = "norm-profile" if moved[0] else "singular-values"
+            assert (verdict.obstruction.kind, verdict.obstruction.index) == (kind, row)
+            kinds.add(kind)
+        assert kinds == {"norm-profile", "singular-values"}
 
     def test_obstruction_recomputes(self, rng):
         ex = sl.load_example("counterexample-sec2")
@@ -696,6 +731,17 @@ class TestDecideScan:
                                                       window=(-4, 4))
         assert verdict.is_not_equivalent
         assert verdict.obstruction.kind == "norm-profile"
+
+    def test_empty_screen_names_a_lower_singular_value(self, rng):
+        # at offset 1 the operator norms agree on every row: only a smallest
+        # singular value refutes it
+        s, t = lower_pair(rng, "eventually_identity", defects=1)
+        assert sl.norm_offset_screen(s, t, -3, 3, -9, 9) == set()
+        verdict = sl.decide_diagonal_equivalence_scan(s, t, -3, 3)
+        assert verdict.is_not_equivalent
+        assert (verdict.obstruction.kind, verdict.obstruction.index) == ("singular-values", None)
+        assert verdict.obstruction.detail == ("no offset in [-3, 3] matches the "
+                                              "singular-value profile")
 
     def test_reversed_range_refutes_nothing(self, rng):
         # an empty offset range must not come back as a certified verdict
@@ -860,15 +906,19 @@ class TestDecisionScope:
 # once through ``WeightSequence.rows``; the references below read one row at
 # a time through ``has_index``/``weight``.
 
-def ref_norm_mismatch(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
-    """First (n, |gap|) with ``||S_{n+k}|| != ||T_n||`` on rows both store."""
+def ref_profile_mismatch(s, t, k, lo, hi, tol=sl.DEFAULT_TOL):
+    """First (n, kind, |gap|) on rows both store where a singular value of
+    ``S_{n+k}`` differs from that of ``T_n``, beyond the bound at the larger
+    top value; the first differing value names the kind."""
     for n in range(lo, hi + 1):
         if not (s.weights.has_index(n + k) and t.weights.has_index(n)):
             continue
-        a = float(np.linalg.norm(s.weight(n + k), 2))
-        b = float(np.linalg.norm(t.weight(n), 2))
-        if abs(a - b) > tol.bound(max(a, b)):
-            return n, abs(a - b)
+        a = np.linalg.svd(s.weight(n + k), compute_uv=False)
+        b = np.linalg.svd(t.weight(n), compute_uv=False)
+        for j in range(s.dim):
+            gap = float(abs(a[j] - b[j]))
+            if gap > tol.bound(max(a[0], b[0])):
+                return n, "singular-values" if j else "norm-profile", gap
     return None
 
 
@@ -937,42 +987,76 @@ def gapped_pair(rng, normal=False, defects=1, lo_s=-6, hi_s=9, lo_t=-3, hi_t=12)
             sl.BilateralShift(sl.WindowedWeights(lo_t, t_w), label="T"))
 
 
+def lower_pair(rng, variant, defects=1, dim=3):
+    """S of the given variant with six stored rows from -2 (periodic: from
+    0), and T with ``T_n = U_n S_{n+1} W_n*`` wherever S defines row n + 1,
+    so the pair has the same singular values at offset 1, except that
+    ``defects`` stored rows of T have their smallest singular value scaled
+    by 0.7.  A windowed T stores rows -5..4, past S's window at both ends."""
+    mats = [random_invertible(rng, dim) for _ in range(6)]
+    if variant == "periodic":
+        s, t_lo, t_hi = sl.PeriodicWeights(mats), 0, 5
+    else:
+        s = getattr(sl, {"eventually_identity": "EventuallyIdentityWeights",
+                         "windowed": "WindowedWeights"}[variant])(-2, mats)
+        t_lo, t_hi = (-5, 4) if variant == "windowed" else (-3, 2)
+    t_w = [random_unitary(rng, dim) @ s.weight_at(n + 1) @ random_unitary(rng, dim)
+           if s.has_index(n + 1) else random_invertible(rng, dim)
+           for n in range(t_lo, t_hi + 1)]
+    for row in rng.choice(len(t_w), size=defects, replace=False):
+        x, sv, yh = np.linalg.svd(t_w[row])
+        sv[-1] *= 0.7
+        t_w[row] = x @ np.diag(sv) @ yh
+    t = (sl.PeriodicWeights(t_w) if variant == "periodic" else
+         type(s)(t_lo, t_w))
+    return sl.BilateralShift(s, label="S"), sl.BilateralShift(t, label="T")
+
+
 WINDOWS = [(-10, 15), (-4, 8), (0, 0), (10, 20), (-20, -12), (3, 2)]
+VARIANTS = ["periodic", "eventually_identity", "windowed"]
 
 
 class TestBatchedReadersAgainstRowLoops:
     @pytest.mark.parametrize("defects", [0, 1, 3])
     def test_norm_offset_screen(self, rng, defects):
+        # gapped windowed pairs, and pairs of each variant that differ only
+        # in a smallest singular value; offsets -3..3 reach rows a windowed
+        # S or T lacks
+        lower = 0
         for _ in range(10):
-            s, t = gapped_pair(rng, defects=defects)
-            for lo, hi in WINDOWS:
-                expected = {k for k in range(-3, 4)
-                            if ref_norm_mismatch(s, t, k, lo, hi) is None}
-                assert sl.norm_offset_screen(s, t, -3, 3, lo, hi) == expected
+            pairs = [gapped_pair(rng, defects=defects),
+                     *(lower_pair(rng, variant, defects) for variant in VARIANTS)]
+            for s, t in pairs:
+                for lo, hi in WINDOWS:
+                    mism = {k: ref_profile_mismatch(s, t, k, lo, hi) for k in range(-3, 4)}
+                    expected = {k for k, found in mism.items() if found is None}
+                    assert sl.norm_offset_screen(s, t, -3, 3, lo, hi) == expected
+                    lower += mism[1] is not None and mism[1][1] == "singular-values"
+        assert (lower > 50) == (defects > 0)
 
     def test_norm_screen_of_the_decision(self, rng):
-        refuted = 0
-        for _ in range(20):
-            s, t = gapped_pair(rng, defects=2)
-            for k in (-1, 0, 1):
-                for lo, hi in WINDOWS[:4]:
-                    mism = ref_norm_mismatch(s, t, k, lo, hi)
-                    verdict = sl.decide_diagonal_equivalence(s, t, k, depth=1,
-                                                              window=(lo, hi))
-                    o = verdict.obstruction
-                    if mism is None:
-                        assert o is None or o.kind != "norm-profile"
-                    else:
-                        refuted += 1
-                        assert (o.kind, o.index, o.residual) == ("norm-profile", *mism)
-        assert refuted > 50
+        refuted = {"norm-profile": 0, "singular-values": 0}
+        for i in range(20):
+            for s, t in (gapped_pair(rng, defects=2), lower_pair(rng, VARIANTS[i % 3], 2)):
+                for k in (-1, 0, 1):
+                    for lo, hi in WINDOWS[:4]:
+                        mism = ref_profile_mismatch(s, t, k, lo, hi)
+                        verdict = sl.decide_diagonal_equivalence(s, t, k, depth=1,
+                                                                  window=(lo, hi))
+                        o = verdict.obstruction
+                        if mism is None:
+                            assert o is None or o.kind not in refuted
+                        else:
+                            refuted[mism[1]] += 1
+                            assert (o.index, o.kind, o.residual) == mism
+        assert min(refuted.values()) > 20
 
     def test_norm_screen_across_row_blocks(self, rng):
-        # spans longer than ``_BLOCK_ROWS``, so the norm profiles are read in blocks
+        # spans longer than ``_BLOCK_ROWS``, so the profiles are read in blocks
         s, t = gapped_pair(rng, defects=2, lo_s=-300, hi_s=900, lo_t=-250, hi_t=1000)
         for lo, hi in [(-400, 1100), (0, 700), (-260, -250)]:
             expected = {k for k in range(-2, 3)
-                        if ref_norm_mismatch(s, t, k, lo, hi) is None}
+                        if ref_profile_mismatch(s, t, k, lo, hi) is None}
             assert sl.norm_offset_screen(s, t, -2, 2, lo, hi) == expected
         profile = sl.weight_norm_profile(s, -300, 900)
         np.testing.assert_allclose(

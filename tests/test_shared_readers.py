@@ -172,7 +172,8 @@ class TestBatchedGramChains:
 
 def _refuted_pair(rng, dim, kind, periodic=False):
     """T_n = V_n S_n W_{n-1}* with W = V (equivalent at offset 0) except
-    where ``kind`` spoils it: one scaled singular value ("norm") or one
+    where ``kind`` spoils it: the top singular value of one weight scaled
+    by 1.25 ("norm"), its smallest scaled by 0.7 ("lower"), or one
     mismatched right factor ("gram")."""
     p = 3
     s_w = [random_invertible(rng, dim) for _ in range(p)]
@@ -183,9 +184,10 @@ def _refuted_pair(rng, dim, kind, periodic=False):
     if kind == "gram":
         w[1] = random_unitary(rng, dim)
     t_w = [v[n + 1] @ s_w[n] @ herm(w[n]) for n in range(p)]
-    if kind == "norm":
+    if kind in ("norm", "lower"):
         x, sv, yh = np.linalg.svd(t_w[1])
-        t_w[1] = x @ np.diag(sv * np.r_[1.25, np.ones(dim - 1)]) @ yh
+        sv[0 if kind == "norm" else -1] *= 1.25 if kind == "norm" else 0.7
+        t_w[1] = x @ np.diag(sv) @ yh
     if periodic:
         return (sl.BilateralShift(sl.PeriodicWeights(s_w)),
                 sl.BilateralShift(sl.PeriodicWeights(t_w)))
@@ -197,6 +199,7 @@ class TestDecompositionCount:
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("kind, predicted", [("norm", "norm-profile"),
+                                                 ("lower", "singular-values"),
                                                  ("gram", "gram-spectrum")])
     def test_refuted_decision_calls_svd_at_most_twice(self, rng, monkeypatch, periodic,
                                                       dim, kind, predicted):
@@ -213,11 +216,13 @@ class TestDecompositionCount:
         monkeypatch.undo()
         assert verdict.is_not_equivalent
         assert verdict.obstruction.kind == predicted
+        if kind != "gram":                        # at the spoiled row, mod the period
+            assert verdict.obstruction.index % 3 == 1
         assert len(calls) <= 2
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_an_offset_scan_reads_each_shift_once(self, rng, monkeypatch, dim):
-        # period 3: offsets -3, 0 and 3 pass the norm screen, and each is
+        # period 3: offsets -3, 0 and 3 pass the singular-value screen, and each is
         # refuted by its Gram spectra, which need no SVD
         s, t = _refuted_pair(rng, dim, "gram", periodic=True)
         feasible = sl.norm_offset_screen(s, t, -3, 3, -6, 8)
@@ -242,8 +247,8 @@ class TestDecompositionCount:
             alone.offset, alone.obstruction.kind, alone.obstruction.index,
             alone.obstruction.residual)
         assert verdict.obstruction.detail == (
-            f"{alone.obstruction.detail} (last of {len(feasible)} norm-feasible "
-            f"offsets scanned)")
+            f"{alone.obstruction.detail} (last of {len(feasible)} offsets the "
+            f"singular-value screen left)")
 
 
 class TestNoStateBetweenCalls:
