@@ -22,19 +22,25 @@ offset, and passes them to every decision.
 
 The joint conjugator is solved in the eigenbases of one Gram pair: the
 first, unless it keeps all d^2 unknowns (a scalar Gram, say); then the
-pair that keeps the fewest.  There that constraint is diagonal, so only the conjugator entries joining
-(nearly) equal eigenvalues stay unknown: about d of them for a simple
-spectrum, not d^2, which removes the d^6 cost of an SVD of the full
-Kronecker system.  Dropping the other entries can only raise singular
-values, and by a bounded amount, so infeasibility is certified against a
-correspondingly looser cutoff; where the reduced system can neither verify a
-unitary nor certify, the full system decides (see
-``solve_joint_conjugator``).  When every pair is (nearly) scalar the
-identity is tried before the full system.
+pair that keeps the fewest.  There that constraint is diagonal, so only
+the conjugator entries joining (nearly) equal eigenvalues stay unknown:
+about d of them for a simple spectrum, not d^2, which removes the d^6 cost
+of an SVD of the full Kronecker system.  Dropping the other entries can
+only raise singular values, and by a bounded amount, so infeasibility is
+certified against a correspondingly looser cutoff; where the reduced
+system can neither verify a unitary nor certify, the full system decides.
+When every pair is (nearly) scalar the identity is tried before the full
+system.  ``solve_joint_conjugator`` runs these stages on module
+functions: the spectrum screen fills one (P, 2, d) array of spectra pair
+by pair and stops at the first refuted pair, ``_kept`` counts the kept
+entries of every pair at once, ``_restricted_system`` builds the scaled
+system on a keep mask, and ``_unitary_in_span`` searches a null-space
+basis for a unitary.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,15 +126,15 @@ class EquivalenceVerdict:
         return f"inconclusive: {self.reason}"
 
 
-def gram_chains(s: BilateralShift, t: BilateralShift, m: int, k_base: int,
+def gram_chains(s: BilateralShift, t: BilateralShift, m: int,
                 depth: int) -> np.ndarray:
     """Gram matrices of the matched forward and backward weight products.
 
-    Forward, for n = 1..depth: products ``S_{m+k+n-1} ... S_{m+k}`` against
-    ``T_{k+n-1} ... T_k`` (k = k_base).  Backward: adjoint products
-    ``S_{m+k-n}* ... S_{m+k-1}*`` against ``T_{k-n}* ... T_{k-1}*``.  A
-    unitary V satisfies all the metric equalities exactly when
-    ``V* G_t V = G_s`` for every pair.
+    Forward, for n = 1..depth: products ``S_{m+n-1} ... S_m`` against
+    ``T_{n-1} ... T_0``.  Backward: adjoint products ``S_{m-n}* ... S_{m-1}*``
+    against ``T_{-n}* ... T_{-1}*``.  A unitary V satisfies all the metric
+    equalities exactly when ``V* G_t V = G_s`` for every pair.  To anchor
+    at another row k, reindex both shifts by k (``reindex_weights``).
 
     Returns the (2*depth, 2, d, d) array of pairs ``(G_s, G_t)`` = ``P* P``:
     forward depths 1..depth, then backward depths 1..depth.  Weights are
@@ -143,7 +149,7 @@ def gram_chains(s: BilateralShift, t: BilateralShift, m: int, k_base: int,
         raise ValueError("depth must be a positive integer")
     if s.dim != t.dim:
         raise DimensionError("shifts must share the block dimension")
-    anchors = ((s, m + k_base), (t, k_base))
+    anchors = ((s, m), (t, 0))
     stacks = [shift.weights.rows(base - depth, base + depth - 1) for shift, base in anchors]
     for forward in (True, False):
         for (shift, base), (_, present) in zip(anchors, stacks):
@@ -186,16 +192,6 @@ class ConjugatorResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _eigen_mismatch(pair):
-    """Largest gap between the spectra of a Hermitian pair ``(G_s, G_t)``,
-    its scale, and the two ascending spectra, from one ``eigvalsh`` of the
-    stacked pair."""
-    es, et = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
-    gap = float(np.max(np.abs(es - et)))
-    scale = max(float(np.max(np.abs(es))), float(np.max(np.abs(et))), 1.0)
-    return gap, scale, es, et
-
-
 #: Eigenvalue gap of the reducing pair, relative to that pair's scale, beyond
 #: which an entry of the conjugator in its eigenbasis is dropped from the system.
 _TAU = 1e-2
@@ -203,11 +199,74 @@ _TAU = 1e-2
 _RESTARTS = 64
 
 
+def _kept(spectra, scales, width):
+    """For each pair i, the entries ``X_ab`` whose eigenvalues differ by at
+    most ``width * scales[i]``, counted from the (P, 2, d) ascending spectra
+    ``(es, et)`` of the pairs."""
+    es, et = spectra[:, 0], spectra[:, 1]
+    near = np.abs(et[:, :, None] - es[:, None, :]) <= width * scales[:, None, None]
+    return np.count_nonzero(near, axis=(1, 2))
+
+
+def _restricted_system(h_s, h_t, scales, keep):
+    """The stacked system ``(H_t X - X H_s) / s_i`` of the (P, d, d) blocks
+    ``h_s``, ``h_t`` on the entries ``X_ab`` with ``keep[a, b]``: a
+    (P d^2, k) matrix, and the kept ``rows``, ``cols``."""
+    rows, cols = np.nonzero(keep)
+    eye = np.eye(h_s.shape[-1])
+    # column j is X = e_r e_c^T: entry (p, q) of H_t X - X H_s is
+    # H_t[p, r] [q == c] - [p == r] H_s[c, q]
+    system = (h_t[:, :, None, rows] * eye[None, None, :, cols]
+              - eye[None, :, None, rows]
+              * h_s[:, cols, :].transpose(0, 2, 1)[:, None])
+    system = (system / scales[:, None, None, None]).reshape(-1, len(rows))
+    return system, rows, cols
+
+
+def _unitary_in_span(basis, pairs, scales, tol, rng):
+    """A unitary U with ``U* G_t U = G_s`` for every pair, sought in the
+    span of the (k, d, d) ``basis``.
+
+    Tries the basis elements, then ``_RESTARTS`` random complex
+    combinations drawn from ``rng``, each projected to its unitary polar
+    factor; singular candidates are skipped.  A factor is accepted when
+    ``tol.accepts`` its worst pair residual scaled by ``scales``.  Returns
+    ``(unitary or None, best residual, saw a nonsingular candidate)``.
+    """
+    k = len(basis)
+    draws = (np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                          basis, axes=1) for _ in range(_RESTARTS))
+    saw_nonsingular, best = False, math.inf
+    for x in itertools.chain(basis, draws):
+        if condition_ratio(x) <= INVERTIBILITY_THRESHOLD:
+            continue
+        saw_nonsingular = True
+        w = nearest_unitary(x)
+        worst = float(np.max(np.linalg.norm(herm(w) @ pairs[:, 1] @ w - pairs[:, 0],
+                                            axis=(1, 2)) / scales))
+        if tol.accepts(worst, 1.0):
+            return w, worst, True
+        best = min(best, worst)
+    return None, best, saw_nonsingular
+
+
 def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
                            seed: int = 0) -> ConjugatorResult:
     """Find a unitary U with ``U* G_t U = G_s`` for every pair (G_s, G_t).
 
     ``pairs`` is a list of pairs or the (P, 2, d, d) array of ``gram_chains``.
+    The stages, in order:
+
+    1. **Spectrum screen.**  One ``eigvalsh`` per pair, in order, filling a
+       (P, 2, d) array of spectra; the first pair whose spectra differ is
+       certified ``spectrum-mismatch`` and no later pair is decomposed.
+    2. **Reducing pair.**  ``_kept`` counts, for every pair at once, the
+       entries its spectra keep, and the pair is chosen from the counts.
+    3. **Restricted system** (``_restricted_system``), reduced by a thin SVD.
+    4. **Span search** (``_unitary_in_span``) in the singular vectors below
+       the cutoff.
+    5. The full system, when the restricted one settles nothing.
+
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
     ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system A.  It is
     solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
@@ -217,14 +276,12 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     Block c is now diagonal, entry ``X_ab`` scaled by
     ``delta_ab = (l_t,a - l_s,b) / s_c``, and only the k entries with
     ``|delta_ab| <= tau`` are kept (about d for a simple spectrum instead of
-    d^2).  The restricted system is filled without Kronecker products and
-    reduced by a thin SVD.
+    d^2).  The restricted system is filled without Kronecker products.
 
     The reducing pair c is the first pair unless that keeps all d^2
-    entries; then it is the pair that keeps the fewest, counted from the
-    spectra of the spectrum screen.  When every pair keeps all d^2 entries
-    (scalar Grams, say) the identity is tried first, and returned if it
-    passes ``tol.accepts`` against every pair.
+    entries; then it is the pair that keeps the fewest.  When every pair
+    keeps all d^2 entries (scalar Grams, say) the identity is tried first,
+    and returned if it passes ``tol.accepts`` against every pair.
 
     The span of singular values ``<= c`` is searched for a unitary element
     by projecting candidate combinations to their unitary polar factor; the
@@ -259,13 +316,14 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
         raise DimensionError("constraint pairs must form a (P, 2, d, d) array, "
                              f"got shape {pairs.shape}")
     dim = pairs.shape[2]
-    spectra = []
+    # pair by pair, so a refuted pair stops the screen before the next eigvalsh
+    spectra = np.empty(pairs.shape[:3])
     for i, pair in enumerate(pairs):
-        gap, scale, es, et = _eigen_mismatch(pair)
-        if tol.refutes(gap, scale):
+        spectra[i] = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
+        gap = float(np.max(np.abs(spectra[i, 0] - spectra[i, 1])))
+        if tol.refutes(gap, max(float(np.max(np.abs(spectra[i]))), 1.0)):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
-        spectra.append((es, et))
 
     g_s, g_t = pairs[:, 0], pairs[:, 1]
     norm_s = np.linalg.norm(g_s, axis=(1, 2))
@@ -275,29 +333,19 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     rel = max(tol.rel, 1e-11)
     bound_cutoff = max(norm_bound, 1.0) * rel
 
-    def kept(i, width):
-        """Entries ``X_ab`` whose eigenvalues in pair i differ by at most
-        ``width`` relative to its scale, counted from its two spectra."""
-        es, et = spectra[i]
-        return np.count_nonzero(np.abs(et[:, None] - es[None, :]) <= width * scales[i])
-
-    tau0 = max(_TAU, 2.0 * bound_cutoff)
-    c = 0
-    if kept(0, tau0) == dim * dim:
-        counts = [kept(i, tau0) for i in range(len(pairs))]
-        c = int(np.argmin(counts))
-        if counts[c] == dim * dim:
-            worst = float(np.max(np.linalg.norm(g_t - g_s, axis=(1, 2)) / scales))
-            if tol.accepts(worst, 1.0):
-                # no system is solved: block i has the singular values
-                # |l_t,a - l_s,b| / s_i, so each pair bounds the null space,
-                # and the tightest bound is exact for commuting pairs
-                null = min(kept(i, rel) for i in range(len(pairs)))
-                return ConjugatorResult(np.eye(dim, dtype=complex), residual=worst,
-                                        nullspace_dim=null,
-                                        diagnostics={"columns_kept": 0,
-                                                     "note": "the identity satisfies "
-                                                             "every pair"})
+    counts = _kept(spectra, scales, max(_TAU, 2.0 * bound_cutoff))
+    c = 0 if counts[0] < dim * dim else int(np.argmin(counts))
+    if counts[c] == dim * dim:
+        worst = float(np.max(np.linalg.norm(g_t - g_s, axis=(1, 2)) / scales))
+        if tol.accepts(worst, 1.0):
+            # no system is solved: block i has the singular values
+            # |l_t,a - l_s,b| / s_i, so each pair bounds the null space,
+            # and the tightest bound is exact for commuting pairs
+            return ConjugatorResult(np.eye(dim, dtype=complex), residual=worst,
+                                    nullspace_dim=_kept(spectra, scales, rel).min(),
+                                    diagnostics={"columns_kept": 0,
+                                                 "note": "the identity satisfies "
+                                                         "every pair"})
     _, y_s = np.linalg.eigh(0.5 * (g_s[c] + herm(g_s[c])))
     _, y_t = np.linalg.eigh(0.5 * (g_t[c] + herm(g_t[c])))
     h_s = herm(y_s) @ g_s @ y_s
@@ -309,41 +357,10 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     # tau stays at least twice the cutoff, so rho <= 1/2
     tau = max(_TAU, 2.0 * (bound_cutoff + leak))
     rng = np.random.default_rng(seed)
-    eye = np.eye(dim)
-
-    def candidates(x_basis):
-        basis = y_t @ x_basis @ herm(y_s)
-        yield from basis
-        for _ in range(_RESTARTS):
-            coeffs = (rng.standard_normal(len(basis))
-                      + 1j * rng.standard_normal(len(basis)))
-            yield np.tensordot(coeffs, basis, axes=1)
-
-    def search(x_basis):
-        """(verified unitary or None, best residual, saw a nonsingular one)."""
-        saw_nonsingular = False
-        best = math.inf
-        for x in candidates(x_basis):
-            if condition_ratio(x) <= INVERTIBILITY_THRESHOLD:
-                continue
-            saw_nonsingular = True
-            w = nearest_unitary(x)
-            worst = float(np.max(np.linalg.norm(herm(w) @ g_t @ w - g_s,
-                                                axis=(1, 2)) / scales))
-            if tol.accepts(worst, 1.0):
-                return w, worst, True
-            best = min(best, worst)
-        return None, best, saw_nonsingular
 
     def attempt(keep):
         """Solve on the entries X_ab with ``keep[a, b]``; None if unsettled."""
-        rows, cols = np.nonzero(keep)
-        # column j is X = e_r e_c^T: entry (p, q) of H_t X - X H_s is
-        # H_t[p, r] [q == c] - [p == r] H_s[c, q]
-        system = (h_t[:, :, None, rows] * eye[None, None, :, cols]
-                  - eye[None, :, None, rows]
-                  * h_s[:, cols, :].transpose(0, 2, 1)[:, None])
-        system = (system / scales[:, None, None, None]).reshape(-1, len(rows))
+        system, rows, cols = _restricted_system(h_s, h_t, scales, keep)
         _, svals, vh = np.linalg.svd(system, full_matrices=False)
         reduced = len(rows) < dim * dim
         if reduced:
@@ -362,7 +379,8 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
         null = np.flatnonzero(svals <= cutoff)
         x_basis = np.zeros((len(null), dim, dim), dtype=complex)
         x_basis[:, rows, cols] = vh[null].conj()
-        w, best, saw_nonsingular = search(x_basis)
+        w, best, saw_nonsingular = _unitary_in_span(y_t @ x_basis @ herm(y_s), pairs,
+                                                    scales, tol, rng)
         if w is not None:
             return ConjugatorResult(w, residual=best, nullspace_dim=len(null),
                                     diagnostics=diagnostics)
@@ -414,13 +432,14 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     """
     if hi < lo:
         raise ValueError("hi must be >= lo")
-    w, present = s.weights.rows(lo, hi)
-    # rows the sequence lacks are zero, so they count as singular here
-    bad = np.flatnonzero(condition_ratio(w) <= INVERTIBILITY_THRESHOLD)
+    # rows the sequence lacks read as the zero matrix, so they count as singular
+    ratios, present = s.weights.singular_values().ratios(lo, hi)
+    bad = np.flatnonzero(ratios <= INVERTIBILITY_THRESHOLD)
     if bad.size:
         n = lo + int(bad[0])
         _require_rows(s.weights, lo, present[:bad[0] + 1])     # raises if row n is absent
         raise ConditioningError(f"weight at n={n} is singular or ill-conditioned", index=n)
+    w, _ = s.weights.rows(lo, hi)
     unitaries, positives = polar_decompose(w)
 
     # v[j] is V_{lo-1+j}
@@ -532,10 +551,18 @@ def eigen_moduli_screen(s: BilateralShift, t: BilateralShift, k: int,
     return rep
 
 
+#: Frobenius drift ``||V* V - I||`` a witness entry may have and still count
+#: as unitary.  The anchor meets the Gram conditions only to ``tol`` (1e-10
+#: relative by default), and each step of the recursion through a weight
+#: inverse can amplify that error, so the bound is two orders looser; it is
+#: also the relative floor of the tolerance ``decide`` re-verifies the
+#: witness with.  A fixed literal: it follows neither ``tol`` nor d.
+_WITNESS_UNITARY_TOL = 1e-8
+
+
 def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
                      u0: np.ndarray, lo: int, hi: int,
-                     tol: Tolerance = DEFAULT_TOL,
-                     unitary_tol: float = 1e-8, *, _values=None) -> BandedOperator:
+                     tol: Tolerance = DEFAULT_TOL, *, _values=None) -> BandedOperator:
     """Single-band intertwiner at offset m built from the anchor unitary.
 
     The band holds the entries ``V_n`` for rows ``lo-1 .. hi`` of the
@@ -552,7 +579,7 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     ------
     PreconditionError
         naming the first row whose entry drifts from unitarity beyond
-        ``unitary_tol`` (the Gram precondition failed at that depth).
+        ``_WITNESS_UNITARY_TOL`` (the Gram precondition failed at that depth).
     ConditioningError
         when a required weight inverse is ill-conditioned.
     """
@@ -560,13 +587,13 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     if u0.shape != (s.dim, s.dim):
         raise DimensionError("anchor unitary has the wrong shape")
     eye = np.eye(s.dim)
-    if frob(herm(u0) @ u0 - eye) > unitary_tol:
+    if frob(herm(u0) @ u0 - eye) > _WITNESS_UNITARY_TOL:
         raise PreconditionError("anchor matrix is not unitary",
                                 residual=frob(herm(u0) @ u0 - eye))
 
     def checked(n, mat):
         res = frob(herm(mat) @ mat - eye)
-        if res > unitary_tol:
+        if res > _WITNESS_UNITARY_TOL:
             raise PreconditionError(
                 f"diagonal entry at n={n} is not unitary; the metric "
                 f"conditions fail at this depth", residual=res, index=n)
@@ -608,9 +635,11 @@ def _decision_scope(s, t, m, window=None, depth=None):
     eventually-identity products stabilize once the supports are exhausted,
     periodic ones are sampled over two periods.  Windowed descriptions clip
     the window and cap the depth at the rows they store.  A given window or
-    depth is kept; an automatic window that comes out empty raises
-    ``PreconditionError``.
+    depth is kept; a given window with ``hi < lo`` raises ``ValueError``, and
+    an automatic window that comes out empty raises ``PreconditionError``.
     """
+    if window is not None and window[1] < window[0]:
+        raise ValueError("hi must be >= lo")
     spans, stored, periods = [], [], []
     for seq, delta in ((s.weights, -m), (t.weights, 0)):
         rng = seq.described_range()
@@ -686,7 +715,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
                                                 f"and T_n differ at n={n}")
 
     try:
-        pairs = gram_chains(s, t, m, 0, depth)
+        pairs = gram_chains(s, t, m, depth)
     except WindowAccessError as exc:
         return _inconclusive(m, f"the Gram chains anchored at row 0 need a weight "
                                 f"the stored windows lack: {exc}")
@@ -778,16 +807,15 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     Raises
     ------
     ValueError
-        when ``k_min > k_max``: an empty range refutes nothing.
+        when ``k_min > k_max``: an empty range refutes nothing; or when a
+        given window has ``hi < lo``.
     """
     if k_min > k_max:
         raise ValueError(f"empty offset range [{k_min}, {k_max}]")
+    lo, hi = _decision_scope(s, t, 0, window)[1]
     if window is None:
-        base_lo, base_hi = _decision_scope(s, t, 0)[1]
         spread = max(abs(k_min), abs(k_max))
-        lo, hi = base_lo - spread, base_hi + spread
-    else:
-        lo, hi = window
+        lo, hi = lo - spread, hi + spread
     # one singular-value reader per shift serves the screen and every decision
     values = (s.weights.singular_values(), t.weights.singular_values())
     feasible = sorted(norm_offset_screen(s, t, k_min, k_max, lo, hi, tol, _values=values),

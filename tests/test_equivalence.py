@@ -174,14 +174,14 @@ class TestEigenModuliScreen:
 class TestGramChains:
     def test_identity_weights_constant_chains(self):
         f = sl.BilateralShift(sl.identity_weights(2))
-        pairs = sl.gram_chains(f, f, 0, 0, 4)
+        pairs = sl.gram_chains(f, f, 0, 4)
         assert pairs.shape == (8, 2, 2, 2)
         for g in pairs.reshape(-1, 2, 2):
             np.testing.assert_allclose(g, I2, atol=1e-14)
 
     def test_depth_one_forward_gram(self, rng):
         s = ei_shift(rng, lo=-1, length=3)
-        pairs = sl.gram_chains(s, s, 2, 0, 1)
+        pairs = sl.gram_chains(s, s, 2, 1)
         np.testing.assert_allclose(pairs[0, 0],        # forward, S, depth 1
                                    herm(s.weight(2)) @ s.weight(2), atol=1e-13)
 
@@ -198,12 +198,14 @@ class TestGramChains:
 
     def test_products_in_order_on_non_commuting_weights(self, rng):
         # P* P of the explicitly ordered products, the newest factor
-        # leftmost: S_{b+n-1} ... S_b forward, S_{b-n}* ... S_{b-1}* backward
+        # leftmost: S_{b+n-1} ... S_b forward, S_{b-n}* ... S_{b-1}* backward;
+        # anchored at row k by reindexing both shifts by k
         for _ in range(5):
             s = ei_shift(rng, lo=-2, length=5)
             t = ei_shift(rng, lo=-1, length=4)
             m, k, depth = int(rng.integers(-2, 3)), int(rng.integers(-1, 2)), 4
-            pairs = sl.gram_chains(s, t, m, k, depth)
+            pairs = sl.gram_chains(*(sl.BilateralShift(sl.reindex_weights(x.weights, k))
+                                     for x in (s, t)), m, depth)
             assert pairs.shape == (2 * depth, 2, 2, 2)
             # rows 0..depth-1 are forward depths 1..depth, then backward
             for i, (shift, base) in enumerate(((s, m + k), (t, k))):
@@ -221,7 +223,7 @@ class TestGramChains:
     def test_known_pair_admits_no_joint_conjugator(self):
         ex = sl.load_example("ex31")
         s, t = ex.shifts["S"], ex.shifts["T"]
-        found = sl.solve_joint_conjugator(sl.gram_chains(s, t, 0, 0, 3))
+        found = sl.solve_joint_conjugator(sl.gram_chains(s, t, 0, 3))
         assert found.unitary is None
 
     def test_missing_row_named_in_read_order(self, rng):
@@ -231,7 +233,7 @@ class TestGramChains:
         s = sl.BilateralShift(sl.WindowedWeights(
             -7, [random_unitary(rng) for _ in range(10)]), "S")
         with pytest.raises(sl.WindowAccessError) as err:
-            sl.gram_chains(s, s, -3, 0, 5)
+            sl.gram_chains(s, s, -3, 5)
         assert err.value.index == 3
         verdict = sl.decide_diagonal_equivalence(s, s, -3, depth=5, window=(1, 2))
         assert verdict.is_inconclusive
@@ -586,6 +588,12 @@ class TestDecide:
         s = sl.BilateralShift(sl.PeriodicWeights([1e10 * I2]))
         assert sl.decide_diagonal_equivalence(s, s, 0).is_equivalent
 
+    @pytest.mark.parametrize("window", [(5, 1), (0, -1)])
+    def test_reversed_window_rejected_up_front(self, rng, window):
+        s = ei_shift(rng, lo=0, length=2)
+        with pytest.raises(ValueError, match="hi must be >= lo"):
+            sl.decide_diagonal_equivalence(s, s, 0, window=window)
+
     def test_self_equivalence_identity_witness(self, rng):
         s = ei_shift(rng, lo=0, length=3)
         verdict = sl.decide_diagonal_equivalence(s, s, 0, seed=1)
@@ -636,7 +644,7 @@ class TestDecide:
         assert verdict.is_not_equivalent
         ob = verdict.obstruction
         assert ob.kind == "gram-spectrum"
-        gs, gt = sl.gram_chains(s, t, 0, 0, max(ob.index, 1))[ob.index - 1]
+        gs, gt = sl.gram_chains(s, t, 0, max(ob.index, 1))[ob.index - 1]
         es = np.sort(np.linalg.eigvalsh(gs))
         et = np.sort(np.linalg.eigvalsh(gt))
         gap = np.max(np.abs(es - et))
@@ -748,6 +756,13 @@ class TestDecideScan:
         s = ei_shift(rng, lo=0, length=2)
         with pytest.raises(ValueError):
             sl.decide_diagonal_equivalence_scan(s, s, 2, -2)
+
+    @pytest.mark.parametrize("window", [(5, 1), (0, -1)])
+    def test_reversed_window_rejected_up_front(self, rng, window):
+        # before any offset is screened or decided, not as an empty weight list
+        s = ei_shift(rng, lo=0, length=2)
+        with pytest.raises(ValueError, match="hi must be >= lo"):
+            sl.decide_diagonal_equivalence_scan(s, s, -1, 1, window=window)
 
     def test_deterministic_for_fixed_seed(self, rng):
         s = ei_shift(rng, lo=0, length=2)

@@ -2,8 +2,9 @@
 
 The singular-value reader against per-row SVDs, the batched Gram chains
 against the row loop they replaced, the number of SVD calls a refuted
-decision makes, the absence of state kept between decisions, and the
-solver's choice of the pair it reduces by.
+decision makes, the ``eigvalsh`` calls of the solver's spectrum screen, the
+absence of state kept between decisions, and the solver's choice of the
+pair it reduces by.
 """
 
 import tracemalloc
@@ -132,6 +133,12 @@ def reference_gram_chains(s, t, m, k_base, depth):
     return grams.reshape(2 * depth, 2, s.dim, s.dim)
 
 
+def reindexed(shift, k):
+    """The shift whose row n is row n + k of ``shift``, on the same arrays:
+    ``gram_chains`` of reindexed shifts is anchored at row k."""
+    return sl.BilateralShift(sl.reindex_weights(shift.weights, k))
+
+
 class TestBatchedGramChains:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
     def test_equal_to_the_row_loop_bitwise(self, rng, dim):
@@ -143,29 +150,34 @@ class TestBatchedGramChains:
             for m, k, depth in ((0, 0, 1), (int(rng.integers(-3, 4)), 1, 5),
                                 (2, -1, 9)):
                 for a, b in ((s, t), (t, s), (s, s)):
-                    np.testing.assert_array_equal(sl.gram_chains(a, b, m, k, depth),
-                                                  reference_gram_chains(a, b, m, k, depth))
+                    np.testing.assert_array_equal(
+                        sl.gram_chains(reindexed(a, k), reindexed(b, k), m, depth),
+                        reference_gram_chains(a, b, m, k, depth))
 
     def test_missing_rows_raise_where_the_row_loop_does(self, rng):
         # S stores rows -3..4 and T rows -1..2; each case lacks rows in a
-        # different chain first
+        # different chain first.  Reindexed by k, the missing row moves by -k,
+        # and the message is the row loop's on the reindexed shifts.
         s = sl.BilateralShift(sl.WindowedWeights(-3, [random_unitary(rng) for _ in range(8)]))
         t = sl.BilateralShift(sl.WindowedWeights(-1, [random_unitary(rng) for _ in range(4)]))
         seen = set()
         for a, b in ((s, t), (t, s), (s, s)):
             for m in range(-4, 5):
                 for k in (-1, 0, 1):
+                    a_k, b_k = reindexed(a, k), reindexed(b, k)
                     for depth in (1, 2, 3, 5):
                         try:
                             expected = reference_gram_chains(a, b, m, k, depth)
                         except sl.WindowAccessError as exc:
                             with pytest.raises(sl.WindowAccessError) as err:
-                                sl.gram_chains(a, b, m, k, depth)
-                            assert err.value.index == exc.index
-                            assert str(err.value) == str(exc)
+                                sl.gram_chains(a_k, b_k, m, depth)
+                            assert err.value.index == exc.index - k
+                            with pytest.raises(sl.WindowAccessError) as ref:
+                                reference_gram_chains(a_k, b_k, m, 0, depth)
+                            assert str(err.value) == str(ref.value)
                             seen.add(exc.index)
                             continue
-                        np.testing.assert_array_equal(sl.gram_chains(a, b, m, k, depth),
+                        np.testing.assert_array_equal(sl.gram_chains(a_k, b_k, m, depth),
                                                       expected)
         assert len(seen) > 6
 
@@ -195,6 +207,19 @@ def _refuted_pair(rng, dim, kind, periodic=False):
             sl.BilateralShift(sl.EventuallyIdentityWeights(0, t_w)))
 
 
+def counting(monkeypatch, name):
+    """Patch ``np.linalg.<name>`` to record each call in the returned list."""
+    calls = []
+    func = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestDecompositionCount:
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -204,14 +229,7 @@ class TestDecompositionCount:
     def test_refuted_decision_calls_svd_at_most_twice(self, rng, monkeypatch, periodic,
                                                       dim, kind, predicted):
         s, t = _refuted_pair(rng, dim, kind, periodic)
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = counting(monkeypatch, "svd")
         verdict = sl.decide_diagonal_equivalence(s, t, 0)
         monkeypatch.undo()
         assert verdict.is_not_equivalent
@@ -227,14 +245,7 @@ class TestDecompositionCount:
         s, t = _refuted_pair(rng, dim, "gram", periodic=True)
         feasible = sl.norm_offset_screen(s, t, -3, 3, -6, 8)
         assert {-3, 0, 3} <= feasible
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = counting(monkeypatch, "svd")
         verdict = sl.decide_diagonal_equivalence_scan(s, t, -3, 3)
         monkeypatch.undo()
         assert len(calls) == 2
@@ -249,6 +260,27 @@ class TestDecompositionCount:
         assert verdict.obstruction.detail == (
             f"{alone.obstruction.detail} (last of {len(feasible)} offsets the "
             f"singular-value screen left)")
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("refuted", [0, 3, 7, None])
+    def test_spectrum_screen_stops_at_the_first_refuted_pair(self, rng, monkeypatch,
+                                                             dim, refuted):
+        # eight pairs conjugated by one unitary; pair ``refuted`` has its target
+        # doubled, so its spectra differ and no later pair may be decomposed;
+        # with none refuted, each pair is decomposed once
+        u = random_unitary(rng, dim)
+        grams = [herm(a) @ a for a in (random_matrix(rng, dim) for _ in range(8))]
+        pairs = [(g, (2.0 if i == refuted else 1.0) * (u @ g @ herm(u)))
+                 for i, g in enumerate(grams)]
+        calls = counting(monkeypatch, "eigvalsh")
+        found = sl.solve_joint_conjugator(pairs)
+        monkeypatch.undo()
+        if refuted is None:
+            assert found.unitary is not None
+            assert len(calls) == len(pairs)
+        else:
+            assert (found.certificate, found.pair_index) == ("spectrum-mismatch", refuted)
+            assert len(calls) == refuted + 1
 
 
 class TestNoStateBetweenCalls:
@@ -304,7 +336,7 @@ class TestReducingPair:
         verdict = sl.decide_diagonal_equivalence(s, s, 0)
         assert verdict.is_equivalent and verdict.witness_report.passed
         assert sl.verify_intertwining(verdict.witness, s, s, -6, 6).passed
-        found = sl.solve_joint_conjugator(sl.gram_chains(s, s, 0, 0, 7))
+        found = sl.solve_joint_conjugator(sl.gram_chains(s, s, 0, 7))
         assert found.diagnostics["columns_kept"] < 256
         np.testing.assert_array_equal(found.unitary, np.eye(16))
 
@@ -318,7 +350,7 @@ class TestReducingPair:
         assert verdict.is_equivalent and verdict.witness_report.passed
         assert sl.verify_intertwining(verdict.witness, s, t, -6, 6,
                                       sl.Tolerance(1e-8, 1e-8)).passed
-        pairs = sl.gram_chains(s, t, 0, 0, 7)
+        pairs = sl.gram_chains(s, t, 0, 7)
         assert np.allclose(pairs[0, 0], np.eye(8))       # the first pair is scalar
         found = sl.solve_joint_conjugator(pairs)
         assert found.unitary is not None
