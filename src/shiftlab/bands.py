@@ -11,11 +11,23 @@ All verifiers are tables for one engine, run on an explicit index window
 ``W_{n+j}`` or ``W_{n+j}*`` with the identity, zero or another such sum; its
 residual is the Frobenius norm of the difference.  Where a windowed sequence
 lacks an entry that a group of conditions needs, the group is skipped and
-recorded, never failed.  Rows are evaluated in blocks of ``_BLOCK_ROWS``, so
-working memory for the products does not grow with the window.  Each
-sequence a block needs is read once per block, over the block's rows plus
-the shifts its factors reach, by ``WeightSequence.rows``; this module never
-maps an index to a stored matrix itself.
+recorded, never failed.
+
+Each sequence a window needs is read once, over the window plus the shifts
+its factors reach, as a table holding each matrix those rows read once and
+each row's index into it (``WeightSequence._reached``); this module never
+maps an index to a stored matrix itself.  A condition at row n depends
+only on the table entries its factors read there, the row's signature, so
+a window longer than ``_BLOCK_ROWS`` is evaluated once per distinct
+signature, on one row that has it, and the residuals, verdicts and
+availability are copied to every row with that signature.  A periodic
+operator then costs one evaluation per row of its combined period
+whatever the window's length; a window of all-distinct rows costs what it
+did row by row.  A window of one block skips the signature step and is
+evaluated row by row.  Rows or signatures are evaluated in blocks of
+``_BLOCK_ROWS``, so working memory for the products does not grow with
+the window.  A residual depends only on its row's matrices, never on the
+rows it is evaluated with, so both paths give the same bits.
 
 A block holds every stack rows-last, as a (d, d, rows) array, so a product
 is computed for all rows of the block at once.  ``matmul`` over a stack
@@ -49,6 +61,7 @@ from .shifts import (
     WeightSequence,
     WindowedWeights,
     identity_weights,
+    _sorted_distinct,
 )
 
 
@@ -299,6 +312,14 @@ def _rows_last(w):
     return np.ascontiguousarray(w) if len(w) <= _BROADCAST_DIM else w
 
 
+def _take(table, at):
+    """The entries ``at`` of a (d, d, K) table from ``_rows_last``, as a new
+    (d, d, M) operand of ``_mul`` laid out as ``_rows_last`` lays it out."""
+    if len(table) <= _BROADCAST_DIM:
+        return table.take(at, axis=-1)
+    return table.transpose(2, 0, 1).take(at, axis=0).transpose(1, 2, 0)
+
+
 def _mul(a, b):
     """Matrix products of two (d, d, M) stacks, row by row along the last axis.
 
@@ -312,6 +333,28 @@ def _mul(a, b):
     return out
 
 
+def _signatures(columns, count: int):
+    """Rows 0..count-1 grouped by the tuple of values ``columns`` hold there.
+
+    ``columns`` lists ``(values, size)``: an (N,) array of integers in
+    [0, size).  Returns one representative row per distinct tuple and, for
+    each row, the index of its tuple among them.  The tuples are combined
+    into one integer key per row; where the next column would overflow it,
+    the key is first renumbered by its distinct values.
+    """
+    key, radix = np.zeros(count, dtype=np.int64), 1
+    for values, size in columns:
+        if radix * size > np.iinfo(np.int64).max:
+            distinct, key = _sorted_distinct(key)
+            radix = len(distinct)
+        key = key * size + values
+        radix *= size
+    distinct, inverse = _sorted_distinct(key)
+    rows = np.empty(len(distinct), dtype=np.intp)
+    rows[inverse] = np.arange(count)
+    return rows, inverse
+
+
 @np.errstate(over="ignore", invalid="ignore")    # an overflowed residual fails
 def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
               keep: int | None = None):
@@ -319,30 +362,53 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
     availability (every factor stored) on rows lo..hi, and the (N, d, d)
     values of ``conds[keep].lhs`` when ``keep`` is given."""
     count = max(hi - lo + 1, 0)
-    res = np.zeros((len(conds), count))
-    passed = np.zeros((len(conds), count), dtype=bool)
-    has = np.ones((len(conds), count), dtype=bool)
-    kept = None if keep is None else np.zeros((count, dim, dim), dtype=complex)
     eye = np.eye(dim, dtype=complex)[:, :, None]     # broadcast along the rows
+    pairs = dict.fromkeys((f.seq, f.shift) for cond in conds
+                          for s in (cond.lhs, cond.rhs, *cond.scale) if isinstance(s, tuple)
+                          for product in s for f in product)
     reach = {}                          # least and greatest shift of each sequence
-    for cond in conds:
-        for f in (x for s in (cond.lhs, cond.rhs, *cond.scale)
-                  if isinstance(s, tuple) for product in s for x in product):
-            first, last = reach.get(f.seq, (f.shift, f.shift))
-            reach[f.seq] = min(first, f.shift), max(last, f.shift)
-    for start in range(0, count, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, count)
-        # each sequence once per block, over the block's rows plus its reach
+    for seq, shift in pairs:
+        first, last = reach.get(seq, (shift, shift))
+        reach[seq] = min(first, shift), max(last, shift)
+    # each sequence once, over the window plus its reach: the table of the
+    # matrices its rows hold and each row's index into it
+    tables = {}
+    for seq, (first, last) in reach.items():
+        table, index, present = seq._reached(lo + first, hi + last)
+        tables[seq] = first, _rows_last(table), index, present
+    # a row's values depend only on the table entries its factors read, so
+    # a window longer than a block is evaluated once per distinct tuple of
+    # them and scattered back to every row
+    rows, inverse = range(count), None
+    if count > _BLOCK_ROWS:
+        columns = []
+        for seq, shift in pairs:
+            first, table, index, _ = tables[seq]
+            if table.shape[-1] > 1:
+                columns.append((index[shift - first:shift - first + count], table.shape[-1]))
+        rows, inverse = _signatures(columns, count)
+    else:       # one block of consecutive rows: each sequence's rows, sliced by its factors
+        tables = {seq: (first, _take(table, index), None, present)
+                  for seq, (first, table, index, present) in tables.items()}
+    res = np.zeros((len(conds), len(rows)))
+    passed = np.zeros((len(conds), len(rows)), dtype=bool)
+    has = np.ones((len(conds), len(rows)), dtype=bool)
+    kept = None if keep is None else np.zeros((len(rows), dim, dim), dtype=complex)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(rows))
         stacks = {}
-        for seq, (first, last) in reach.items():
-            w, present = seq.rows(lo + start + first, lo + stop - 1 + last)
-            stacks[seq] = first, _rows_last(w), present
+        for seq, shift in pairs:
+            first, table, index, present = tables[seq]
+            if index is None:
+                at = slice(start + shift - first, stop + shift - first)
+                stacks[seq, shift] = table[..., at], present[at]
+            else:
+                at = rows[start:stop] + (shift - first)
+                stacks[seq, shift] = _take(table, index.take(at)), present.take(at)
 
         def factor(f, mask):
-            first, w, present = stacks[f.seq]
-            rows = slice(f.shift - first, f.shift - first + stop - start)
-            mask &= present[rows]
-            w = w[..., rows]
+            w, present = stacks[f.seq, f.shift]
+            mask &= present
             return w.conj().swapaxes(0, 1) if f.adjoint else w
 
         def total(terms, mask):
@@ -361,6 +427,9 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
                 kept[start:stop] = np.moveaxis(sums[cond.lhs], -1, 0)
+    if inverse is not None:
+        res, passed, has = res[:, inverse], passed[:, inverse], has[:, inverse]
+        kept = None if kept is None else kept[inverse]
     return res, passed, has, kept
 
 

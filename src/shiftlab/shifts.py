@@ -13,8 +13,13 @@ matrices again (periodic), the identity (eventually-identity) or nothing
 as an (N, d, d) stack with the mask of the rows the sequence defines;
 ``reindex_weights`` moves a sequence along the indices, keeping its variant
 and its stored matrices.  Only this module maps indices to stored matrices.
-The verifiers' engine, the Gram chains, the positive form and the
-eigenvalue screen read ranges through ``rows``.
+Every range read starts from ``_reached``: a table holding each matrix the
+rows read once (all stored matrices when there are no more of them than
+rows), and each row's index into it.  ``rows`` gathers the table along
+that index; the verifiers' engine keeps the table and the index, and
+evaluates each distinct combination of table entries once.  The Gram
+chains, the positive form, the eigenvalue screen and the periodic-witness
+certificate read ranges through ``rows``.
 
 Singular values have one reader, ``singular_values()``: a table with one
 row per distinct stored matrix (and one for the matrix the variant puts
@@ -74,6 +79,20 @@ def _validated(weights):
     return mats, distinct, np.fromiter((index[id(m)] for m in mats), dtype, len(mats))
 
 
+def _sorted_distinct(values: np.ndarray):
+    """The distinct entries of a 1-D integer array in ascending order, and
+    the index of each entry among them: ``np.unique`` with
+    ``return_inverse``, by one sort and one binary search.  (numpy 2.4's
+    ``np.unique`` finds distinct integers with a hash table whose code adds
+    about 1 MB to a process's resident size on first use.)"""
+    ordered = np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
 class WeightSequence(ABC):
     """Two-sided sequence of dim x dim complex matrices.
 
@@ -99,16 +118,46 @@ class WeightSequence(ABC):
         """Whether ``weight_at(n)`` is defined."""
         return True
 
-    @abstractmethod
     def rows(self, lo: int, hi: int):
-        """Rows lo..hi at once: an (N, d, d) stack of ``weight_at(n)``, zero
-        where it is undefined, and the (N,) ``has_index`` mask."""
+        """Rows lo..hi at once: a new (N, d, d) stack of ``weight_at(n)``,
+        zero where it is undefined, and the (N,) ``has_index`` mask."""
+        table, index, present = self._reached(lo, hi)
+        return table.take(index, axis=0), present
 
     @abstractmethod
     def _table_rows(self, lo: int, hi: int):
         """Rows lo..hi as (N,) indices into ``_distinct``, with
         ``len(_distinct)`` where the row holds ``_outside``, and the (N,)
-        ``has_index`` mask."""
+        ``has_index`` mask, which follows from the index: only a windowed
+        sequence's ``_outside`` row is undefined."""
+
+    @property
+    def _table_size(self) -> int:
+        """Rows of the table ``_table_rows`` indexes: the distinct stored
+        matrices, then ``_outside`` if the variant has one."""
+        return len(self._distinct) + (self._outside is not None)
+
+    def _matrices(self, slots) -> np.ndarray:
+        """The table rows ``slots`` as a new (K, d, d) stack: the distinct
+        stored matrix ``_distinct[i]``, or ``_outside`` for
+        i = ``len(_distinct)``."""
+        outside = len(self._distinct)
+        mats = [self._distinct[i] if i < outside else self._outside for i in slots.tolist()]
+        return np.array(mats, dtype=complex).reshape(len(mats), self.dim, self.dim)
+
+    def _reached(self, lo: int, hi: int):
+        """Rows lo..hi as a table of the matrices they reach: a (K, d, d)
+        stack of ``_matrices``, the (N,) index of each row's matrix in it
+        and the (N,) ``has_index`` mask.  The table holds each matrix once:
+        every table row when there are no more of them than rows (the
+        ``_table_rows`` indices are then the index), else only the distinct
+        table rows the range reads, so a short range of a long stored span
+        copies only the matrices it holds."""
+        slots, present = self._table_rows(lo, hi)
+        if self._table_size <= len(slots):
+            return self._matrices(np.arange(self._table_size)), slots, present
+        reached, index = _sorted_distinct(slots)
+        return self._matrices(reached), index, present
 
     def singular_values(self) -> SingularValues:
         """A new reader of the singular values of every row."""
@@ -131,16 +180,6 @@ class WeightSequence(ABC):
         inside = np.zeros(count, dtype=bool)
         inside[a:b] = True
         return a, b, inside
-
-    def _span_rows(self, lo: int, hi: int):
-        """Rows lo..hi with ``_outside`` off the stored span, and the mask of
-        the rows inside it."""
-        a, b, inside = self._span(lo, hi)
-        stack = np.empty((len(inside), self.dim, self.dim), dtype=complex)
-        stack[:a] = stack[b:] = self._outside
-        if a < b:
-            stack[a:b] = self._weights[lo + a - self.lo:lo + b - self.lo]
-        return stack, inside
 
     def _span_table_rows(self, lo: int, hi: int):
         """``_table_rows`` of rows lo..hi, and the mask of the rows inside
@@ -168,10 +207,8 @@ class SingularValues:
 
     def __init__(self, seq: WeightSequence):
         self._seq = seq
-        self._mats = (seq._distinct if seq._outside is None else
-                      [*seq._distinct, np.broadcast_to(seq._outside, (seq.dim, seq.dim))])
-        self.table = np.full((len(self._mats), seq.dim), np.nan)
-        self._unfilled = len(self._mats)
+        self.table = np.full((seq._table_size, seq.dim), np.nan)
+        self._unfilled = seq._table_size
 
     def _fill(self, rows=None):
         """Decompose the table rows ``rows`` (every row when None) that are
@@ -185,8 +222,7 @@ class SingularValues:
             todo &= wanted
         todo = np.flatnonzero(todo)
         if todo.size:
-            stack = np.array([self._mats[i] for i in todo])
-            self.table[todo] = np.linalg.svd(stack, compute_uv=False)
+            self.table[todo] = np.linalg.svd(self._seq._matrices(todo), compute_uv=False)
             self._unfilled -= todo.size
 
     @property
@@ -229,15 +265,8 @@ class PeriodicWeights(WeightSequence):
     def weight_at(self, n: int) -> np.ndarray:
         return self._weights[n % self.period]
 
-    def rows(self, lo: int, hi: int):
-        count = max(hi - lo + 1, 0)
-        stack = np.empty((count, self.dim, self.dim), dtype=complex)
-        for r in range(min(self.period, count)):    # rows r, r + p, ... agree
-            stack[r::self.period] = self._weights[(lo + r) % self.period]
-        return stack, np.ones(count, dtype=bool)
-
     def _table_rows(self, lo: int, hi: int):
-        rows = self._slots[np.arange(lo, hi + 1) % self.period]
+        rows = self._slots.take(np.arange(lo, hi + 1) % self.period)
         return rows, np.ones(len(rows), dtype=bool)
 
     def described_range(self):
@@ -259,10 +288,6 @@ class EventuallyIdentityWeights(WeightSequence):
     def weight_at(self, n: int) -> np.ndarray:
         return self._weights[n - self.lo] if self.lo <= n <= self.hi else self._outside
 
-    def rows(self, lo: int, hi: int):
-        stack, _ = self._span_rows(lo, hi)
-        return stack, np.ones(len(stack), dtype=bool)
-
     def _table_rows(self, lo: int, hi: int):
         rows, _ = self._span_table_rows(lo, hi)
         return rows, np.ones(len(rows), dtype=bool)
@@ -276,7 +301,10 @@ class WindowedWeights(WeightSequence):
     """Stored matrices on [lo, hi]; any other index is an access error."""
 
     variant = "windowed"
-    _outside = 0.0           # zero blocks where a row is undefined
+
+    def __init__(self, lo: int, weights):
+        super().__init__(lo, weights)
+        self._outside = np.zeros((self.dim, self.dim), dtype=complex)    # rows it lacks
 
     def weight_at(self, n: int) -> np.ndarray:
         if self.lo <= n <= self.hi:
@@ -286,9 +314,6 @@ class WindowedWeights(WeightSequence):
 
     def has_index(self, n: int) -> bool:
         return self.lo <= n <= self.hi
-
-    def rows(self, lo: int, hi: int):
-        return self._span_rows(lo, hi)
 
     def _table_rows(self, lo: int, hi: int):
         return self._span_table_rows(lo, hi)
