@@ -206,13 +206,17 @@ class WindowReport:
         names = self.skipped._names
         skipped = [{"condition": names[c], "index": lo + r, "reason": _OUTSIDE}
                    for c, r in zip(conds.tolist(), rows.tolist())]
+        context = self.context
+        if "band_support" in context:       # keyed by band offset; JSON keys are strings
+            context = {**context, "band_support": {
+                str(k): v for k, v in context["band_support"].items()}}
         return {
             "window": [self.lo, self.hi],
             "passed": self.passed,
             "max_residual": self.max_residual,
             "checks": checks,
             "skipped": skipped,
-            "context": self.context,
+            "context": context,
         }
 
 

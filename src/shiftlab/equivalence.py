@@ -65,7 +65,8 @@ from .matrices import (
     herm,
     is_normal,
     nearest_unitary,
-    polar_decompose,
+    polar_factors,
+    singular_ratio,
 )
 from .shifts import (
     BilateralShift,
@@ -432,15 +433,16 @@ def positive_form(s: BilateralShift, lo: int, hi: int,
     """
     if hi < lo:
         raise ValueError("hi must be >= lo")
+    w, present = s.weights.rows(lo, hi)
+    # one SVD per row, for the conditioning check and the polar factors;
     # rows the sequence lacks read as the zero matrix, so they count as singular
-    ratios, present = s.weights.singular_values().ratios(lo, hi)
-    bad = np.flatnonzero(ratios <= INVERTIBILITY_THRESHOLD)
+    x, values, yh = np.linalg.svd(w)
+    bad = np.flatnonzero(singular_ratio(values) <= INVERTIBILITY_THRESHOLD)
     if bad.size:
         n = lo + int(bad[0])
         _require_rows(s.weights, lo, present[:bad[0] + 1])     # raises if row n is absent
         raise ConditioningError(f"weight at n={n} is singular or ill-conditioned", index=n)
-    w, _ = s.weights.rows(lo, hi)
-    unitaries, positives = polar_decompose(w)
+    unitaries, positives = polar_factors(x, values, yh)
 
     # v[j] is V_{lo-1+j}
     anchor = min(max(0, lo - 1), hi) - (lo - 1)

@@ -156,12 +156,16 @@ def polar_decompose(m):
     -------
     (W, P) : pair of ndarrays
     """
-    a = require_square(m)
-    x, s, yh = np.linalg.svd(a)
+    return polar_factors(*np.linalg.svd(require_square(m)))
+
+
+def polar_factors(x, s, yh):
+    """The polar factors ``(W, P)`` of ``M = X S Y*`` from its SVD
+    ``np.linalg.svd(M)``, as ``polar_decompose(M)`` returns them; for a
+    caller that reads the singular values too and decomposes once."""
     w = x @ yh
     p = herm(yh) @ (s[..., :, None] * yh)
-    p = 0.5 * (p + herm(p))
-    return w, p
+    return w, 0.5 * (p + herm(p))
 
 
 def is_normal(a, tol: Tolerance = DEFAULT_TOL):

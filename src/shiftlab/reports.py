@@ -87,6 +87,13 @@ class RunReport:
     def to_json(self) -> str:
         """Compact encoding: without ``indent``, ``json`` keeps its C encoder.
 
+        Keys follow the order in which the report built them, not sorted
+        order: sorting would reorder every per-check dict, a large share of
+        the encoding time of a long window.  The same report always builds
+        them in the same order, so the text is deterministic.  A report is
+        a tree of dicts and lists (one witness may sit in it twice, which is
+        no cycle), so the encoder skips its check for circular references.
+
         The output is strict JSON: a non-finite float (an overflowed
         residual, say) is written as the string ``"Infinity"``,
         ``"-Infinity"`` or ``"NaN"``.  Only a report holding one is walked to
@@ -94,9 +101,10 @@ class RunReport:
         """
         data = self.to_jsonable()
         try:
-            return json.dumps(data, separators=(",", ":"), sort_keys=True, allow_nan=False)
+            return json.dumps(data, separators=(",", ":"), allow_nan=False,
+                              check_circular=False)
         except ValueError:
-            return json.dumps(_finite(data), separators=(",", ":"), sort_keys=True)
+            return json.dumps(_finite(data), separators=(",", ":"), check_circular=False)
 
 
 def _finite(obj):

@@ -5,12 +5,27 @@ infinite matrix its weights sit on the band just below the main diagonal,
 ``S_{n, n-1} = S_n``.  Weight sequences come in three finite descriptions:
 periodic, eventually-identity, and windowed.
 
-Every variant stores the matrices of rows lo..hi as a tuple of the arrays it
-was given (never one stacked copy, so a long window repeating a few matrices
-stays small) and differs only in what the other rows hold: the stored
-matrices again (periodic), the identity (eventually-identity) or nothing
-(windowed).  ``weight_at(n)`` reads one row; ``rows(lo, hi)`` reads a range
-as an (N, d, d) stack with the mask of the rows the sequence defines;
+Every variant stores the matrices of rows lo..hi and differs only in what
+the other rows hold: the stored matrices again (periodic), the identity
+(eventually-identity) or nothing (windowed).  A sequence stores them in one
+of two forms, fixed by what it was given:
+
+* a list of matrices: a tuple of the arrays given (never one stacked copy,
+  so a long window repeating a few matrices stays small), the same array
+  object given twice stored once;
+* one (N, d, d) array (a stack): that array itself when it is complex (a
+  converted copy otherwise), row i holding row lo + i.  Its rows are
+  distinct by construction, so the stack is also the table of distinct
+  matrices below, and the checks made when the sequence is made (finite
+  entries, a shift's nonzero weights) are single array operations.  The
+  spec decoder, ``positive_form`` and ``conjugate_to_shift`` build
+  sequences this way.
+
+Either form holds the caller's complex arrays, not copies: an edit in
+place is seen by the next read.
+
+``weight_at(n)`` reads one row; ``rows(lo, hi)`` reads a range as a new
+(N, d, d) stack with the mask of the rows the sequence defines;
 ``reindex_weights`` moves a sequence along the indices, keeping its variant
 and its stored matrices.  Only this module maps indices to stored matrices.
 Every range read starts from ``_reached``: a table holding each matrix the
@@ -50,13 +65,24 @@ def identity_matrix(dim: int) -> np.ndarray:
 
 
 def _validated(weights):
-    """The weights as complex arrays, checked in one pass over the list:
-    nonempty, one square shape, finite entries.  Complex arrays are kept as
-    given, not copied, so a window repeating a few matrices stays small.
+    """The weights as complex arrays, checked in one pass: nonempty, one
+    square shape, finite entries.  Complex arrays are kept as given, not
+    copied, so a window repeating a few matrices stays small.
 
-    Returns the tuple of arrays, the sequence of its distinct arrays
-    (distinct as objects, in order of first appearance) and, for each
-    weight, the index of its array in that sequence."""
+    Returns the stored rows, the table of their distinct matrices and, for
+    each row, the index of its matrix in that table.  A list gives a tuple
+    of arrays and the sequence of its distinct arrays (distinct as objects,
+    in order of first appearance); an (N, d, d) array is itself both the
+    stored rows and the table, each row its own entry."""
+    if isinstance(weights, np.ndarray) and weights.ndim == 3:
+        stack = np.asarray(weights, dtype=complex)
+        if not len(stack):
+            raise ValueError("weight list must be nonempty")
+        if stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+            require_square(stack[0], "weight 0")      # raises; every row has its shape
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        return stack, stack, np.arange(len(stack), dtype=np.min_scalar_type(len(stack)))
     mats = tuple(np.asarray(w, dtype=complex) for w in weights)
     if not mats:
         raise ValueError("weight list must be nonempty")
@@ -142,6 +168,11 @@ class WeightSequence(ABC):
         stored matrix ``_distinct[i]``, or ``_outside`` for
         i = ``len(_distinct)``."""
         outside = len(self._distinct)
+        if isinstance(self._distinct, np.ndarray):       # a stack: one gather
+            mats = self._distinct.take(np.minimum(slots, outside - 1), axis=0)
+            if self._outside is not None:
+                mats[slots == outside] = self._outside
+            return mats
         mats = [self._distinct[i] if i < outside else self._outside for i in slots.tolist()]
         return np.array(mats, dtype=complex).reshape(len(mats), self.dim, self.dim)
 
@@ -194,7 +225,8 @@ class SingularValues:
     """The singular values of every row of a weight sequence.
 
     ``table`` holds the descending singular values of each distinct stored
-    matrix (distinct as objects, in order of first appearance), then those
+    matrix (the table of ``_validated``: one per array object of a list,
+    one per row of a stack), then those
     of the sequence's ``_outside`` matrix if it has one.  Rows map onto the
     table by the variant's index rule: ``n mod p`` (periodic), the
     identity's all-ones row off the span (eventually-identity), and the
@@ -347,7 +379,7 @@ class BilateralShift:
     def __init__(self, weights: WeightSequence, label: str = ""):
         if not isinstance(weights, WeightSequence):
             raise TypeError("weights must be a WeightSequence")
-        norms = np.linalg.norm(np.array(weights._distinct), axis=(-2, -1))
+        norms = np.linalg.norm(np.asarray(weights._distinct), axis=(-2, -1))
         zero = np.flatnonzero(norms[weights._slots] == 0.0)
         if zero.size:
             raise ValueError(f"shift weight at index {weights.lo + zero[0]} is zero")

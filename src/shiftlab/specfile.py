@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -81,9 +82,18 @@ class SpecModel:
 
 
 def encode_matrix(m) -> list:
-    """Rows of ``[re, im]`` pairs."""
-    a = np.asarray(m, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
+    """Rows of ``[re, im]`` pairs; for a stack of matrices, a list of those."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
+
+
+#: The largest magnitude of a row or offset a document names (a stored row
+#: ``lo .. lo + N - 1`` of a sequence; an end of a task's ``window``,
+#: ``k_range`` or ``m_range``, its ``m`` or ``k``): ten times the longest
+#: window the benchmarks run, so no task steps through an unbounded range of
+#: rows or allocates arrays for it; the automatic window and depth of a
+#: ``decide`` task, which grow with the stored spans, stay bounded too.
+_INDEX_LIMIT = 10**5
 
 
 def _is_int(x) -> bool:
@@ -137,27 +147,32 @@ def decode_matrix(data, path: str, dim: int | None = None) -> np.ndarray:
 def _decode_weights(raw: list, path: str, dim: int):
     """A nonempty weight list as decoded matrices.
 
-    A well-formed list (an (N, dim, dim, 2) nest of finite ``int``/``float``
-    scalars) is converted in one step to an (N, dim, dim) complex stack, each
-    entry bitwise ``complex(re, im)``; any other list goes through
-    ``decode_matrix`` one matrix at a time, which names its first bad cell.
+    A well-formed list (an (N, dim, dim, 2) nest of lists holding finite
+    ``int``/``float`` scalars) is checked one nesting level at a time, each
+    level by C-level passes over its flattening, and converted in one step
+    to an (N, dim, dim) complex stack, each entry bitwise
+    ``complex(re, im)``.  Any other list goes through ``decode_matrix`` one
+    matrix at a time, which names its first bad cell.
     """
-    cells = np.array(raw, dtype=object)
-    if (cells.shape == (len(raw), dim, dim, 2)
-            and set(map(type, cells.ravel().tolist())) <= {int, float}):
-        try:
-            pairs = cells.astype(float)
-        except OverflowError:       # an integer beyond the float range
-            pass
-        else:
-            if np.isfinite(pairs).all():
-                return pairs.view(complex)[..., 0]
+    level = raw
+    for width in (dim, dim, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {width}:
+            break
+        level = list(chain.from_iterable(level))
+    else:
+        if set(map(type, level)) <= {int, float}:
+            try:
+                pairs = np.array(level, dtype=float)
+            except OverflowError:       # an integer beyond the float range
+                pass
+            else:
+                if np.isfinite(pairs).all():
+                    return pairs.view(complex).reshape(len(raw), dim, dim)
     return [decode_matrix(w, f"{path}[{i}]", dim) for i, w in enumerate(raw)]
 
 
 def encode_sequence(seq: WeightSequence) -> dict:
-    out = {"variant": seq.variant,
-           "weights": encode_matrix(np.stack([w for _, w in seq.described_items()]))}
+    out = {"variant": seq.variant, "weights": encode_matrix(seq.rows(seq.lo, seq.hi)[0])}
     rng = seq.described_range()
     if rng is not None:
         out["lo"] = rng[0]
@@ -179,6 +194,10 @@ def decode_sequence(data, path: str, dim: int) -> WeightSequence:
         lo = data.get("lo")
         if not _is_int(lo):
             raise SpecFormatError(f"variant {variant!r} requires integer 'lo'",
+                                  path=f"{path}.lo")
+        if lo < -_INDEX_LIMIT or lo + len(raw) - 1 > _INDEX_LIMIT:
+            raise SpecFormatError(f"stored rows lo .. lo + {len(raw) - 1} must lie "
+                                  f"within [-{_INDEX_LIMIT}, {_INDEX_LIMIT}]",
                                   path=f"{path}.lo")
         cls = (EventuallyIdentityWeights if variant == "eventually_identity"
                else WindowedWeights)
@@ -221,11 +240,6 @@ _DEFAULT_WINDOW = (-8, 8)
 #: The ``mode`` values of a ``verify_unitary`` task: mode M runs
 #: ``verify_unitary_M``.
 _UNITARY_MODES = ("banded", "three_band", "two_band")
-#: The largest magnitude of a row or offset a task names (an end of its
-#: ``window``, ``k_range`` or ``m_range``, its ``m`` or ``k``): ten times the
-#: longest window the benchmarks run, so no task steps through an unbounded
-#: range of rows or allocates arrays for it.
-_INDEX_LIMIT = 10**5
 #: The largest ``depth``; the Gram chains of a decision hold
 #: ``(2 * depth, 2, d, d)`` matrices.
 _DEPTH_LIMIT = 10**4

@@ -180,6 +180,12 @@ def _op_task(**task):
     return {**_band_keys("0"), "tasks": [task]}
 
 
+def _windowed_shift(lo, count=1):
+    """Shift S stored on rows lo .. lo + count - 1."""
+    return {"shifts": {"S": {"variant": "windowed", "lo": lo,
+                             "weights": [[[[2.0, 0.0]]]] * count}}}
+
+
 def _band_keys(*keys):
     """An operator U with one band under each of the given offset keys."""
     band = {"variant": "periodic", "weights": [[[[1.0, 0.0]]]]}
@@ -227,6 +233,14 @@ MALFORMED_SPECS = {
                      "tasks[0].k"),
     "depth-past-limit": (_op_task(op="decide", s="S", t="S", m=0, depth=10**4 + 1),
                          "tasks[0].depth"),
+    # so are a sequence's stored rows lo .. lo + N - 1: a decision's automatic
+    # window and depth grow with them
+    "lo-huge": (_windowed_shift(10**30), "shifts.S.lo"),
+    "lo-past-limit": (_windowed_shift(-10**5 - 1), "shifts.S.lo"),
+    "hi-past-limit": (_windowed_shift(10**5, count=2), "shifts.S.lo"),
+    "band-lo-huge": ({"operators": {"U": {"bands": {"-1": {
+        "variant": "eventually_identity", "lo": -10**30, "weights": [[[[1.0, 0.0]]]]}}}}},
+        "operators.U.bands.-1.lo"),
     # work budgets: a screen compares at most 10**7 (offset, row) pairs, a
     # decide task scans at most 100 offsets
     "screen-past-budget": (_op_task(op="norm_offset_screen", s="S", t="S", k_range=[0, 99],
@@ -290,3 +304,32 @@ def malformed_spec(name):
     doc = {"dim": 1, "shifts": {"S": {"variant": "periodic", "weights": [[[[2.0, 0.0]]]]}}}
     doc.update(override)
     return doc, path
+
+
+#: One task block per task op, ``verify_unitary`` once per mode and
+#: ``decide`` with ``m`` and with ``m_range``; see ``every_op_model``.
+EVERY_OP_TASKS = [
+    {"op": "verify_intertwining", "operator": "U", "s": "S", "t": "T"},
+    {"op": "verify_unitary", "operator": "U", "mode": "banded"},
+    {"op": "verify_unitary", "operator": "U", "mode": "two_band"},
+    {"op": "verify_unitary", "operator": "U3", "mode": "three_band"},
+    {"op": "two_band_structure", "operator": "U"},
+    {"op": "diagonal_propagation", "operator": "U", "s": "S", "t": "T"},
+    {"op": "band_count_bound", "operator": "U"},
+    {"op": "conjugate_to_shift", "operator": "U", "s": "S"},
+    {"op": "positive_form", "shift": "S"},
+    {"op": "norms", "shift": "S"},
+    {"op": "norm_offset_screen", "s": "S", "t": "T"},
+    {"op": "eigen_moduli_screen", "s": "S", "t": "T"},
+    {"op": "decide", "s": "S", "t": "T", "m": 0},
+    {"op": "decide", "s": "S", "t": "T", "m_range": [0, 1]},
+]
+
+
+def every_op_model():
+    """The shifts and operator of ``ex31`` with the three-band operator of
+    ``ex33-three-band`` as U3, and ``EVERY_OP_TASKS`` on the window [-3, 3]."""
+    ex = sl.load_example("ex31")
+    operators = {**ex.operators, "U3": sl.load_example("ex33-three-band").operators["U"]}
+    return sl.SpecModel(dim=2, shifts=ex.shifts, operators=operators,
+                        tasks=[{**task, "window": [-3, 3]} for task in EVERY_OP_TASKS])

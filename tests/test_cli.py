@@ -10,7 +10,14 @@ import shiftlab as sl
 from shiftlab import cli
 from shiftlab.cli import cli_main
 
-from conftest import MALFORMED_SPECS, conjugated_shift, ei_shift, malformed_spec
+from conftest import (
+    EVERY_OP_TASKS,
+    MALFORMED_SPECS,
+    conjugated_shift,
+    ei_shift,
+    every_op_model,
+    malformed_spec,
+)
 
 
 def write_spec(tmp_path, model, name="model.json"):
@@ -184,6 +191,15 @@ class TestDecideCommand:
         assert ": inconclusive (inconclusive: " in line
         assert "index 0 outside stored window [3, 12]" in line
 
+    @pytest.mark.parametrize("lo", [10**30, 10**5 + 1, -10**5 - 1])
+    def test_shift_stored_past_the_index_limit_exits_two(self, tmp_path, capsys, lo):
+        # its automatic window and depth would grow with lo
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"dim": 1, "shifts": {"S": {
+            "variant": "windowed", "lo": lo, "weights": [[[[2.0, 0.0]]]]}}}))
+        assert cli_main(["decide", str(spec), "--s", "S", "--t", "S", "--m", "0"]) == 2
+        assert "(at shifts.S.lo)" in capsys.readouterr().err
+
     def test_m_range_scan(self, tmp_path, rng, capsys):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s, m=1)
@@ -312,6 +328,56 @@ class TestOtherCommands:
 
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_main([]) == 2
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestReportText:
+    """The text ``--json`` writes is the report's compact strict JSON, with
+    keys in the order the report built them, byte-identical across runs."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return write_spec(tmp_path, every_op_model(), "every-op.json")
+
+    ARGV = {
+        "verify": ["verify"],
+        "positive-form": ["positive-form", "--shift", "S", "--window", "-3", "3"],
+        "decide-m": ["decide", "--s", "S", "--t", "T", "--m", "0"],
+        "decide-m-range": ["decide", "--s", "S", "--t", "T", "--m-range", "-1", "1"],
+        **{f"example-{name}": ["example", name] for name in sl.EXAMPLE_NAMES},
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_written_text_is_the_report(self, tmp_path, spec, monkeypatch, command):
+        argv = list(self.ARGV[command])
+        if argv[0] != "example":
+            argv.insert(1, spec)
+        runner = "run_example" if argv[0] == "example" else "run_spec"
+        reports = []
+
+        def recorded(*args, _run=getattr(cli, runner), **kwargs):
+            reports.append(_run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, runner, recorded)
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"report-{k}.json"
+            cli_main([*argv, "--json", str(out), "--quiet"])
+            texts.append(out.read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        report = reports[0]
+        if argv[0] == "verify":
+            assert len(report.checks) == len(EVERY_OP_TASKS)
+        assert texts[0] == report.to_json() + "\n"
+        data = json.loads(texts[0], parse_constant=_reject)
+        assert data == report.to_jsonable()
+        assert texts[0] == json.dumps(data, separators=(",", ":"), allow_nan=False) + "\n"
+        assert list(data) == ["name", "title", "seed", "tolerance", "exit_code", "checks",
+                              "witnesses"]
 
 
 class TestSeedHandling:

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,65 @@ class TestPositiveForm:
         s = sl.BilateralShift(sl.WindowedWeights(0, [np.diag([1.0, 1e-13])]))
         with pytest.raises(sl.ConditioningError):
             sl.positive_form(s, 0, 0)
+
+    def test_one_decomposition_of_the_rows(self, rng, monkeypatch):
+        # the conditioning check and the polar factors share one SVD
+        s = ei_shift(rng, lo=-2, length=5)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        sl.positive_form(s, -4, 4)
+        assert calls == [(9, 2, 2)]
+
+    @pytest.mark.parametrize("window", [(-4, 4), (2, 7), (-9, -3)])
+    def test_weights_are_those_of_the_polar_decomposition(self, rng, window):
+        # bit for bit what polar_decompose of the rows gives
+        lo, hi = window
+        s = ei_shift(rng, dim=3, lo=-2, length=6)
+        form = sl.positive_form(s, lo, hi)
+        w, _ = s.weights.rows(lo, hi)
+        unitaries, positives = sl.polar_decompose(w)
+        anchor = min(max(0, lo - 1), hi) - (lo - 1)
+        v = np.empty((hi - lo + 2, 3, 3), dtype=complex)
+        v[anchor] = np.eye(3)
+        for j in range(anchor + 1, len(v)):
+            v[j] = unitaries[j - 1] @ v[j - 1]
+        for j in range(anchor, 0, -1):
+            v[j - 1] = herm(unitaries[j - 1]) @ v[j]
+        t = herm(v[:-1]) @ positives @ v[:-1]
+        t = 0.5 * (t + herm(t))
+        assert form.shift.weights.rows(lo, hi)[0].tobytes() == t.tobytes()
+        assert form.diagonal.band(0).rows(lo - 1, hi)[0].tobytes() == herm(v).tobytes()
+
+    @pytest.mark.parametrize("singular", [None, 2])
+    def test_a_decoded_shift_names_its_first_bad_row(self, rng, singular):
+        # a parsed spec holds its weights as one stack, stored here on rows -1..4
+        mats = np.stack([random_invertible(rng) for _ in range(6)])
+        if singular is not None:
+            mats[singular + 1] = np.diag([1.0, 1e-14])
+        doc = {"dim": 2, "shifts": {"S": sl.specfile.encode_sequence(
+            sl.WindowedWeights(-1, mats))}}
+        s = sl.parse_shift_spec(json.dumps(doc)).shifts["S"]
+        assert isinstance(s.weights._weights, np.ndarray)
+        for lo, hi in ((-1, 4), (-1, 7), (-3, 4)):
+            absent = -3 if lo < -1 else (5 if hi > 4 else None)
+            # the row met first names the error: an absent row below the
+            # store, else the singular row, else an absent row above it
+            if absent == -3 or (absent is not None and singular is None):
+                with pytest.raises(sl.WindowAccessError) as err:
+                    sl.positive_form(s, lo, hi)
+                assert err.value.index == absent
+            elif singular is not None:
+                with pytest.raises(sl.ConditioningError) as err:
+                    sl.positive_form(s, lo, hi)
+                assert err.value.index == singular and f"n={singular}" in str(err.value)
+            else:
+                assert sl.positive_form(s, lo, hi).max_residual < 1e-12
 
 
 class TestNormOffsetScreen:

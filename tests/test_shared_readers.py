@@ -303,6 +303,26 @@ class TestNoStateBetweenCalls:
             sl.decide_diagonal_equivalence(s, t, 0)
 
 
+    def test_an_edited_row_of_a_stack_is_read_again(self, rng):
+        # a sequence given one (N, d, d) array holds it: the same reads see an edit
+        stack = np.stack([random_invertible(rng, 3) for _ in range(3)])
+        s = sl.BilateralShift(sl.EventuallyIdentityWeights(0, stack.copy()))
+        t = sl.BilateralShift(sl.EventuallyIdentityWeights(0, stack))
+        assert sl.decide_diagonal_equivalence(s, t, 0).is_equivalent
+        stack[1] *= 2.0
+        rows, _ = t.weights.rows(1, 1)
+        np.testing.assert_array_equal(rows[0], stack[1])
+        norms, _ = t.weights.singular_values().norms(1, 1)
+        assert norms.tolist() == [np.linalg.svd(stack[1], compute_uv=False)[0]]
+        verdict = sl.decide_diagonal_equivalence(s, t, 0)
+        assert verdict.is_not_equivalent
+        assert (verdict.obstruction.kind, verdict.obstruction.index) == ("norm-profile", 1)
+        stack[2] = np.diag([1.0, 1.0, 1e-13])             # now singular
+        assert not t.quasi_invertible
+        with pytest.raises(sl.ConditioningError):
+            sl.decide_diagonal_equivalence(s, t, 0)
+
+
 class TestWitnessConditioning:
     def test_names_the_singular_row(self, rng):
         # forward rows read S_{n+m}, backward rows read T_n

@@ -258,3 +258,88 @@ class TestConstruction:
             tracemalloc.stop()
         assert seq.hi == 9_999
         assert peak < copy_bytes / 4 and kept < copy_bytes / 4
+
+
+#: A (N, d, d) array given in place of a list, and the error it raises.
+BAD_STACKS = {
+    "empty": (np.zeros((0, 2, 2), dtype=complex), ValueError),
+    "non-square": (np.ones((3, 2, 3), dtype=complex), sl.DimensionError),
+    "zero-size": (np.ones((3, 0, 0), dtype=complex), sl.DimensionError),
+    "nan": (np.stack([I2, np.diag([np.nan, 1.0])]), ValueError),
+    "complex-inf": (np.stack([I2, np.diag([complex(0, np.inf), 1.0])]), ValueError),
+}
+
+
+class TestStackHeldSequences:
+    """A sequence given one complex (N, d, d) array holds that array as its
+    stored rows and its table; it reads as the sequence of its rows."""
+
+    @staticmethod
+    def pair(rng, variant, dim=3, length=5):
+        stack = rng.standard_normal((length, dim, dim)) + 1j * rng.standard_normal(
+            (length, dim, dim))
+        return stack, CONSTRUCTORS[variant](stack), CONSTRUCTORS[variant](list(stack.copy()))
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_holds_the_array_given(self, rng, variant):
+        stack, held, _ = self.pair(rng, variant)
+        assert held._weights is stack and held._distinct is stack
+        assert all(np.shares_memory(w, stack) for _, w in held.described_items())
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_reads_as_the_list_built_sequence(self, rng, variant):
+        _, held, listed = self.pair(rng, variant)
+        assert (held.lo, held.hi, held.dim) == (listed.lo, listed.hi, listed.dim)
+        assert [(n, w.tobytes()) for n, w in held.described_items()] == [
+            (n, w.tobytes()) for n, w in listed.described_items()]
+        for moved in (0, 3, -2):
+            a, b = (sl.reindex_weights(seq, moved) for seq in (held, listed))
+            for lo, hi in ROW_RANGES.values():
+                (got, got_has), (want, want_has) = a.rows(lo, hi), b.rows(lo, hi)
+                assert got.tobytes() == want.tobytes()
+                assert got_has.tolist() == want_has.tolist()
+                for n, has in zip(range(lo, hi + 1), want_has):
+                    if has:
+                        assert a.weight_at(n).tobytes() == b.weight_at(n).tobytes()
+                got, _ = a.singular_values().gather(lo, hi, lambda table: table)
+                want, _ = b.singular_values().gather(lo, hi, lambda table: table)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_an_edit_in_place_is_read_again(self, rng, variant):
+        stack, held, _ = self.pair(rng, variant)
+        n = held.lo + 1                                   # the row stack[1] holds
+        shift = sl.BilateralShift(held)
+        before = sl.weight_norm_profile(shift, n, n)[0]
+        stack[1] *= 2.0
+        np.testing.assert_array_equal(held.rows(n, n)[0][0], stack[1])
+        after = sl.weight_norm_profile(shift, n, n)[0]
+        assert after == float(np.linalg.svd(stack[1], compute_uv=False)[0])
+        assert after == pytest.approx(2.0 * before, rel=1e-14)
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_rows_are_a_copy(self, rng, variant):
+        stack, held, _ = self.pair(rng, variant)
+        kept = stack.copy()
+        rows, _ = held.rows(-3, 6)
+        rows[:] = 7.0
+        assert stack.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_a_zero_row_is_named(self, rng, variant):
+        stack, held, _ = self.pair(rng, variant)
+        stack[3] = 0.0
+        with pytest.raises(ValueError, match=f"at index {held.lo + 3} is zero"):
+            sl.BilateralShift(CONSTRUCTORS[variant](stack))
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    @pytest.mark.parametrize("case", BAD_STACKS)
+    def test_error_types(self, variant, case):
+        stack, error = BAD_STACKS[case]
+        with pytest.raises(error):
+            CONSTRUCTORS[variant](stack)
+
+    def test_a_real_stack_is_converted(self):
+        seq = sl.WindowedWeights(0, np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]))
+        assert seq.weight_at(1).dtype == complex
+        np.testing.assert_array_equal(seq.weight_at(1), [[0, 1], [1, 0]])

@@ -21,9 +21,11 @@ from shiftlab.specfile import (
 )
 
 from conftest import (
+    EVERY_OP_TASKS,
     MALFORMED_SPECS,
     conjugated_shift,
     ei_shift,
+    every_op_model,
     malformed_spec,
     random_matrix,
 )
@@ -148,6 +150,14 @@ class TestWeightListDecoding:
         assert [n for n, _ in seq.described_items()] == [-1, 0, 1]
         assert np.signbit(seq.weight_at(0)[0, 1].imag)
 
+    @pytest.mark.parametrize("variant", ["periodic", "eventually_identity", "windowed"])
+    def test_well_formed_list_is_held_as_one_stack(self, rng, variant):
+        mats = np.stack([random_matrix(rng, 3) for _ in range(4)])
+        data = {"variant": variant, "lo": -2, "weights": encode_matrix(mats)}
+        seq = decode_sequence(json.loads(json.dumps(data)), "x", 3)
+        assert isinstance(seq._weights, np.ndarray) and seq._distinct is seq._weights
+        assert seq._weights.tobytes() == mats.tobytes()
+
     def test_fallback_names_the_first_bad_cell(self):
         raw = [encode_matrix(np.eye(2)) for _ in range(3)]
         raw[1][1][0] = [0.0, True]
@@ -156,14 +166,17 @@ class TestWeightListDecoding:
             decode_sequence({"variant": "periodic", "weights": raw}, "shifts.S", 2)
         assert err.value.path == "shifts.S.weights[1][1][0]"
 
-    def test_encoding_matches_the_per_matrix_encoding(self, rng):
+    def test_encoding_matches_the_per_cell_encoding(self, rng):
         mats = [random_matrix(rng, 3) for _ in range(4)]
         mats[1][0, 2] = complex(-0.0, -0.0)
-        for seq in (sl.PeriodicWeights(mats), sl.WindowedWeights(-2, mats),
-                    sl.EventuallyIdentityWeights(5, mats)):
-            per_matrix = [encode_matrix(w) for _, w in seq.described_items()]
-            # json.dumps tells -0.0 from 0.0, which == does not
-            assert json.dumps(encode_sequence(seq)["weights"]) == json.dumps(per_matrix)
+        # a list of arrays, a stack of them, and a stack not contiguous in memory
+        for weights in (mats, np.stack(mats), np.stack(mats).swapaxes(1, 2).conj()):
+            for seq in (sl.PeriodicWeights(weights), sl.WindowedWeights(-2, weights),
+                        sl.EventuallyIdentityWeights(5, weights)):
+                per_cell = [[[[z.real, z.imag] for z in row] for row in w.tolist()]
+                            for _, w in seq.described_items()]
+                # json.dumps tells -0.0 from 0.0, which == does not
+                assert json.dumps(encode_sequence(seq)["weights"]) == json.dumps(per_cell)
 
     def test_thousand_weight_window_round_trips(self, rng):
         mats = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
@@ -263,6 +276,19 @@ class TestMalformed:
             {"op": "decide", "s": "S", "t": "S", "m": -10**5},
             {"op": "norm_offset_screen", "s": "S", "t": "S", "k_range": [-10**5, 10**5]}]
         assert len(sl.parse_shift_spec(json.dumps(doc)).tasks) == 3
+
+    def test_stored_rows_at_the_index_limit_accepted(self):
+        cell = [[[2.0, 0.0]]]
+        doc = minimal_doc()
+        doc["shifts"] = {"A": {"variant": "windowed", "lo": -10**5, "weights": [cell]},
+                         "B": {"variant": "eventually_identity", "lo": 10**5 - 1,
+                               "weights": [cell, cell]}}
+        doc["operators"] = {"U": {"bands": {"1": {"variant": "windowed", "lo": 10**5,
+                                                  "weights": [cell]}}}}
+        model = sl.parse_shift_spec(json.dumps(doc))
+        assert model.shifts["A"].weights.described_range() == (-10**5, -10**5)
+        assert model.shifts["B"].weights.described_range() == (10**5 - 1, 10**5)
+        assert model.operators["U"].band(1).described_range() == (10**5, 10**5)
 
     def test_work_budgets_accepted_at_their_edges(self):
         # 100 offsets times 10**5 rows, 200001 offsets times 49 rows, the
@@ -414,25 +440,7 @@ class TestRunSpec:
             fn = getattr(specfile, name)
             monkeypatch.setattr(specfile, name, lambda *a, _f=fn, _n=name, **k:
                                 called.add(_n) or _f(*a, **k))
-        ex = sl.load_example("ex31")
-        window = {"window": [-3, 3]}
-        tasks = [{"op": "verify_intertwining", "operator": "U", "s": "S", "t": "T"},
-                 {"op": "verify_unitary", "operator": "U", "mode": "banded"},
-                 {"op": "verify_unitary", "operator": "U", "mode": "two_band"},
-                 {"op": "verify_unitary", "operator": "U3", "mode": "three_band"},
-                 {"op": "two_band_structure", "operator": "U"},
-                 {"op": "diagonal_propagation", "operator": "U", "s": "S", "t": "T"},
-                 {"op": "band_count_bound", "operator": "U"},
-                 {"op": "conjugate_to_shift", "operator": "U", "s": "S"},
-                 {"op": "positive_form", "shift": "S"},
-                 {"op": "norms", "shift": "S"},
-                 {"op": "norm_offset_screen", "s": "S", "t": "T"},
-                 {"op": "eigen_moduli_screen", "s": "S", "t": "T"},
-                 {"op": "decide", "s": "S", "t": "T", "m": 0},
-                 {"op": "decide", "s": "S", "t": "T", "m_range": [0, 1]}]
-        operators = {**ex.operators, "U3": sl.load_example("ex33-three-band").operators["U"]}
-        model = sl.SpecModel(dim=2, shifts=ex.shifts, operators=operators,
-                             tasks=[{**task, **window} for task in tasks])
+        model = every_op_model()
         report = sl.run_spec(model, "all ops", "every task op")
-        assert len(report.checks) == len(tasks)
+        assert len(report.checks) == len(EVERY_OP_TASKS)
         assert called == set(names)
