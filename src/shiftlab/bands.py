@@ -18,16 +18,15 @@ its factors reach, as a table holding each matrix those rows read once and
 each row's index into it (``WeightSequence._reached``); this module never
 maps an index to a stored matrix itself.  A condition at row n depends
 only on the table entries its factors read there, the row's signature, so
-a window longer than ``_BLOCK_ROWS`` is evaluated once per distinct
-signature, on one row that has it, and the residuals, verdicts and
-availability are copied to every row with that signature.  A periodic
-operator then costs one evaluation per row of its combined period
-whatever the window's length; a window of all-distinct rows costs what it
-did row by row.  A window of one block skips the signature step and is
-evaluated row by row.  Rows or signatures are evaluated in blocks of
-``_BLOCK_ROWS``, so working memory for the products does not grow with
-the window.  A residual depends only on its row's matrices, never on the
-rows it is evaluated with, so both paths give the same bits.
+every window is evaluated once per distinct signature, on one row that
+has it, and the residuals, verdicts and availability are copied to every
+row with that signature.  A periodic operator then costs one evaluation
+per row of its combined period whatever the window's length; a window of
+all-distinct rows costs what it did row by row.  Signatures are evaluated
+in blocks of ``_BLOCK_ROWS``, so working memory for the products does not
+grow with the window.  A residual depends only on its row's matrices,
+never on the rows it is evaluated with, so the grouping gives the bits a
+row-by-row evaluation gives.
 
 A block holds every stack rows-last, as a (d, d, rows) array, so a product
 is computed for all rows of the block at once.  ``matmul`` over a stack
@@ -381,19 +380,14 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         table, index, present = seq._reached(lo + first, hi + last)
         tables[seq] = first, _rows_last(table), index, present
     # a row's values depend only on the table entries its factors read, so
-    # a window longer than a block is evaluated once per distinct tuple of
-    # them and scattered back to every row
-    rows, inverse = range(count), None
-    if count > _BLOCK_ROWS:
-        columns = []
-        for seq, shift in pairs:
-            first, table, index, _ = tables[seq]
-            if table.shape[-1] > 1:
-                columns.append((index[shift - first:shift - first + count], table.shape[-1]))
-        rows, inverse = _signatures(columns, count)
-    else:       # one block of consecutive rows: each sequence's rows, sliced by its factors
-        tables = {seq: (first, _take(table, index), None, present)
-                  for seq, (first, table, index, present) in tables.items()}
+    # the window is evaluated once per distinct tuple of them and scattered
+    # back to every row
+    columns = []
+    for seq, shift in pairs:
+        first, table, index, _ = tables[seq]
+        if table.shape[-1] > 1:
+            columns.append((index[shift - first:shift - first + count], table.shape[-1]))
+    rows, inverse = _signatures(columns, count)
     res = np.zeros((len(conds), len(rows)))
     passed = np.zeros((len(conds), len(rows)), dtype=bool)
     has = np.ones((len(conds), len(rows)), dtype=bool)
@@ -403,12 +397,8 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         stacks = {}
         for seq, shift in pairs:
             first, table, index, present = tables[seq]
-            if index is None:
-                at = slice(start + shift - first, stop + shift - first)
-                stacks[seq, shift] = table[..., at], present[at]
-            else:
-                at = rows[start:stop] + (shift - first)
-                stacks[seq, shift] = _take(table, index.take(at)), present.take(at)
+            at = rows[start:stop] + (shift - first)
+            stacks[seq, shift] = _take(table, index.take(at)), present.take(at)
 
         def factor(f, mask):
             w, present = stacks[f.seq, f.shift]
@@ -431,9 +421,8 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
                 kept[start:stop] = np.moveaxis(sums[cond.lhs], -1, 0)
-    if inverse is not None:
-        res, passed, has = res[:, inverse], passed[:, inverse], has[:, inverse]
-        kept = None if kept is None else kept[inverse]
+    res, passed, has = res[:, inverse], passed[:, inverse], has[:, inverse]
+    kept = None if kept is None else kept[inverse]
     return res, passed, has, kept
 
 

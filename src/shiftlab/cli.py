@@ -149,7 +149,7 @@ def cli_main(argv) -> int:
         if args.command == "decide" and code == EXIT_OK:
             return _verdict_exit(VerdictStatus(report.checks[-1].observed))
         return code
-    except (SpecFormatError, FileNotFoundError) as exc:
+    except (SpecFormatError, OSError) as exc:       # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ShiftLabError as exc:

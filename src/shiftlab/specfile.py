@@ -452,6 +452,8 @@ def parse_shift_spec(text: str) -> SpecModel:
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                               column=exc.colno) from None
+    except (ValueError, RecursionError) as exc:     # an over-long integer; nesting too deep
+        raise SpecFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecFormatError("document must be a JSON object", path="$")
     dim = doc.get("dim")
@@ -497,7 +499,11 @@ def serialize_model(model: SpecModel, indent: int = 2) -> str:
 
 def load_spec_file(path) -> SpecModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_shift_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"document is not UTF-8 text: {exc.reason}") from None
+    return parse_shift_spec(text)
 
 
 def run_spec(model: SpecModel, name: str, title: str,

@@ -92,8 +92,28 @@ class TestVerify:
         assert cli_main(["verify", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    # written as text: json.dumps cannot write an integer of 5000 digits
+    HOSTILE_TEXTS = {
+        "integer-of-5000-digits": ('{"dim": 1, "shifts": {"S": {"variant": "windowed", "lo": '
+                                   + "1" * 5000 + ', "weights": [[[[2, 0]]]]}}}').encode(),
+        "not-utf-8": b'{"dim": 1, "label": "\xff\xfe"}',
+        "nested-10^5-deep": b'{"dim": 1, "x": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
+    def test_hostile_document_exits_two(self, tmp_path, capsys, name):
+        spec = tmp_path / "hostile.json"
+        spec.write_bytes(self.HOSTILE_TEXTS[name])
+        assert cli_main(["verify", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         assert cli_main(["verify", "/nonexistent/spec.json"]) == 2
+
+    def test_directory_as_spec_or_report_exits_two(self, tmp_path, capsys):
+        assert cli_main(["verify", str(tmp_path)]) == 2
+        assert cli_main(["example", "ex31", "--json", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err.count("error: ") == 2
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
     def test_malformed_spec_exits_two_naming_path(self, tmp_path, capsys, name):

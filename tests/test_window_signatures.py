@@ -1,13 +1,14 @@
 """The windowed engine evaluates each distinct row once, and this cannot be seen.
 
-``bands._evaluate`` evaluates a window longer than a block once per
-signature, the tuple of table entries its factors read at a row, and
+``bands._evaluate`` evaluates every window, of one block or of many, once
+per signature, the tuple of table entries its factors read at a row, and
 copies the results to every row with that signature.  The same operators
 are built here twice, once repeating a period of arrays by reference and
 once with every row a distinct copy, and every verifier must report the
 same columns, bit for bit, on both.  Then the products are counted: on a
-periodic operator their row axis stays at the number of signatures, and a
-short window of a long all-distinct store copies only the rows it reads.
+periodic operator their row axis stays at the number of signatures, for a
+window shorter than a block as for a long one, and a short window of a
+long all-distinct store copies only the rows it reads.
 """
 
 import math
@@ -152,7 +153,8 @@ def test_signatures_group_rows_by_their_whole_tuple(rng):
     assert [tuples[rows[i]] for i in inverse] == tuples
 
 
-def test_products_run_once_per_signature(rng, monkeypatch):
+@pytest.mark.parametrize("lo, hi", [(0, 9_999), (0, 120)])
+def test_products_run_once_per_signature(rng, monkeypatch, lo, hi):
     system = _system(rng, 2)
     u = sl.BandedOperator({k: sl.PeriodicWeights(v) for k, v in system["U2"].items()})
     s = sl.BilateralShift(sl.PeriodicWeights(system["S"]))
@@ -166,7 +168,6 @@ def test_products_run_once_per_signature(rng, monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(bands, "_mul", counted)
-    lo, hi = 0, 9_999
     assert sl.verify_unitary_two_band(u, lo, hi).passed
     assert sl.verify_unitary_banded(u, lo, hi).passed
     assert sl.check_two_band_structure(u, lo, hi).passed
