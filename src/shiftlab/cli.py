@@ -34,7 +34,6 @@ from .specfile import load_spec_file, run_spec
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
 
 @functools.cache      # one parser per process; parsing does not change it
@@ -102,14 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verdict_exit(status: VerdictStatus) -> int:
-    if status is VerdictStatus.EQUIVALENT:
-        return EXIT_OK
-    if status is VerdictStatus.NOT_EQUIVALENT:
-        return EXIT_FAILED
-    return EXIT_INCONCLUSIVE
-
-
 def _emit(report: RunReport, args) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -146,8 +137,11 @@ def cli_main(argv) -> int:
             model = replace(model, tasks=_command_tasks(args))
         report = run_spec(model, args.command, args.spec, tol, seed)
         code = _emit(report, args)
-        if args.command == "decide" and code == EXIT_OK:
-            return _verdict_exit(VerdictStatus(report.checks[-1].observed))
+        # the report already exits 3 on an inconclusive verdict; the decide
+        # command also fails on a refuted equivalence
+        if (args.command == "decide" and code == EXIT_OK
+                and report.checks[-1].observed == VerdictStatus.NOT_EQUIVALENT):
+            return EXIT_FAILED
         return code
     except (SpecFormatError, OSError) as exc:       # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)

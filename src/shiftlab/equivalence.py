@@ -17,6 +17,10 @@ read three times, by the quasi-invertibility check, the singular-value
 screen and the conditioning checks of the witness recursion.  The Gram
 chains read each shift's rows once and advance as one batched product.  So
 a decision that the screen or the Gram spectra refute makes two SVD calls.
+An equivalent decision makes those two, one per linear system the
+conjugator solver solves and one per candidate its span search tries (no
+system and no candidate when the identity passes): each candidate's
+conditioning and unitary polar factor come from its one SVD.
 An offset scan reads the pair of readers once, for its screen over every
 offset, and passes them to every decision.
 
@@ -60,11 +64,9 @@ from .matrices import (
     DEFAULT_TOL,
     INVERTIBILITY_THRESHOLD,
     Tolerance,
-    condition_ratio,
     frob,
     herm,
     is_normal,
-    nearest_unitary,
     polar_factors,
     singular_ratio,
 )
@@ -229,9 +231,10 @@ def _unitary_in_span(basis, pairs, scales, tol, rng):
     span of the (k, d, d) ``basis``.
 
     Tries the basis elements, then ``_RESTARTS`` random complex
-    combinations drawn from ``rng``, each projected to its unitary polar
-    factor; singular candidates are skipped.  A factor is accepted when
-    ``tol.accepts`` its worst pair residual scaled by ``scales``.  Returns
+    combinations drawn from ``rng``.  Each candidate is decomposed once: its
+    SVD gives both its conditioning, so singular candidates are skipped, and
+    its unitary polar factor.  A factor is accepted when ``tol.accepts`` its
+    worst pair residual scaled by ``scales``.  Returns
     ``(unitary or None, best residual, saw a nonsingular candidate)``.
     """
     k = len(basis)
@@ -239,10 +242,11 @@ def _unitary_in_span(basis, pairs, scales, tol, rng):
                           basis, axes=1) for _ in range(_RESTARTS))
     saw_nonsingular, best = False, math.inf
     for x in itertools.chain(basis, draws):
-        if condition_ratio(x) <= INVERTIBILITY_THRESHOLD:
+        left, values, yh = np.linalg.svd(x)
+        if singular_ratio(values) <= INVERTIBILITY_THRESHOLD:
             continue
         saw_nonsingular = True
-        w = nearest_unitary(x)
+        w, _ = polar_factors(left, values, yh)
         worst = float(np.max(np.linalg.norm(herm(w) @ pairs[:, 1] @ w - pairs[:, 0],
                                             axis=(1, 2)) / scales))
         if tol.accepts(worst, 1.0):
@@ -589,9 +593,9 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     if u0.shape != (s.dim, s.dim):
         raise DimensionError("anchor unitary has the wrong shape")
     eye = np.eye(s.dim)
-    if frob(herm(u0) @ u0 - eye) > _WITNESS_UNITARY_TOL:
-        raise PreconditionError("anchor matrix is not unitary",
-                                residual=frob(herm(u0) @ u0 - eye))
+    drift = frob(herm(u0) @ u0 - eye)
+    if drift > _WITNESS_UNITARY_TOL:
+        raise PreconditionError("anchor matrix is not unitary", residual=drift)
 
     def checked(n, mat):
         res = frob(herm(mat) @ mat - eye)
@@ -742,7 +746,8 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
         return _inconclusive(m, f"conjugator search exhausted without certificate "
                                 f"(nullspace dim {found.nullspace_dim})")
 
-    verify_tol = Tolerance(rel=max(tol.rel, 1e-8), abs=max(tol.abs, 1e-10))
+    verify_tol = Tolerance(rel=max(tol.rel, _WITNESS_UNITARY_TOL),
+                           abs=max(tol.abs, 1e-10))
     try:
         witness = diagonal_witness(s, t, m, found.unitary, lo, hi, tol, _values=values)
     except (PreconditionError, ConditioningError, WindowAccessError) as exc:
@@ -767,27 +772,24 @@ def _periodic_witness_certificate(witness, m, period, spans, lo, hi, tol):
     Beyond the described ``spans`` (in witness rows) the recursion
     ``V_n S_{n+m} = T_n V_{n-1}`` has periodic coefficients, so
     ``V_{n+period} = V_n`` on both window margins implies it for every
-    index.  Empty margins mean the window is too small to certify.
+    index.  The witness stores every row ``lo-1 .. hi``, so its entries are
+    read once and each is compared once with the entry a period on; the
+    comparisons are then read on the upper margin (rows past every span),
+    then on the lower one.  An empty margin means the window is too small
+    to certify.
     """
-    band = witness.band(m)
+    w, _ = witness.band(m).rows(lo - 1, hi)
+    rows = np.arange(lo - 1, hi + 1 - period)       # row n compares with n + period
+    same = tol.close(w[:-period], w[period:])
     upper_start = max([b for _, b in spans], default=lo - 1) + 1
     lower_end = min([a for a, _ in spans], default=hi + 1) - 1
-
-    def entries_repeat(a, b):
-        w, present = band.rows(a, b)
-        both = present[:-period] & present[period:]
-        if not both.any():
+    for margin in (rows >= upper_start, rows + period <= lower_end):
+        if not margin.any():
             return False, "window leaves no margin to compare a full period"
-        differ = np.flatnonzero(both & ~tol.close(w[:-period], w[period:]))
+        differ = np.flatnonzero(margin & ~same)
         if differ.size:
-            n = a + int(differ[0])
+            n = int(rows[differ[0]])
             return False, f"entries at n={n} and n={n + period} differ"
-        return True, ""
-
-    for a, b in ((max(upper_start, lo - 1), hi), (lo - 1, min(lower_end, hi))):
-        ok, why = entries_repeat(a, b)
-        if not ok:
-            return False, why
     return True, ""
 
 

@@ -217,6 +217,8 @@ def decode_operator(data, path: str, dim: int) -> BandedOperator:
     if not isinstance(data, dict) or not isinstance(data.get("bands"), dict):
         raise SpecFormatError("operator must be an object with a 'bands' map",
                               path=path)
+    if not data["bands"]:
+        raise SpecFormatError("'bands' must name at least one band", path=f"{path}.bands")
     bands = {}
     for key, seq in data["bands"].items():
         try:

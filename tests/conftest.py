@@ -295,6 +295,17 @@ MALFORMED_SPECS = {
     "band-key-not-integer": (_band_keys("a"), "operators.U.bands"),
     # past Python's integer-string digit limit int() raises ValueError
     "band-key-5000-digits": (_band_keys("1" * 5000), "operators.U.bands"),
+    # a banded operator needs at least one band
+    "bands-empty": ({"operators": {"U": {"bands": {}}}}, "operators.U.bands"),
+    # each level of the document has its JSON type: objects, arrays, nonempty weights
+    "operator-without-bands": ({"operators": {"U": {"0": {}}}}, "operators.U"),
+    "shifts-not-object": ({"shifts": [["S"]]}, "shifts"),
+    "operators-not-object": ({"operators": ["U"]}, "operators"),
+    "tasks-not-array": ({"tasks": {"op": "norms"}}, "tasks"),
+    "shift-not-object": ({"shifts": {"S": [[[[2.0, 0.0]]]]}}, "shifts.S"),
+    "weights-empty": ({"shifts": {"S": {"variant": "periodic", "weights": []}}},
+                      "shifts.S.weights"),
+    "task-not-object": ({"tasks": ["norms"]}, "tasks[0]"),
 }
 
 

@@ -783,6 +783,38 @@ class TestDecide:
         assert verdict.is_inconclusive
         assert "witness construction failed: index 5 outside stored window" in verdict.reason
 
+    def test_window_without_a_full_period_of_margin_is_inconclusive(self, rng):
+        # period 3: the window [0, 1] holds witness rows -1..1, fewer than a
+        # period plus one, so the certificate has nothing to compare
+        s = sl.BilateralShift(sl.PeriodicWeights([random_invertible(rng) for _ in range(3)]))
+        verdict = sl.decide_diagonal_equivalence(s, s, 0, window=(0, 1))
+        assert verdict.is_inconclusive
+        assert verdict.reason.endswith("window leaves no margin to compare a full period")
+        assert sl.decide_diagonal_equivalence(s, s, 0, window=(0, 3)).is_equivalent
+
+    def test_uncertified_search_failure_is_inconclusive(self, rng, monkeypatch):
+        s = ei_shift(rng, lo=0, length=3)
+        monkeypatch.setattr(sl.equivalence, "solve_joint_conjugator",
+                            lambda pairs, tol, seed: sl.ConjugatorResult(None, nullspace_dim=3))
+        verdict = sl.decide_diagonal_equivalence(s, s, 0)
+        assert verdict.is_inconclusive
+        assert verdict.reason == ("conjugator search exhausted without certificate "
+                                  "(nullspace dim 3)")
+
+    def test_failed_reverification_is_inconclusive(self, rng, monkeypatch):
+        # the witness is re-verified against T with doubled weights, which it
+        # cannot intertwine
+        s = ei_shift(rng, lo=0, length=3)
+        t, _ = conjugated_shift(rng, s)
+        doubled = sl.BilateralShift(sl.EventuallyIdentityWeights(
+            -1, [2.0 * t.weight(n) for n in range(-1, 4)]))
+        verify = sl.equivalence.verify_intertwining
+        monkeypatch.setattr(sl.equivalence, "verify_intertwining",
+                            lambda w, s_, t_, lo, hi, tol: verify(w, s_, doubled, lo, hi, tol))
+        verdict = sl.decide_diagonal_equivalence(s, t, 0)
+        assert verdict.is_inconclusive
+        assert verdict.reason == "constructed witness failed re-verification"
+
 
 class TestDecideScan:
     def test_finds_offset_of_reindexed_conjugate(self, rng):
@@ -863,6 +895,17 @@ class TestPeriodicCertificate:
         s, t = self._pair(rng, scale=1.1)
         for m in range(-3, 4):
             assert not sl.decide_diagonal_equivalence(s, t, m).is_equivalent
+
+    def test_entries_are_compared_in_one_pass(self, rng, monkeypatch):
+        # both margins read the comparisons of one Tolerance.close call
+        s = sl.BilateralShift(sl.PeriodicWeights([random_invertible(rng) for _ in range(3)]))
+        calls = []
+        close = sl.Tolerance.close
+        monkeypatch.setattr(sl.Tolerance, "close",
+                            lambda tol, x, y: calls.append(len(x)) or close(tol, x, y))
+        assert sl.decide_diagonal_equivalence(s, s, 0).is_equivalent
+        lo, hi = _decision_scope(s, s, 0)[1]
+        assert calls == [hi - lo + 2 - 3]
 
     @pytest.mark.parametrize("period", [2, 3])
     def test_mixed_pair_certified_at_every_offset(self, rng, period):

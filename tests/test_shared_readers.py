@@ -261,6 +261,20 @@ class TestDecompositionCount:
             f"{alone.obstruction.detail} (last of {len(feasible)} offsets the "
             f"singular-value screen left)")
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_each_span_candidate_is_decomposed_once(self, rng, monkeypatch, dim):
+        # no candidate satisfies pairs of unequal spectra, so the search tries
+        # all three basis elements (one of them singular) and every restart
+        basis = np.stack([random_matrix(rng, dim), np.zeros((dim, dim)),
+                          random_matrix(rng, dim)])
+        pairs = np.stack([(np.eye(dim), 2.0 * np.eye(dim))] * 2)
+        calls = counting(monkeypatch, "svd")
+        w, best, saw_nonsingular = sl.equivalence._unitary_in_span(
+            basis, pairs, np.ones(2), sl.DEFAULT_TOL, np.random.default_rng(0))
+        monkeypatch.undo()
+        assert w is None and saw_nonsingular and best > 0
+        assert len(calls) == len(basis) + sl.equivalence._RESTARTS
+
     @pytest.mark.parametrize("dim", [2, 5])
     @pytest.mark.parametrize("refuted", [0, 3, 7, None])
     def test_spectrum_screen_stops_at_the_first_refuted_pair(self, rng, monkeypatch,

@@ -257,6 +257,12 @@ class TestMalformed:
             sl.parse_shift_spec(json.dumps(doc))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("text", ["[]", "[{\"dim\": 1}]", "1", "\"dim\"", "null"])
+    def test_document_not_an_object_refused_at_the_root(self, text):
+        with pytest.raises(sl.SpecFormatError) as err:
+            sl.parse_shift_spec(text)
+        assert err.value.path == "$"
+
     @pytest.mark.parametrize("key,pair", [("window", [-3, -3]), ("k_range", [-2, 2]),
                                           ("m_range", [0, 0])])
     def test_integer_ranges_accepted(self, key, pair):
