@@ -25,7 +25,6 @@ import sys
 from dataclasses import replace
 
 from .corpus import EXAMPLE_NAMES, run_example
-from .equivalence import VerdictStatus
 from .errors import ShiftLabError, SpecFormatError
 from .matrices import Tolerance
 from .reports import RunReport
@@ -136,13 +135,8 @@ def cli_main(argv) -> int:
         if args.command != "verify":
             model = replace(model, tasks=_command_tasks(args))
         report = run_spec(model, args.command, args.spec, tol, seed)
-        code = _emit(report, args)
-        # the report already exits 3 on an inconclusive verdict; the decide
-        # command also fails on a refuted equivalence
-        if (args.command == "decide" and code == EXIT_OK
-                and report.checks[-1].observed == VerdictStatus.NOT_EQUIVALENT):
-            return EXIT_FAILED
-        return code
+        report.refutation_fails = args.command == "decide"
+        return _emit(report, args)
     except (SpecFormatError, OSError) as exc:       # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

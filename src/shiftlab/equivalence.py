@@ -18,9 +18,10 @@ screen and the conditioning checks of the witness recursion.  The Gram
 chains read each shift's rows once and advance as one batched product.  So
 a decision that the screen or the Gram spectra refute makes two SVD calls.
 An equivalent decision makes those two, one per linear system the
-conjugator solver solves and one per candidate its span search tries (no
-system and no candidate when the identity passes): each candidate's
-conditioning and unitary polar factor come from its one SVD.
+conjugator solver solves (of the square triangle of the system's QR
+factorization) and one per candidate its span search tries (no system and
+no candidate when the identity passes): each candidate's conditioning and
+unitary polar factor come from its one SVD.
 An offset scan reads the pair of readers once, for its screen over every
 offset, and passes them to every decision.
 
@@ -216,14 +217,25 @@ def _restricted_system(h_s, h_t, scales, keep):
     ``h_s``, ``h_t`` on the entries ``X_ab`` with ``keep[a, b]``: a
     (P d^2, k) matrix, and the kept ``rows``, ``cols``."""
     rows, cols = np.nonzero(keep)
-    eye = np.eye(h_s.shape[-1])
+    j = np.arange(len(rows))
     # column j is X = e_r e_c^T: entry (p, q) of H_t X - X H_s is
-    # H_t[p, r] [q == c] - [p == r] H_s[c, q]
-    system = (h_t[:, :, None, rows] * eye[None, None, :, cols]
-              - eye[None, :, None, rows]
-              * h_s[:, cols, :].transpose(0, 2, 1)[:, None])
-    system = (system / scales[:, None, None, None]).reshape(-1, len(rows))
-    return system, rows, cols
+    # H_t[p, r] [q == c] - [p == r] H_s[c, q], so each block of a column has
+    # at most 2d - 1 nonzero entries; they are written into zeros
+    system = np.zeros(h_s.shape + (len(rows),), dtype=complex)     # (P, d, d, k)
+    system[:, :, cols, j] = h_t[:, :, rows]
+    system[:, rows, :, j] -= h_s[:, cols, :].transpose(1, 0, 2)     # indexed as (k, P, d)
+    system /= scales[:, None, None, None]       # in place: no second array to fault in
+    return system.reshape(-1, len(rows)), rows, cols
+
+
+def _right_singular(system):
+    """Singular values and right singular vectors of a tall ``system``.
+
+    Householder QR first, then the SVD of the square triangle R (Chan's
+    R-SVD): R has the singular values and right vectors of ``system``, to the
+    same backward error, and the tall left factor is never formed.
+    """
+    return np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
 
 
 def _unitary_in_span(basis, pairs, scales, tol, rng):
@@ -267,7 +279,9 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
        certified ``spectrum-mismatch`` and no later pair is decomposed.
     2. **Reducing pair.**  ``_kept`` counts, for every pair at once, the
        entries its spectra keep, and the pair is chosen from the counts.
-    3. **Restricted system** (``_restricted_system``), reduced by a thin SVD.
+    3. **Restricted system** (``_restricted_system``), scatter-filled, then
+       reduced by Householder QR and the SVD of the k x k triangle
+       (``_right_singular``).
     4. **Span search** (``_unitary_in_span``) in the singular vectors below
        the cutoff.
     5. The full system, when the restricted one settles nothing.
@@ -281,7 +295,8 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     Block c is now diagonal, entry ``X_ab`` scaled by
     ``delta_ab = (l_t,a - l_s,b) / s_c``, and only the k entries with
     ``|delta_ab| <= tau`` are kept (about d for a simple spectrum instead of
-    d^2).  The restricted system is filled without Kronecker products.
+    d^2).  The restricted system is filled without Kronecker products: the
+    nonzero entries of its k columns are written into a zero array.
 
     The reducing pair c is the first pair unless that keeps all d^2
     entries; then it is the pair that keeps the fewest.  When every pair
@@ -366,7 +381,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     def attempt(keep):
         """Solve on the entries X_ab with ``keep[a, b]``; None if unsettled."""
         system, rows, cols = _restricted_system(h_s, h_t, scales, keep)
-        _, svals, vh = np.linalg.svd(system, full_matrices=False)
+        svals, vh = _right_singular(system)
         reduced = len(rows) < dim * dim
         if reduced:
             cutoff = bound_cutoff

@@ -36,6 +36,9 @@ class RunReport:
     tolerance: dict
     checks: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
+    #: a refuted equivalence fails the run (the ``decide`` command); it is
+    #: an outcome like any other where a task block asserts it
+    refutation_fails: bool = False
 
     def add(self, check: ReportCheck):
         self.checks.append(check)
@@ -45,12 +48,12 @@ class RunReport:
         return all(c.expectation_met for c in self.checks)
 
     def exit_code(self) -> int:
-        """0 clean, 1 a verification failed or an expectation broke,
-        3 an inconclusive verdict surfaced."""
-        if any(not c.expectation_met for c in self.checks):
-            return 1
-        if any(c.kind == "verification" and c.passed is False
-               for c in self.checks):
+        """0 clean, 1 a verification failed, an expectation broke or (with
+        ``refutation_fails``) a verdict refuted equivalence, 3 an
+        inconclusive verdict surfaced."""
+        if any(not c.expectation_met or (c.kind == "verification" and c.passed is False)
+               or (c.kind == "verdict" and self.refutation_fails
+                   and c.observed == "not_equivalent") for c in self.checks):
             return 1
         if any(c.kind == "verdict" and c.observed == "inconclusive"
                for c in self.checks):

@@ -31,6 +31,7 @@ its ``expect`` values and its runner), and every task block passes
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -448,43 +449,54 @@ def parse_shift_spec(text: str) -> SpecModel:
     Syntax errors carry line/column positions; semantic errors carry the
     JSON path of the offending element.  All names referenced by tasks must
     resolve.
+
+    The cyclic garbage collector is paused while the document is parsed and
+    decoded, and left as it was found after: the parse builds tens of
+    thousands of lists, none in a cycle and all alive until decoding ends,
+    which young collections would otherwise walk and promote again and again.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                              column=exc.colno) from None
-    except (ValueError, RecursionError) as exc:     # an over-long integer; nesting too deep
-        raise SpecFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SpecFormatError("document must be a JSON object", path="$")
-    dim = doc.get("dim")
-    if not _is_int(dim) or dim < 1:
-        raise SpecFormatError("'dim' must be a positive integer", path="dim")
-    model = SpecModel(dim=dim)
-    shifts = doc.get("shifts", {})
-    if not isinstance(shifts, dict):
-        raise SpecFormatError("'shifts' must be an object", path="shifts")
-    for name, data in shifts.items():
-        seq = decode_sequence(data, f"shifts.{name}", dim)
         try:
-            model.shifts[name] = BilateralShift(seq, label=name)
-        except ValueError as exc:
-            raise SpecFormatError(str(exc), path=f"shifts.{name}") from None
-    operators = doc.get("operators", {})
-    if not isinstance(operators, dict):
-        raise SpecFormatError("'operators' must be an object", path="operators")
-    for name, data in operators.items():
-        op = decode_operator(data, f"operators.{name}", dim)
-        op.label = name
-        model.operators[name] = op
-    tasks = doc.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise SpecFormatError("'tasks' must be an array", path="tasks")
-    for i, task in enumerate(tasks):
-        _validate_task(task, i, model)
-        model.tasks.append(dict(task))
-    return model
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno,
+                                  column=exc.colno) from None
+        except (ValueError, RecursionError) as exc:     # an over-long integer; nesting too deep
+            raise SpecFormatError(f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SpecFormatError("document must be a JSON object", path="$")
+        dim = doc.get("dim")
+        if not _is_int(dim) or dim < 1:
+            raise SpecFormatError("'dim' must be a positive integer", path="dim")
+        model = SpecModel(dim=dim)
+        shifts = doc.get("shifts", {})
+        if not isinstance(shifts, dict):
+            raise SpecFormatError("'shifts' must be an object", path="shifts")
+        for name, data in shifts.items():
+            seq = decode_sequence(data, f"shifts.{name}", dim)
+            try:
+                model.shifts[name] = BilateralShift(seq, label=name)
+            except ValueError as exc:
+                raise SpecFormatError(str(exc), path=f"shifts.{name}") from None
+        operators = doc.get("operators", {})
+        if not isinstance(operators, dict):
+            raise SpecFormatError("'operators' must be an object", path="operators")
+        for name, data in operators.items():
+            op = decode_operator(data, f"operators.{name}", dim)
+            op.label = name
+            model.operators[name] = op
+        tasks = doc.get("tasks", [])
+        if not isinstance(tasks, list):
+            raise SpecFormatError("'tasks' must be an array", path="tasks")
+        for i, task in enumerate(tasks):
+            _validate_task(task, i, model)
+            model.tasks.append(dict(task))
+        return model
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize_model(model: SpecModel, indent: int = 2) -> str:

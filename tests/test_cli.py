@@ -235,6 +235,59 @@ class TestDecideCommand:
                          "--m", "0"]) == 2
 
 
+class TestExitCodeAgreement:
+    """The process exit code, the report's ``exit_code`` and the last human
+    line agree, for every verdict of the ``decide`` command and task."""
+
+    @staticmethod
+    def scalar_spec(tmp_path, tasks=(), **weights):
+        shifts = {name: sl.BilateralShift(sl.PeriodicWeights([np.array([[w]])]), name)
+                  for name, w in weights.items()}
+        return write_spec(tmp_path, sl.SpecModel(dim=1, shifts=shifts, tasks=list(tasks)))
+
+    @staticmethod
+    def run(tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        code = cli_main([*argv, "--json", str(out)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        return code, json.loads(out.read_text(encoding="utf-8"))["exit_code"], last
+
+    def test_refuted_decide_exits_one(self, tmp_path, capsys):
+        spec = self.scalar_spec(tmp_path, S=2.0 + 0j, T=3.0 + 0j)
+        code, field, last = self.run(tmp_path, capsys,
+                                     ["decide", spec, "--s", "S", "--t", "T", "--m", "0"])
+        assert (code, field, last) == (1, 1, "  exit code 1")
+
+    def test_refuted_decide_scan_exits_one(self, tmp_path, capsys):
+        spec = self.scalar_spec(tmp_path, S=2.0 + 0j, T=3.0 + 0j)
+        code, field, last = self.run(tmp_path, capsys, ["decide", spec, "--s", "S", "--t", "T",
+                                                        "--m-range", "-1", "1"])
+        assert (code, field, last) == (1, 1, "  exit code 1")
+
+    @pytest.mark.parametrize("task", [{"expect": "not_equivalent"}, {}])
+    def test_verify_task_with_the_refutation_exits_zero(self, tmp_path, capsys, task):
+        spec = self.scalar_spec(tmp_path, [{"op": "decide", "s": "S", "t": "T", "m": 0, **task}],
+                                S=2.0 + 0j, T=3.0 + 0j)
+        assert self.run(tmp_path, capsys, ["verify", spec]) == (0, 0, "  exit code 0")
+
+    def test_verify_task_expecting_equivalence_exits_one(self, tmp_path, capsys):
+        spec = self.scalar_spec(tmp_path, [{"op": "decide", "s": "S", "t": "T", "m": 0,
+                                            "expect": "equivalent"}], S=2.0 + 0j, T=3.0 + 0j)
+        assert self.run(tmp_path, capsys, ["verify", spec]) == (1, 1, "  exit code 1")
+
+    def test_inconclusive_decide_exits_three(self, tmp_path, capsys):
+        spec = self.scalar_spec(tmp_path, A=2.0 + 0j, B=2.0 * np.exp(0.7j))
+        code, field, last = self.run(tmp_path, capsys,
+                                     ["decide", spec, "--s", "A", "--t", "B", "--m", "0"])
+        assert (code, field, last) == (3, 3, "  exit code 3")
+
+    def test_equivalent_decide_exits_zero(self, tmp_path, capsys):
+        spec = self.scalar_spec(tmp_path, S=2.0 + 0j)
+        code, field, last = self.run(tmp_path, capsys,
+                                     ["decide", spec, "--s", "S", "--t", "S", "--m", "0"])
+        assert (code, field, last) == (0, 0, "  exit code 0")
+
+
 class TestBadNumericArguments:
     @pytest.fixture
     def spec(self, tmp_path, rng):

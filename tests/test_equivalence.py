@@ -582,6 +582,60 @@ class TestConjugatorCertificates:
         assert f"residual {ob.residual:.3e}" in verdict.summary()
 
 
+def _moved_pairs(rng, dim, count):
+    """``count`` random Gram pairs, moved into the eigenbases of the first
+    pair as the solver moves them, and the solver's scale of each pair."""
+    grams = [(_gram(rng, dim), _gram(rng, dim)) for _ in range(count)]
+    _, y_s = np.linalg.eigh(grams[0][0])
+    _, y_t = np.linalg.eigh(grams[0][1])
+    moved = [(herm(y_s) @ gs @ y_s, herm(y_t) @ gt @ y_t) for gs, gt in grams]
+    scales = np.array([max(frob(gs), frob(gt), 1.0) for gs, gt in moved])
+    return moved, scales
+
+
+class TestRestrictedSystem:
+    """The scatter-filled restricted system and its QR-reduced SVD."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("mask", ["random", "diagonal", "all"])
+    def test_fill_equals_the_kronecker_columns(self, dim, count, mask):
+        rng = np.random.default_rng(1000 * dim + 10 * count + len(mask))
+        moved, scales = _moved_pairs(rng, dim, count)
+        if mask == "random":
+            keep = rng.random((dim, dim)) < 0.3
+            keep[rng.integers(dim), rng.integers(dim)] = True
+        else:
+            keep = np.eye(dim, dtype=bool) if mask == "diagonal" else np.ones((dim, dim), bool)
+        h_s = np.array([gs for gs, _ in moved])
+        h_t = np.array([gt for _, gt in moved])
+        system, rows, cols = sl.equivalence._restricted_system(h_s, h_t, scales, keep)
+        assert np.array_equal(system, _stacked_system(moved)[:, keep.ravel()])
+        assert np.array_equal(rows * dim + cols, np.flatnonzero(keep))
+
+    def test_singular_values_match_the_system_svd(self, differential_corpus, monkeypatch):
+        # every system the solver reduces, on the differential corpus
+        original = sl.equivalence._right_singular
+        seen = []
+
+        def recorded(system):
+            svals, vh = original(system)
+            seen.append((system, svals, vh))
+            return svals, vh
+
+        monkeypatch.setattr(sl.equivalence, "_right_singular", recorded)
+        for i, (_, pairs, _, res) in enumerate(differential_corpus):
+            again = sl.solve_joint_conjugator(pairs, seed=i)
+            assert _outcome(again) == _outcome(res)
+        assert len(seen) > len(differential_corpus) // 2
+        for system, svals, vh in seen:
+            expected = np.linalg.svd(system, compute_uv=False)
+            assert svals.shape == expected.shape == (system.shape[1],)
+            assert np.max(np.abs(svals - expected)) <= 1e-13 * expected[0]
+            # orthonormal right vectors, so the null-space basis stays orthonormal
+            assert np.allclose(vh @ herm(vh), np.eye(len(vh)), atol=1e-12)
+
+
 class TestConjugatorScale:
     @pytest.mark.parametrize("dim", [8, 12, 16])
     def test_random_conjugation_recovered(self, rng, dim):
