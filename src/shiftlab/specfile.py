@@ -34,6 +34,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from types import SimpleNamespace
@@ -443,12 +444,119 @@ def _validate_task(task, index: int, model: SpecModel):
         raise SpecFormatError("'label' must be a string", path=f"{path}.label")
 
 
+#: A text nested deeper than this is read by ``json`` alone (a spec document
+#: nests 9 deep).  orjson reads any depth by recursing on the native stack
+#: and overflows it, a crash and not an exception, between 1.2 * 10^5 and
+#: 1.5 * 10^5 deep on an 8 MB stack; ``json`` refuses, as an error, what is
+#: too deep for the interpreter's recursion limit.
+_FAST_READ_DEPTH = 255
+#: A JSON string literal, escapes included, or an unterminated one to the
+#: end of the text: every match attempt succeeds, so removing them takes
+#: one pass (a failed attempt at each of n quotes would rescan the text).
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.DOTALL)
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_BRACKETS = bytes(sorted(set(range(256)).difference(b"[]{}")))
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``raw``,
+    counted without recursion: with the string literals removed, each
+    bracket left steps the depth up or down.  In a text that is not JSON it
+    is at least the depth a reader reaches before the first error."""
+    steps = _STRING.sub(b"", raw).translate(_BRACKET_STEPS, _NOT_BRACKETS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
+
+
+def _holds_wide_float(value) -> bool:
+    """Whether a JSON value holds a float of magnitude 2**63 or more, which
+    orjson also reads from an integer literal past the 64-bit range."""
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, float) and abs(x) >= 2.0**63:
+            return True
+    return False
+
+
+def _fast_model(text: str) -> SpecModel | None:
+    """The model orjson reads from ``text``, or None where ``json`` must read it.
+
+    orjson refuses some texts ``json`` reads (``NaN`` and ``Infinity``
+    tokens, numbers past the float range, lone surrogate escapes), and reads
+    an integer past 64 bits as a float, where ``json`` reads it exactly.  So
+    ``json`` reads a text orjson refuses or that nests too deep for it, a
+    document that fails validation (an integer read as a float may be the
+    fault), and one whose task blocks, which the model keeps as read, hold a
+    float of that magnitude.  Every other number orjson reads bitwise as
+    ``json`` does.
+    """
+    import orjson     # here, not at the top: commands that read no spec never load it
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:      # a lone surrogate code point
+        return None
+    if _nesting_depth(raw) > _FAST_READ_DEPTH:
+        return None
+    try:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    try:
+        model = _resolve(doc)
+    except SpecFormatError:
+        return None
+    return None if _holds_wide_float(model.tasks) else model
+
+
+def _resolve(doc) -> SpecModel:
+    """The model of a read document, or SpecFormatError naming the path of
+    its first bad value."""
+    if not isinstance(doc, dict):
+        raise SpecFormatError("document must be a JSON object", path="$")
+    dim = doc.get("dim")
+    if not _is_int(dim) or dim < 1:
+        raise SpecFormatError("'dim' must be a positive integer", path="dim")
+    model = SpecModel(dim=dim)
+    shifts = doc.get("shifts", {})
+    if not isinstance(shifts, dict):
+        raise SpecFormatError("'shifts' must be an object", path="shifts")
+    for name, data in shifts.items():
+        seq = decode_sequence(data, f"shifts.{name}", dim)
+        try:
+            model.shifts[name] = BilateralShift(seq, label=name)
+        except ValueError as exc:
+            raise SpecFormatError(str(exc), path=f"shifts.{name}") from None
+    operators = doc.get("operators", {})
+    if not isinstance(operators, dict):
+        raise SpecFormatError("'operators' must be an object", path="operators")
+    for name, data in operators.items():
+        op = decode_operator(data, f"operators.{name}", dim)
+        op.label = name
+        model.operators[name] = op
+    tasks = doc.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise SpecFormatError("'tasks' must be an array", path="tasks")
+    for i, task in enumerate(tasks):
+        _validate_task(task, i, model)
+        model.tasks.append(dict(task))
+    return model
+
+
 def parse_shift_spec(text: str) -> SpecModel:
     """Parse a specification document into resolved objects.
 
     Syntax errors carry line/column positions; semantic errors carry the
     JSON path of the offending element.  All names referenced by tasks must
     resolve.
+
+    orjson reads the text, at several times the speed of ``json``, which
+    reads it where orjson cannot (``_fast_model``).  Every error is raised
+    from the document as ``json`` read it, so the accepted documents, their
+    models and each refusal's message are those of ``json`` alone.
 
     The cyclic garbage collector is paused while the document is parsed and
     decoded, and left as it was found after: the parse builds tens of
@@ -458,6 +566,9 @@ def parse_shift_spec(text: str) -> SpecModel:
     enabled = gc.isenabled()
     gc.disable()
     try:
+        model = _fast_model(text)
+        if model is not None:
+            return model
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -465,35 +576,7 @@ def parse_shift_spec(text: str) -> SpecModel:
                                   column=exc.colno) from None
         except (ValueError, RecursionError) as exc:     # an over-long integer; nesting too deep
             raise SpecFormatError(f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise SpecFormatError("document must be a JSON object", path="$")
-        dim = doc.get("dim")
-        if not _is_int(dim) or dim < 1:
-            raise SpecFormatError("'dim' must be a positive integer", path="dim")
-        model = SpecModel(dim=dim)
-        shifts = doc.get("shifts", {})
-        if not isinstance(shifts, dict):
-            raise SpecFormatError("'shifts' must be an object", path="shifts")
-        for name, data in shifts.items():
-            seq = decode_sequence(data, f"shifts.{name}", dim)
-            try:
-                model.shifts[name] = BilateralShift(seq, label=name)
-            except ValueError as exc:
-                raise SpecFormatError(str(exc), path=f"shifts.{name}") from None
-        operators = doc.get("operators", {})
-        if not isinstance(operators, dict):
-            raise SpecFormatError("'operators' must be an object", path="operators")
-        for name, data in operators.items():
-            op = decode_operator(data, f"operators.{name}", dim)
-            op.label = name
-            model.operators[name] = op
-        tasks = doc.get("tasks", [])
-        if not isinstance(tasks, list):
-            raise SpecFormatError("'tasks' must be an array", path="tasks")
-        for i, task in enumerate(tasks):
-            _validate_task(task, i, model)
-            model.tasks.append(dict(task))
-        return model
+        return _resolve(doc)
     finally:
         if enabled:
             gc.enable()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ import shiftlab as sl
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def float64_from_bits(bits: int) -> float:
+    """The float64 whose IEEE 754 bit pattern is ``bits`` (0 <= bits < 2**64)."""
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 def s_val(n):

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, reports."""
 
 import json
+import math
 import os
+import struct
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
 from shiftlab import cli
@@ -16,6 +21,7 @@ from conftest import (
     conjugated_shift,
     ei_shift,
     every_op_model,
+    float64_from_bits,
     malformed_spec,
 )
 
@@ -98,6 +104,14 @@ class TestVerify:
                                    + "1" * 5000 + ', "weights": [[[[2, 0]]]]}}}').encode(),
         "not-utf-8": b'{"dim": 1, "label": "\xff\xfe"}',
         "nested-10^5-deep": b'{"dim": 1, "x": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+        # an unterminated string of escaped quotes, where a scan that retried
+        # at each quote would take time quadratic in its length
+        "unterminated-string-of-10^5-escaped-quotes": b'{"dim": 1, "s": "' + b'\\"' * 10**5,
+        # counted as brackets, the string would cancel the nesting after it;
+        # orjson, which recurses on the native stack, would crash on it
+        "nested-3*10^5-deep-after-a-string-of-closing-brackets":
+            b'{"dim": 1, "s": "' + b"]" * (3 * 10**5) + b'", "x": '
+            + b"[" * (3 * 10**5) + b"]" * (3 * 10**5) + b"}",
     }
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
@@ -106,6 +120,34 @@ class TestVerify:
         spec.write_bytes(self.HOSTILE_TEXTS[name])
         assert cli_main(["verify", str(spec)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # spec texts that orjson reads otherwise than json, or refuses, and the
+    # outcome json gives them: (text, exit code, the path an error names)
+    _WEIGHT = ('{"dim": 1, "shifts": {"S": {"variant": "periodic", "weights": [[[[%s, 0]]]]}}, '
+               '"operators": {"U": {"bands": {"0": {"variant": "periodic", '
+               '"weights": [[[[1, 0]]]]}}}}, "tasks": [%s]}')
+    TEXTS = {
+        "bound-10^25": (_WEIGHT % ("2", '{"op": "band_count_bound", "operator": "U", '
+                                        '"bound": 1' + "0" * 25 + "}"), 0, None),
+        "expect-feasible-10^25": (_WEIGHT % ("2", '{"op": "norm_offset_screen", "s": "S", '
+                                                  '"t": "S", "k_range": [0, 1], '
+                                                  '"expect_feasible": [0, 1, 1' + "0" * 25
+                                                  + "]}"), 1, None),
+        "label-lone-surrogate": (_WEIGHT % ("2", '{"op": "norms", "shift": "S", '
+                                                 '"label": "\\ud800"}'), 0, None),
+        "weight-1e400": (_WEIGHT % ("1e400", ""), 2, "shifts.S.weights[0][0][0]"),
+        "weight-Infinity": (_WEIGHT % ("Infinity", ""), 2, "shifts.S.weights[0][0][0]"),
+        "weight-NaN": (_WEIGHT % ("NaN", ""), 2, "shifts.S.weights[0][0][0]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_text_outcome(self, tmp_path, capsys, name):
+        text, code, path = self.TEXTS[name]
+        spec = tmp_path / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        assert cli_main(["verify", str(spec), "--quiet"]) == code
+        if path is not None:
+            assert f"(at {path})" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert cli_main(["verify", "/nonexistent/spec.json"]) == 2
@@ -448,9 +490,76 @@ class TestReportText:
         assert texts[0] == report.to_json() + "\n"
         data = json.loads(texts[0], parse_constant=_reject)
         assert data == report.to_jsonable()
-        assert texts[0] == json.dumps(data, separators=(",", ":"), allow_nan=False) + "\n"
+        assert texts[0] == orjson.dumps(data).decode() + "\n"
         assert list(data) == ["name", "title", "seed", "tolerance", "exit_code", "checks",
                               "witnesses"]
+
+
+def _bitwise(obj):
+    """``obj`` with each float replaced by its bytes, so == compares floats
+    bitwise and a non-finite one equals itself."""
+    if isinstance(obj, dict):
+        return {key: _bitwise(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_bitwise(value) for value in obj]
+    return struct.pack("<d", obj) if isinstance(obj, float) else obj
+
+
+def _spelled(obj):
+    """``obj`` with each non-finite float replaced by the string a report
+    writes for it."""
+    if isinstance(obj, dict):
+        return {key: _spelled(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_spelled(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
+
+
+class TestReportEncoding:
+    """A report's text reads back as its jsonable tree, floats bitwise, with
+    each non-finite float, at any depth, written as a string."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(float64_from_bits), min_size=8, max_size=8),
+           st.integers(0, 7), st.sampled_from([math.nan, math.inf, -math.inf, None]))
+    def test_text_reads_back_as_the_tree(self, x, place, special):
+        # a drawn bit pattern is non-finite one time in 2048, so most
+        # examples put a NaN or an infinity at a drawn place
+        if special is not None:
+            x[place] = special
+        rep = sl.WindowReport(0, 2)
+        rep.checks._add(["c0", "c1"], [0, 1, 0], [0, 1, 2], x[:3], [True, False, True])
+        report = sl.RunReport(name="r", title="t", seed=0, tolerance={"rel": 0.0, "abs": x[3]})
+        report.add(sl.ReportCheck(name="window", kind="verification", passed=rep.passed,
+                                  expected="pass", observed=rep.summary(),
+                                  expectation_met=True,
+                                  details={"report": rep.to_jsonable(), "value": x[4],
+                                           "nested": [[x[5]], {"deeper": [None, x[6]]}]}))
+        report.add(sl.ReportCheck(name="screen", kind="screen", passed=None, expected="any",
+                                  observed="", expectation_met=True))
+        report.witnesses["W"] = {"bands": {"0": {"variant": "windowed", "lo": 0,
+                                                 "weights": [[[[x[7], x[0]]]]]}}}
+        data = json.loads(report.to_json(), parse_constant=_reject)
+        assert _bitwise(data) == _bitwise(_spelled(report.to_jsonable()))
+
+    @pytest.mark.parametrize("seed", [10**23, 2**64])
+    def test_seed_past_64_bits_is_kept(self, tmp_path, capsys, seed):
+        out = tmp_path / "report.json"
+        assert cli_main(["example", "ex31", "--seed", str(seed), "--json", str(out),
+                         "--quiet"]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject)["seed"] == seed
+
+    def test_lone_surrogate_label_is_written(self, tmp_path, capsys):
+        model = sl.SpecModel(dim=1, shifts={"S": sl.BilateralShift(
+            sl.PeriodicWeights([2 * np.eye(1)]), "S")})
+        model.tasks.append({"op": "norms", "shift": "S", "label": "\ud800"})
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", write_spec(tmp_path, model), "--json", str(out),
+                         "--quiet"]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject)
+        assert report["checks"][0]["name"] == "\ud800"
 
 
 class TestSeedHandling:

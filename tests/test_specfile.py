@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from conftest import (
     conjugated_shift,
     ei_shift,
     every_op_model,
+    float64_from_bits,
     malformed_spec,
     random_matrix,
 )
@@ -320,13 +323,121 @@ class TestMalformed:
         for status in sl.VerdictStatus
     ] + [
         {"op": "norm_offset_screen", "s": "S", "t": "S", "expect_feasible": feasible}
-        for feasible in ([], [-1, 2])
+        for feasible in ([], [-1, 2], [0, 1, 10**25])
     ])
     def test_expectations_accepted(self, task):
         doc = minimal_doc()
         doc["operators"] = {"U": {"bands": {"0": doc["shifts"]["S"]}}}
         doc["tasks"] = [task]
         assert sl.parse_shift_spec(json.dumps(doc)).tasks == [task]
+
+
+def _json_depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_json_depth, value), default=0)
+    return 0
+
+
+#: JSON values whose strings hold brackets, quotes and backslashes.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(alphabet='[]{}"\\ab\né'),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(alphabet='[]{}"\\a'), children, max_size=4)),
+    max_leaves=30)
+
+
+class TestReaders:
+    """orjson reads a spec text only where it reads it as ``json`` does; the
+    documents, models and messages are those of ``json`` alone."""
+
+    @pytest.mark.parametrize("task", [
+        {"op": "band_count_bound", "operator": "U", "bound": 10**25},
+        {"op": "band_count_bound", "operator": "U", "bound": -2**63 - 1},
+        # a task keeps keys it does not read, as read
+        {"op": "norms", "shift": "S", "note": [2**64, -2**63 - 1, {"x": 10**25}]},
+        {"op": "norms", "shift": "S", "note": [2**64 - 1, -2**63, 1e25]},
+    ])
+    def test_integers_past_64_bits_are_read_exactly(self, task):
+        doc = minimal_doc()
+        doc["operators"] = {"U": {"bands": {"0": doc["shifts"]["S"]}}}
+        doc["tasks"] = [task]
+        # json.dumps tells an integer from the float of its value, which == may not
+        assert json.dumps(sl.parse_shift_spec(json.dumps(doc)).tasks) == json.dumps([task])
+
+    def test_weight_past_64_bits_decodes_to_its_float(self):
+        doc = minimal_doc()
+        doc["shifts"]["S"]["weights"] = [[[[10**25, -10**25]]]]
+        weight = sl.parse_shift_spec(json.dumps(doc)).shifts["S"].weight(0)
+        assert weight.tobytes() == np.array([[complex(float(10**25),
+                                                      float(-10**25))]]).tobytes()
+
+    def test_lone_surrogate_label_is_read(self):
+        doc = minimal_doc()
+        doc["tasks"] = [{"op": "norms", "shift": "S", "label": "\ud800"}]
+        assert "\\ud800" in json.dumps(doc)
+        assert sl.parse_shift_spec(json.dumps(doc)).tasks[0]["label"] == "\ud800"
+
+    def test_arrays_nested_300_deep_under_an_unknown_key_are_accepted(self):
+        text = json.dumps(minimal_doc())[:-1] + ', "x": ' + "[" * 300 + "]" * 300 + "}"
+        assert set(sl.parse_shift_spec(text).shifts) == {"S"}
+
+    def test_closing_brackets_in_a_string_do_not_hide_nesting(self):
+        # counted as brackets, the string would cancel the nesting after it,
+        # and orjson would accept a document json refuses as too deep
+        text = (json.dumps(minimal_doc())[:-1] + ', "s": "\\"' + "]" * 3000 + '", "x": '
+                + "[" * 3000 + "]" * 3000 + "}")
+        with pytest.raises(sl.SpecFormatError) as err:
+            sl.parse_shift_spec(text)
+        assert "recursion" in str(err.value)
+
+    @pytest.mark.parametrize("raw,depth", [
+        (b'[["' + b'\\"' * 10 + b"]]", 2),       # a string never closed hides the rest
+        (b'[["ab\\', 2), (b'["\\\\"]]', 1), (b'{"a": [{"b": "]}"}]}', 3), (b"]][[", 0)])
+    def test_nesting_depth_past_strings_and_errors(self, raw, depth):
+        assert specfile._nesting_depth(raw) == depth
+
+    def test_nesting_depth_takes_one_pass_over_an_unterminated_string(self):
+        # 10^6 escaped quotes after an opening quote take one pass of well
+        # under a second; a scan that retried at each quote would take hours
+        src = os.path.dirname(os.path.dirname(sl.__file__))
+        code = ("from shiftlab.specfile import _nesting_depth; "
+                "print(_nesting_depth(b'[\"' + b'\\\\\"' * 10**6))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES, st.booleans())
+    def test_nesting_depth_of_a_text_is_that_of_its_value(self, value, ascii_only):
+        text = json.dumps(value, ensure_ascii=ascii_only)
+        assert specfile._nesting_depth(text.encode()) == _json_depth(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(float64_from_bits).filter(math.isfinite),
+                    min_size=8, max_size=64))
+    def test_weights_of_a_json_text_decode_bitwise(self, drawn):
+        # the text json.dumps writes (as the benchmark's specs are written),
+        # with subnormals, signed zeros and the largest magnitudes every time
+        extremes = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+                    1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16]
+        values = np.array(extremes + drawn + [1.0] * (-(len(extremes) + len(drawn)) % 8))
+        raw = values.reshape(-1, 2, 2, 2).tolist()
+        doc = {"dim": 2, "operators": {"U": {"bands": {"0": {
+            "variant": "windowed", "lo": 0, "weights": raw}}}}}
+        band = sl.parse_shift_spec(json.dumps(doc)).operators["U"].band(0)
+        assert band.rows(band.lo, band.hi)[0].tobytes() == values.tobytes()
+
+    def test_importing_the_library_leaves_orjson_unloaded(self):
+        # commands that read no spec and write no report (and the library
+        # alone) do not pay for loading it
+        src = os.path.dirname(os.path.dirname(sl.__file__))
+        code = "import sys, shiftlab; print('orjson' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestRoundTrip:
