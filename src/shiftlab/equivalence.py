@@ -427,8 +427,7 @@ class PositiveForm:
 
 
 @np.errstate(over="ignore", invalid="ignore")    # overflow is caught below
-def positive_form(s: BilateralShift, lo: int, hi: int,
-                  tol: Tolerance = DEFAULT_TOL) -> PositiveForm:
+def positive_form(s: BilateralShift, lo: int, hi: int) -> PositiveForm:
     """Diagonal conjugation of a shift to one with positive weights.
 
     Polar-decomposes each weight ``S_n = U_n P_n`` and accumulates the
@@ -600,7 +599,8 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
     ------
     PreconditionError
         naming the first row whose entry drifts from unitarity beyond
-        ``_WITNESS_UNITARY_TOL`` (the Gram precondition failed at that depth).
+        ``_WITNESS_UNITARY_TOL`` (the Gram precondition failed at that depth),
+        or is not finite (the recursion overflowed, on subnormal weights say).
     ConditioningError
         when a required weight inverse is ill-conditioned.
     """
@@ -609,12 +609,12 @@ def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
         raise DimensionError("anchor unitary has the wrong shape")
     eye = np.eye(s.dim)
     drift = frob(herm(u0) @ u0 - eye)
-    if drift > _WITNESS_UNITARY_TOL:
+    if not drift <= _WITNESS_UNITARY_TOL:           # a NaN drift fails too
         raise PreconditionError("anchor matrix is not unitary", residual=drift)
 
     def checked(n, mat):
         res = frob(herm(mat) @ mat - eye)
-        if res > _WITNESS_UNITARY_TOL:
+        if not res <= _WITNESS_UNITARY_TOL:
             raise PreconditionError(
                 f"diagonal entry at n={n} is not unitary; the metric "
                 f"conditions fail at this depth", residual=res, index=n)

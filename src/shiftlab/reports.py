@@ -101,10 +101,10 @@ class RunReport:
         A non-finite float (an overflowed residual, say) is written as the
         string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``.  A report that
         holds one, or that orjson refuses (an integer past 64 bits, a lone
-        surrogate), is written by ``json``, the former walked once to
-        replace them.  A report is a tree (one witness may sit in it twice,
-        which is no cycle), so ``json`` skips its check for circular
-        references.
+        surrogate), is written by ``json``, after one walk that replaces
+        them (and changes nothing else that ``json`` writes).  A report is
+        a tree (one witness may sit in it twice, which is no cycle), so
+        ``json`` skips its check for circular references.
         """
         import orjson     # here, not at the top: commands that write no report never load it
         data = self.to_jsonable()
@@ -115,11 +115,8 @@ class RunReport:
         else:
             if b"null" not in text or not _holds_non_finite(data):
                 return text.decode()
-        try:
-            return json.dumps(data, separators=(",", ":"), allow_nan=False,
-                              check_circular=False)
-        except ValueError:
-            return json.dumps(_finite(data), separators=(",", ":"), check_circular=False)
+        return json.dumps(_finite(data), separators=(",", ":"), allow_nan=False,
+                          check_circular=False)
 
 
 def _holds_non_finite(data: dict) -> bool:

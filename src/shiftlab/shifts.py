@@ -5,10 +5,15 @@ infinite matrix its weights sit on the band just below the main diagonal,
 ``S_{n, n-1} = S_n``.  Weight sequences come in three finite descriptions:
 periodic, eventually-identity, and windowed.
 
-Every variant stores the matrices of rows lo..hi and differs only in what
-the other rows hold: the stored matrices again (periodic), the identity
-(eventually-identity) or nothing (windowed).  A sequence stores them in one
-of two forms, fixed by what it was given:
+Every variant stores the matrices of rows lo..hi and states only what the
+other rows hold.  A periodic sequence states its period: row n holds the
+stored matrix of row n mod p.  The two span variants state two facts, and
+``WeightSequence`` turns them into every read: the multiple of the identity
+their off-span rows hold (the identity for eventually-identity, zero for
+windowed) and whether those rows exist (a windowed sequence lacks them, so
+``weight_at`` raises there and ``has_index`` is false).  Each variant
+writes its own ``weight_at``, the read of one row.  A sequence stores its
+matrices in one of two forms, fixed by what it was given:
 
 * a list of matrices: a tuple of the arrays given (never one stacked copy,
   so a long window repeating a few matrices stays small), the same array
@@ -122,19 +127,26 @@ def _sorted_distinct(values: np.ndarray):
 class WeightSequence(ABC):
     """Two-sided sequence of dim x dim complex matrices.
 
-    Every variant stores the matrices of rows lo..hi; the variant decides
-    what the other rows hold.  ``rows`` reads any range at once, and
-    ``singular_values`` the singular values of any range.
+    Every variant stores the matrices of rows lo..hi.  This class reads the
+    other rows from two facts a span variant states: ``_off_span``, the
+    multiple of the identity they hold, and ``_off_span_defined``, whether
+    they exist.  A periodic sequence has no off-span rows (``_off_span`` is
+    None) and states its own index rule.  ``rows`` reads any range at once,
+    and ``singular_values`` the singular values of any range.
     """
 
     variant: str
-    _outside = None          # the matrix ``rows`` puts off the stored span, if any
+    _off_span: float | None = None     # the multiple of I on rows off [lo, hi]
+    _off_span_defined = True           # whether the rows off [lo, hi] exist
+    _outside = None                    # the matrix of the rows off [lo, hi]
 
     def __init__(self, lo: int, weights):
         self._weights, self._distinct, self._slots = _validated(weights)
         self.lo = int(lo)
         self.hi = self.lo + len(self._weights) - 1
         self.dim = self._weights[0].shape[0]
+        if self._off_span is not None:
+            self._outside = self._off_span * identity_matrix(self.dim)
 
     @abstractmethod
     def weight_at(self, n: int) -> np.ndarray:
@@ -142,7 +154,7 @@ class WeightSequence(ABC):
 
     def has_index(self, n: int) -> bool:
         """Whether ``weight_at(n)`` is defined."""
-        return True
+        return self._off_span_defined or self.lo <= n <= self.hi
 
     def rows(self, lo: int, hi: int):
         """Rows lo..hi at once: a new (N, d, d) stack of ``weight_at(n)``,
@@ -150,12 +162,18 @@ class WeightSequence(ABC):
         table, index, present = self._reached(lo, hi)
         return table.take(index, axis=0), present
 
-    @abstractmethod
     def _table_rows(self, lo: int, hi: int):
         """Rows lo..hi as (N,) indices into ``_distinct``, with
         ``len(_distinct)`` where the row holds ``_outside``, and the (N,)
-        ``has_index`` mask, which follows from the index: only a windowed
-        sequence's ``_outside`` row is undefined."""
+        ``has_index`` mask: true on the stored span, ``_off_span_defined``
+        off it."""
+        count = max(hi - lo + 1, 0)
+        a, b = (min(max(i, 0), count) for i in (self.lo - lo, self.hi + 1 - lo))
+        rows = np.full(count, len(self._distinct))
+        rows[a:b] = self._slots[lo + a - self.lo:lo + b - self.lo]
+        present = np.full(count, self._off_span_defined)
+        present[a:b] = True
+        return rows, present
 
     @property
     def _table_size(self) -> int:
@@ -203,22 +221,8 @@ class WeightSequence(ABC):
         implicitly (periodic)."""
         return (self.lo, self.hi)
 
-    def _span(self, lo: int, hi: int):
-        """The range [a, b) of the rows lo..hi that are stored, and the mask
-        of those rows."""
-        count = max(hi - lo + 1, 0)
-        a, b = (min(max(i, 0), count) for i in (self.lo - lo, self.hi + 1 - lo))
-        inside = np.zeros(count, dtype=bool)
-        inside[a:b] = True
-        return a, b, inside
-
-    def _span_table_rows(self, lo: int, hi: int):
-        """``_table_rows`` of rows lo..hi, and the mask of the rows inside
-        the stored span."""
-        a, b, inside = self._span(lo, hi)
-        rows = np.full(len(inside), len(self._distinct))
-        rows[a:b] = self._slots[lo + a - self.lo:lo + b - self.lo]
-        return rows, inside
+    def __repr__(self):
+        return f"{type(self).__name__}(lo={self.lo}, hi={self.hi}, dim={self.dim})"
 
 
 class SingularValues:
@@ -283,7 +287,11 @@ class SingularValues:
 
 
 class PeriodicWeights(WeightSequence):
-    """``weight_at(n) = W_{n mod p}`` for stored matrices W_0 .. W_{p-1}."""
+    """``weight_at(n) = W_{n mod p}`` for stored matrices W_0 .. W_{p-1}.
+
+    States its period and its own index rule, ``_table_rows``: every index
+    is a row of the stored span, moved by a multiple of p, so there are no
+    off-span rows."""
 
     variant = "periodic"
 
@@ -309,49 +317,34 @@ class PeriodicWeights(WeightSequence):
 
 
 class EventuallyIdentityWeights(WeightSequence):
-    """Stored matrices on [lo, hi]; the identity everywhere else."""
+    """Stored matrices on [lo, hi]; the identity everywhere else.
+
+    States one fact: its off-span rows hold the identity (``_off_span`` 1)."""
 
     variant = "eventually_identity"
-
-    def __init__(self, lo: int, weights):
-        super().__init__(lo, weights)
-        self._outside = identity_matrix(self.dim)
+    _off_span = 1.0
 
     def weight_at(self, n: int) -> np.ndarray:
         return self._weights[n - self.lo] if self.lo <= n <= self.hi else self._outside
 
-    def _table_rows(self, lo: int, hi: int):
-        rows, _ = self._span_table_rows(lo, hi)
-        return rows, np.ones(len(rows), dtype=bool)
-
-    def __repr__(self):
-        return (f"EventuallyIdentityWeights(lo={self.lo}, hi={self.hi}, "
-                f"dim={self.dim})")
-
 
 class WindowedWeights(WeightSequence):
-    """Stored matrices on [lo, hi]; any other index is an access error."""
+    """Stored matrices on [lo, hi]; no other row exists.
+
+    States two facts: its off-span rows do not exist
+    (``_off_span_defined``), so ``weight_at`` raises an access error there
+    and ``has_index`` is false, and ``rows`` fills them with zero
+    (``_off_span`` 0)."""
 
     variant = "windowed"
-
-    def __init__(self, lo: int, weights):
-        super().__init__(lo, weights)
-        self._outside = np.zeros((self.dim, self.dim), dtype=complex)    # rows it lacks
+    _off_span = 0.0
+    _off_span_defined = False
 
     def weight_at(self, n: int) -> np.ndarray:
         if self.lo <= n <= self.hi:
             return self._weights[n - self.lo]
         raise WindowAccessError(
             f"index {n} outside stored window [{self.lo}, {self.hi}]", index=n)
-
-    def has_index(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
-
-    def _table_rows(self, lo: int, hi: int):
-        return self._span_table_rows(lo, hi)
-
-    def __repr__(self):
-        return f"WindowedWeights(lo={self.lo}, hi={self.hi}, dim={self.dim})"
 
 
 def _require_rows(seq: WeightSequence, lo: int, present: np.ndarray):
@@ -373,14 +366,16 @@ def reindex_weights(seq: WeightSequence, j: int) -> WeightSequence:
 
 
 class BilateralShift:
-    """Shift with weights ``{S_n}``: ``(S x)_n = S_n x_{n-1}``."""
+    """Shift with weights ``{S_n}``: ``(S x)_n = S_n x_{n-1}``.
 
-    @np.errstate(over="ignore")      # an overflowed norm is inf, not zero
+    A stored weight with every entry zero is refused, naming its row; any
+    other is kept, however small its norm."""
+
     def __init__(self, weights: WeightSequence, label: str = ""):
         if not isinstance(weights, WeightSequence):
             raise TypeError("weights must be a WeightSequence")
-        norms = np.linalg.norm(np.asarray(weights._distinct), axis=(-2, -1))
-        zero = np.flatnonzero(norms[weights._slots] == 0.0)
+        # a weight is zero only when every entry is, whatever its norm rounds to
+        zero = np.flatnonzero(~np.asarray(weights._distinct).any(axis=(-2, -1))[weights._slots])
         if zero.size:
             raise ValueError(f"shift weight at index {weights.lo + zero[0]} is zero")
         self.weights = weights

@@ -304,7 +304,7 @@ def _conjugate(c):
 
 
 def _positive_form(c):
-    form = positive_form(c.shift, c.lo, c.hi, c.tol)
+    form = positive_form(c.shift, c.lo, c.hi)
     witness = {"shift": encode_shift(form.shift), "diagonal": encode_operator(form.diagonal)}
     return dict(kind="value", passed=True, expected="positive-weight form",
                 observed=f"max intertwining residual {form.max_residual:.3e}",

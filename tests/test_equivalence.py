@@ -676,6 +676,13 @@ class TestConstructDiagonalIntertwiner:
         # beyond the support the entries stay constant
         np.testing.assert_allclose(band.weight_at(3), band.weight_at(4), atol=1e-12)
 
+    def test_a_nan_anchor_is_not_unitary(self, rng):
+        s = ei_shift(rng, lo=0, length=2)
+        anchor = I2.copy()
+        anchor[0, 1] = np.nan
+        with pytest.raises(sl.PreconditionError, match="anchor matrix is not unitary"):
+            sl.diagonal_witness(s, s, 0, anchor, -3, 4)
+
     def test_bad_anchor_reports_gram_violation(self, rng):
         s = ei_shift(rng, lo=0, length=2)
         t, _ = conjugated_shift(rng, s)
@@ -697,6 +704,25 @@ class TestDecide:
         verdict = sl.decide_diagonal_equivalence(s, s, 0)
         assert verdict.is_inconclusive
         assert verdict.reason.endswith(f"overflow the float range at depth {depth}")
+
+    @pytest.mark.parametrize("variant", ["periodic", "eventually_identity", "windowed"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 5e-324])
+    def test_tiny_scalar_weights_decide_without_error(self, variant, scale):
+        # the norms of these weights underflow; the witness recursion divides
+        # by them, and at 5e-324 its entries come out non-finite
+        def shift(c):
+            weights = {"periodic": lambda w: sl.PeriodicWeights([w]),
+                       "eventually_identity": lambda w: sl.EventuallyIdentityWeights(0, [w]),
+                       "windowed": lambda w: sl.WindowedWeights(-3, [w] * 7)}[variant]
+            return sl.BilateralShift(weights(c * I2))
+        verdict = sl.decide_diagonal_equivalence(shift(scale), shift(scale), 0)
+        if scale == 5e-324:
+            assert verdict.is_inconclusive
+            assert "not unitary" in verdict.reason
+        else:
+            assert verdict.is_equivalent
+            assert verdict.witness_report.passed
+        assert not sl.decide_diagonal_equivalence(shift(scale), shift(2 * scale), 0).is_equivalent
 
     def test_large_finite_grams_still_decide(self):
         s = sl.BilateralShift(sl.PeriodicWeights([1e10 * I2]))

@@ -11,6 +11,11 @@ from conftest import dense_section, ei_shift, random_invertible, s_val
 
 I2 = np.eye(2, dtype=complex)
 
+# nonzero weight scales whose Frobenius norm underflows to 0.0 in double
+# precision: one whose square is below the smallest subnormal, the smallest
+# normal, the smallest subnormal
+TINY = (1e-170, 2.2250738585072014e-308, 5e-324)
+
 
 def two_by_two(a, b, c, d):
     return np.array([[a, b], [c, d]], dtype=complex)
@@ -59,8 +64,14 @@ class TestWeightSequences:
 
 class TestBilateralShift:
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at index 1 is zero"):
             sl.BilateralShift(sl.WindowedWeights(0, [I2, 0 * I2]))
+        for tiny in TINY:        # a weight is zero only when every entry is
+            corner = two_by_two(0, 0, 0, tiny)
+            shift = sl.BilateralShift(sl.WindowedWeights(0, [tiny * I2, corner]))
+            assert shift.weight(1)[1, 1] == tiny
+            with pytest.raises(ValueError, match="at index 2 is zero"):
+                sl.BilateralShift(sl.WindowedWeights(0, [tiny * I2, corner, 0 * I2]))
 
     def test_quasi_invertible_flag(self):
         good = sl.BilateralShift(sl.PeriodicWeights([two_by_two(1, 1, -1, 1)]))
@@ -328,9 +339,16 @@ class TestStackHeldSequences:
     @pytest.mark.parametrize("variant", CONSTRUCTORS)
     def test_a_zero_row_is_named(self, rng, variant):
         stack, held, _ = self.pair(rng, variant)
+        for tiny in TINY:        # nonzero rows whose norm underflows are kept
+            stack[3] = tiny * np.eye(len(stack[3]))
+            stack[4] = 0.0
+            stack[4, -1, 0] = tiny
+            for given in (stack, list(stack)):
+                assert sl.BilateralShift(CONSTRUCTORS[variant](given)).weights.lo == held.lo
         stack[3] = 0.0
-        with pytest.raises(ValueError, match=f"at index {held.lo + 3} is zero"):
-            sl.BilateralShift(CONSTRUCTORS[variant](stack))
+        for given in (stack, list(stack)):
+            with pytest.raises(ValueError, match=f"at index {held.lo + 3} is zero"):
+                sl.BilateralShift(CONSTRUCTORS[variant](given))
 
     @pytest.mark.parametrize("variant", CONSTRUCTORS)
     @pytest.mark.parametrize("case", BAD_STACKS)
