@@ -35,12 +35,16 @@ only raise singular values, and by a bounded amount, so infeasibility is
 certified against a correspondingly looser cutoff; where the reduced
 system can neither verify a unitary nor certify, the full system decides.
 When every pair is (nearly) scalar the identity is tried before the full
-system.  ``solve_joint_conjugator`` runs these stages on module
-functions: the spectrum screen fills one (P, 2, d) array of spectra pair
-by pair and stops at the first refuted pair, ``_kept`` counts the kept
-entries of every pair at once, ``_restricted_system`` builds the scaled
-system on a keep mask, and ``_unitary_in_span`` searches a null-space
-basis for a unitary.
+system.  Each distinct constraint is solved once: a pair bitwise equal to
+the one before it (an eventually-identity chain repeats its last pair past
+the stored rows) is neither decomposed nor stacked, its predecessor's block
+weighted instead, and a pair of one multiple of I on both sides, which
+constrains nothing, leaves the system.  ``solve_joint_conjugator`` runs
+these stages on module functions: the spectrum screen fills one array of
+spectra, one row per run of repeats, and stops at the first refuted pair,
+``_kept`` counts the kept entries of every remaining pair at once,
+``_restricted_system`` builds the scaled system on a keep mask, and
+``_unitary_in_span`` searches a null-space basis for a unitary.
 """
 
 from __future__ import annotations
@@ -274,11 +278,16 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     ``pairs`` is a list of pairs or the (P, 2, d, d) array of ``gram_chains``.
     The stages, in order:
 
-    1. **Spectrum screen.**  One ``eigvalsh`` per pair, in order, filling a
-       (P, 2, d) array of spectra; the first pair whose spectra differ is
-       certified ``spectrum-mismatch`` and no later pair is decomposed.
-    2. **Reducing pair.**  ``_kept`` counts, for every pair at once, the
-       entries its spectra keep, and the pair is chosen from the counts.
+    1. **Spectrum screen.**  One bitwise comparison of every pair with the
+       one before it splits the pairs into runs of repeats.  One
+       ``eigvalsh`` per run, in order, fills an array of spectra; the first
+       pair whose spectra differ is certified ``spectrum-mismatch`` under
+       its index in ``pairs`` and no later pair is decomposed.  A repeat
+       has its predecessor's spectra, so it is never the first refuted
+       pair.  The first pair of each run stays, unless both its Grams are
+       one multiple of I; pair 0 always stays.
+    2. **Reducing pair.**  ``_kept`` counts, for every pair that stays,
+       the entries its spectra keep, and the pair is chosen from the counts.
     3. **Restricted system** (``_restricted_system``), scatter-filled, then
        reduced by Householder QR and the SVD of the k x k triangle
        (``_right_singular``).
@@ -287,7 +296,12 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     5. The full system, when the restricted one settles nothing.
 
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
-    ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system A.  It is
+    ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system of every
+    pair A.  The system solved stacks only the pairs that stay, the block of
+    a pair heading a run of r repeats scaled by ``sqrt(r) / s_i``: then its
+    ``A* A``, and with it every singular value and the null space, is that
+    of A up to rounding, since a pair ``(cI, cI)`` adds a zero block.  The
+    scales, ``||A||`` and the cutoffs are taken over every pair.  A is
     solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
     ``G_tc = Y_t L_t Y_t*``: with ``U = Y_t X Y_s*`` block i becomes
     ``(Y_t* G_t Y_t) X - X (Y_s* G_s Y_s)``, a unitary change of both the
@@ -306,7 +320,8 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     The span of singular values ``<= c`` is searched for a unitary element
     by projecting candidate combinations to their unitary polar factor; the
     polar factor of any nonsingular null element satisfies the constraints
-    again, and every returned unitary is checked against the pairs.  Here
+    again, and every returned unitary is checked against the pairs that
+    stay (a repeat has the residual of its predecessor).  Here
     ``c = max(||A||, 1) * max(tol.rel, 1e-11)`` with ``||A||`` a cheap upper
     bound on the stacked norm, so c is at least the cutoff of an SVD of the
     full system.  Infeasibility is certified against the looser cutoff
@@ -336,22 +351,36 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
         raise DimensionError("constraint pairs must form a (P, 2, d, d) array, "
                              f"got shape {pairs.shape}")
     dim = pairs.shape[2]
+    # a pair bitwise equal to the one before it has that pair's spectra, block
+    # and residual, so each run of repeats is screened and solved once
+    flat = pairs.reshape(len(pairs), -1)
+    differs = (flat[1:] != flat[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
     # pair by pair, so a refuted pair stops the screen before the next eigvalsh
-    spectra = np.empty(pairs.shape[:3])
-    for i, pair in enumerate(pairs):
-        spectra[i] = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
-        gap = float(np.max(np.abs(spectra[i, 0] - spectra[i, 1])))
-        if tol.refutes(gap, max(float(np.max(np.abs(spectra[i]))), 1.0)):
+    spectra = np.empty((len(starts),) + pairs.shape[1:3])
+    for j, i in enumerate(starts.tolist()):
+        pair = pairs[i]
+        spectra[j] = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
+        gap = float(np.max(np.abs(spectra[j, 0] - spectra[j, 1])))
+        if tol.refutes(gap, max(float(np.max(np.abs(spectra[j]))), 1.0)):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=i, residual=gap)
 
-    g_s, g_t = pairs[:, 0], pairs[:, 1]
-    norm_s = np.linalg.norm(g_s, axis=(1, 2))
-    norm_t = np.linalg.norm(g_t, axis=(1, 2))
+    norm_s = np.linalg.norm(pairs[:, 0], axis=(1, 2))
+    norm_t = np.linalg.norm(pairs[:, 1], axis=(1, 2))
     scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
     norm_bound = float(np.sqrt(np.sum(((norm_s + norm_t) / scales) ** 2)))
     rel = max(tol.rel, 1e-11)
     bound_cutoff = max(norm_bound, 1.0) * rel
+
+    # the first pair of each run stays, unless both its Grams are one multiple
+    # of I, which constrains nothing; pair 0 always stays
+    heads = pairs[starts]
+    stays = ~(heads == heads[:, :1, :1, :1] * np.eye(dim)).all(axis=(1, 2, 3))
+    stays[0] = True
+    runs = np.diff(starts, append=len(pairs))[stays]
+    pairs, spectra, scales = heads[stays], spectra[stays], scales[starts[stays]]
+    g_s, g_t = pairs[:, 0], pairs[:, 1]
 
     counts = _kept(spectra, scales, max(_TAU, 2.0 * bound_cutoff))
     c = 0 if counts[0] < dim * dim else int(np.argmin(counts))
@@ -376,11 +405,14 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     delta = np.abs(diag_t[:, None] - diag_s[None, :]) / scale_c
     # tau stays at least twice the cutoff, so rho <= 1/2
     tau = max(_TAU, 2.0 * (bound_cutoff + leak))
+    # a run of r repeats stands as one block weighted by sqrt(r), so A* A, and
+    # with it every singular value, is that of the system with every repeat
+    weighted = scales / np.sqrt(runs)
     rng = np.random.default_rng(seed)
 
     def attempt(keep):
         """Solve on the entries X_ab with ``keep[a, b]``; None if unsettled."""
-        system, rows, cols = _restricted_system(h_s, h_t, scales, keep)
+        system, rows, cols = _restricted_system(h_s, h_t, weighted, keep)
         svals, vh = _right_singular(system)
         reduced = len(rows) < dim * dim
         if reduced:

@@ -542,6 +542,184 @@ class TestConjugatorAgainstStackedSVD:
                 assert res.nullspace_dim == null_dim, kind
 
 
+def _padded(rng, pairs):
+    """``pairs`` with each pair repeated 1-3 times in a row and, before about
+    half of them, a run of 1-2 pairs ``(cI, cI)`` with c in {1, 2.5}; and a
+    label for each padded pair, ("pair", k) for a copy of pair k and
+    ("scalar", c) for cI."""
+    eye = np.eye(pairs[0][0].shape[0])
+    padded, labels = [], []
+    for k, pair in enumerate(pairs):
+        if rng.random() < 0.5:
+            c, count = float(rng.choice([1.0, 2.5])), int(rng.integers(1, 3))
+            padded += [(c * eye, c * eye)] * count
+            labels += [("scalar", c)] * count
+        count = int(rng.integers(1, 4))
+        padded += [pair] * count
+        labels += [("pair", k)] * count
+    return padded, labels
+
+
+def _staying(labels):
+    """Positions of the padded pairs the solver stacks: the first of each run
+    of equal pairs unless it is scalar, and position 0 always."""
+    return [j for j, label in enumerate(labels)
+            if j == 0 or (label != labels[j - 1] and label[0] == "pair")]
+
+
+def _norm_bound(pairs):
+    """``||A||`` of the solver's cutoffs, summed over every pair."""
+    norms = np.array([(frob(gs), frob(gt)) for gs, gt in pairs])
+    scales = np.maximum(norms.max(axis=1), 1.0)
+    return float(np.sqrt(np.sum((norms.sum(axis=1) / scales) ** 2)))
+
+
+@pytest.fixture(scope="module")
+def padded_corpus(differential_corpus):
+    """One corpus case in seven, each kind in turn, padded: (kind, padded
+    pairs, labels, unpadded result, reference outcome on the padded list,
+    solver result, and each system the solver solved as the
+    ``_restricted_system`` inputs it got, the system and the singular values
+    ``_right_singular`` returned)."""
+    restricted = sl.equivalence._restricted_system
+    right_singular = sl.equivalence._right_singular
+    solved = []
+
+    def recorded_system(h_s, h_t, scales, keep):
+        system, rows, cols = restricted(h_s, h_t, scales, keep)
+        solved.append({"h_s": h_s, "h_t": h_t, "keep": keep, "system": system})
+        return system, rows, cols
+
+    def recorded_svd(system):
+        svals, vh = right_singular(system)
+        solved[-1]["svals"] = svals
+        return svals, vh
+
+    cases = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sl.equivalence, "_restricted_system", recorded_system)
+        patch.setattr(sl.equivalence, "_right_singular", recorded_svd)
+        # case 7j + (j mod 7) has kind j mod 7
+        for i in (7 * j + j % 7 for j in range(len(differential_corpus) // 7)):
+            kind, pairs, _, unpadded = differential_corpus[i]
+            padded, labels = _padded(np.random.default_rng(i), pairs)
+            solved = []
+            res = sl.solve_joint_conjugator(padded, seed=i)
+            cases.append((kind, padded, labels, unpadded,
+                          reference_conjugator(padded, seed=i), res, solved))
+    return cases
+
+
+def _reducing_basis(padded, labels, record):
+    """The eigenbases ``(y_s, y_t)`` of the pair the solver reduced by, and
+    that pair's position among the stacked ones: the pair whose eigenbases
+    move the stacked pairs onto the blocks ``record`` holds."""
+    stack = np.array([padded[j] for j in _staying(labels)], dtype=complex)
+    best = None
+    for c, (gs, gt) in enumerate(stack):
+        y_s = np.linalg.eigh(0.5 * (gs + herm(gs)))[1]
+        y_t = np.linalg.eigh(0.5 * (gt + herm(gt)))[1]
+        miss = max(np.max(np.abs(herm(y_s) @ stack[:, 0] @ y_s - record["h_s"])),
+                   np.max(np.abs(herm(y_t) @ stack[:, 1] @ y_t - record["h_t"])))
+        if best is None or miss < best[0]:
+            best = (miss, y_s, y_t, c)
+    miss, y_s, y_t, c = best
+    assert miss <= 1e-12 * max(1.0, float(np.max(np.abs(stack))))
+    return y_s, y_t, c
+
+
+class TestConjugatorOnPaddedPairs:
+    """Repeats and scalar pairs change no outcome, margin or singular value."""
+
+    def test_padding_reaches_both_kinds_of_drop(self, padded_corpus):
+        assert len(padded_corpus) == 120
+        assert {case[0] for case in padded_corpus} == set(CORPUS_KINDS)
+        labels = [label for case in padded_corpus for label in case[2]]
+        assert ("scalar", 1.0) in labels and ("scalar", 2.5) in labels
+        assert any(len(_staying(case[2])) < len(case[2]) - 2 for case in padded_corpus)
+        assert sum(1 for case in padded_corpus if case[6]) > len(padded_corpus) // 2
+
+    def test_only_exact_scalar_pairs_leave(self, rng, monkeypatch):
+        # (G, G) still constrains U to commute with G, and V (cI) V* differs
+        # from cI in its last bits: both stay; (cI, cI) and repeats leave
+        g1, g2 = _gram(rng, 3), _gram(rng, 3)
+        u, v = random_unitary(rng, 3), random_unitary(rng, 3)
+        scalar = 2.5 * np.eye(3)
+        rounded = v @ scalar @ herm(v)
+        assert not np.array_equal(rounded, scalar)
+        pairs = [(g1, u @ g1 @ herm(u)), (g2, g2), (g2, g2), (scalar, scalar),
+                 (scalar, rounded)]
+        blocks = []
+        restricted = sl.equivalence._restricted_system
+
+        def recorded(h_s, h_t, scales, keep):
+            blocks.append(len(h_s))
+            return restricted(h_s, h_t, scales, keep)
+
+        monkeypatch.setattr(sl.equivalence, "_restricted_system", recorded)
+        sl.solve_joint_conjugator(pairs)
+        assert blocks and set(blocks) == {3}
+
+    def test_outcomes_match(self, padded_corpus):
+        # as on the unpadded corpus: a near-threshold reference find may be
+        # missed, never anything else
+        bound = sl.DEFAULT_TOL.bound(1.0)
+        exceptions = []
+        for kind, padded, labels, unpadded, (outcome, residual, _), res, _ in padded_corpus:
+            assert _outcome(res) == _outcome(unpadded), kind
+            if res.certificate == "spectrum-mismatch":
+                # named by its index in the padded list: the first copy
+                assert res.pair_index == labels.index(("pair", unpadded.pair_index))
+            if _outcome(res) == outcome:
+                continue
+            assert (outcome, _outcome(res)) == ("found", "inconclusive"), kind
+            assert residual >= bound / 10, kind
+            exceptions.append(kind)
+        assert len(exceptions) <= 1
+        for kind, padded, _, _, _, res, _ in padded_corpus:
+            if res.unitary is not None:
+                assert sl.is_unitary(res.unitary, sl.Tolerance(1e-8, 1e-8))
+                assert _constraint_residual(res.unitary, padded) <= bound, kind
+
+    def test_null_space_dimension_matches(self, padded_corpus):
+        for kind, _, _, unpadded, (outcome, _, null_dim), res, _ in padded_corpus:
+            if res.unitary is not None:
+                assert res.nullspace_dim == unpadded.nullspace_dim, kind
+                if outcome == "found":
+                    assert res.nullspace_dim == null_dim, kind
+
+    def test_cutoffs_count_every_padded_pair(self, padded_corpus):
+        rel = max(sl.DEFAULT_TOL.rel, 1e-11)
+        checked = 0
+        for kind, padded, labels, _, _, res, solved in padded_corpus:
+            diag = res.diagnostics
+            if "cutoff" not in diag:
+                continue
+            checked += 1
+            record = solved[-1]         # the system the result rests on
+            assert diag["columns_kept"] == np.count_nonzero(record["keep"])
+            norm_bound = _norm_bound(padded)
+            if diag["tau"] is None:     # the full system: ||A|| is its top value
+                top = np.linalg.svd(_stacked_system(padded), compute_uv=False)[0]
+                assert diag["cutoff"] == diag["certify_cutoff"]
+                assert diag["cutoff"] == pytest.approx(max(top, 1.0) * rel, rel=1e-13)
+                continue
+            cutoff = max(norm_bound, 1.0) * rel
+            assert diag["cutoff"] == pytest.approx(cutoff, rel=1e-14), kind
+            # the margin of the dropped entries, from the reducing pair's blocks
+            _, _, c = _reducing_basis(padded, labels, record)
+            gs, gt = padded[_staying(labels)[c]]
+            h_s, h_t = record["h_s"][c], record["h_t"][c]
+            leak = ((frob(h_t - np.diag(h_t.diagonal())) + frob(h_s - np.diag(h_s.diagonal())))
+                    / max(frob(gs), frob(gt), 1.0))
+            tau = max(sl.equivalence._TAU, 2.0 * (cutoff + leak))
+            rho = (cutoff + leak) / tau
+            assert diag["tau"] == pytest.approx(tau, rel=1e-12), kind
+            assert diag["certify_cutoff"] == pytest.approx(
+                (cutoff + norm_bound * rho) / math.sqrt(1.0 - rho * rho), rel=1e-12), kind
+        assert checked > len(padded_corpus) // 2
+
+
 class TestConjugatorCertificates:
     CONFLICTING = [(np.diag([1.0, 4.0]), np.diag([4.0, 1.0])),
                    (np.diag([9.0, 4.0]), np.diag([9.0, 4.0]))]
@@ -613,7 +791,8 @@ class TestRestrictedSystem:
         assert np.array_equal(system, _stacked_system(moved)[:, keep.ravel()])
         assert np.array_equal(rows * dim + cols, np.flatnonzero(keep))
 
-    def test_singular_values_match_the_system_svd(self, differential_corpus, monkeypatch):
+    def test_singular_values_match_the_system_svd(self, differential_corpus, padded_corpus,
+                                                  monkeypatch):
         # every system the solver reduces, on the differential corpus
         original = sl.equivalence._right_singular
         seen = []
@@ -634,6 +813,25 @@ class TestRestrictedSystem:
             assert np.max(np.abs(svals - expected)) <= 1e-13 * expected[0]
             # orthonormal right vectors, so the null-space basis stays orthonormal
             assert np.allclose(vh @ herm(vh), np.eye(len(vh)), atol=1e-12)
+        # on the padded corpus, the system stacks one block per staying pair,
+        # and its singular values are those of every padded pair's block, moved
+        # into the same eigenbases and restricted to the same entries
+        checked = 0
+        for _, padded, labels, _, _, _, solved in padded_corpus:
+            dim = padded[0][0].shape[0]
+            for record in solved:
+                assert record["system"].shape == (len(_staying(labels)) * dim * dim,
+                                                  np.count_nonzero(record["keep"]))
+                y_s, y_t, _ = _reducing_basis(padded, labels, record)
+                moved = [(herm(y_s) @ gs @ y_s, herm(y_t) @ gt @ y_t) for gs, gt in padded]
+                full = _stacked_system(moved)[:, record["keep"].ravel()]
+                expected = np.linalg.svd(full, compute_uv=False)
+                # each block is scaled to norm at most 2, so a system of pairs
+                # that agree to rounding is compared at that scale
+                assert (np.max(np.abs(record["svals"] - expected))
+                        <= 1e-13 * max(expected[0], 1.0))
+                checked += 1
+        assert checked > len(padded_corpus) // 2
 
 
 class TestConjugatorScale:
@@ -790,6 +988,62 @@ class TestDecide:
         gap = np.max(np.abs(es - et))
         assert abs(gap - ob.residual) < 1e-9
         assert gap > 10 * sl.DEFAULT_TOL.bound(max(es.max(), et.max()))
+
+    def test_backward_refutation_after_forward_repeats_is_named(self, rng):
+        # S is stored on rows -3..1, so every forward product from depth 2 on
+        # is S_1 S_0 and its Gram pair repeats; T_n = V_n S_n V_{n-1}* except
+        # that T_{-1} has the right factor W, so only the backward chain,
+        # from T_{-1} T_{-2} on, refutes
+        dim = 3
+        s_w = [random_invertible(rng, dim) for _ in range(5)]
+        v = {n: random_unitary(rng, dim) for n in range(-4, 2)}
+        w = random_unitary(rng, dim)
+        t_w = [v[n] @ s_w[n + 3] @ herm(w if n == -1 else v[n - 1]) for n in range(-3, 2)]
+        s = sl.BilateralShift(sl.EventuallyIdentityWeights(-3, s_w))
+        t = sl.BilateralShift(sl.EventuallyIdentityWeights(-3, t_w))
+        depth = _decision_scope(s, t, 0)[2]
+        pairs = sl.gram_chains(s, t, 0, depth)
+        assert all(np.array_equal(pairs[n], pairs[1]) for n in range(2, depth))
+        # the first refuted pair, from a test-side eigvalsh of every pair
+        first = None
+        for direction in ("forward", "backward"):
+            acc = {"S": np.eye(dim), "T": np.eye(dim)}
+            for n in range(1, depth + 1):
+                spectra = []
+                for name, shift in (("S", s), ("T", t)):
+                    row = shift.weight(n - 1) if direction == "forward" else herm(shift.weight(-n))
+                    acc[name] = row @ acc[name]
+                    spectra.append(np.linalg.eigvalsh(herm(acc[name]) @ acc[name]))
+                gap = float(np.max(np.abs(spectra[0] - spectra[1])))
+                scale = max(float(np.max(np.abs(spectra))), 1.0)
+                if first is None and sl.DEFAULT_TOL.refutes(gap, scale):
+                    first = (direction, n)
+        assert first == ("backward", 2)
+        verdict = sl.decide_diagonal_equivalence(s, t, 0)
+        assert verdict.is_not_equivalent
+        ob = verdict.obstruction
+        assert (ob.kind, ob.index) == ("gram-spectrum", first[1])
+        assert ob.detail == f"{first[0]} product Gram spectra differ at depth {first[1]}"
+
+    @pytest.mark.parametrize("dim,length,m", [(2, 3, 1), (4, 3, -2), (8, 3, 0),
+                                              (12, 2, -1), (16, 1, 1)])
+    def test_decide_grid_style_equivalent_pairs(self, rng, dim, length, m):
+        # eventually-identity pairs sized as the benchmark's: their Gram
+        # chains repeat past the stored rows, and the null space the solver
+        # finds is that of the full stacked system
+        s = ei_shift(rng, dim=dim, lo=m, length=length)
+        t, _ = conjugated_shift(rng, s, m=m)
+        _, (lo, hi), depth, _ = _decision_scope(s, t, m)
+        pairs = sl.gram_chains(s, t, m, depth)
+        assert any(np.array_equal(a, b) for a, b in zip(pairs[1:], pairs[:-1]))
+        verdict = sl.decide_diagonal_equivalence(s, t, m)
+        assert verdict.is_equivalent and verdict.offset == m
+        assert verdict.witness_report.passed
+        assert sl.verify_intertwining(verdict.witness, s, t, lo, hi,
+                                      sl.Tolerance(1e-8, 1e-10)).passed
+        found = sl.solve_joint_conjugator(pairs)
+        outcome, _, null_dim = reference_conjugator(pairs)
+        assert (outcome, found.nullspace_dim) == ("found", null_dim)
 
     def test_norm_obstruction_recomputes(self, rng):
         s = ei_shift(rng, lo=0, length=2)

@@ -296,6 +296,30 @@ class TestDecompositionCount:
             assert (found.certificate, found.pair_index) == ("spectrum-mismatch", refuted)
             assert len(calls) == refuted + 1
 
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("refuted", [0, 3, 7, None])
+    def test_spectrum_screen_decomposes_each_run_of_repeats_once(self, rng, monkeypatch,
+                                                                 dim, refuted):
+        # the eight pairs above, pair k repeated ``runs[k]`` times in a row:
+        # one eigvalsh per run up to the refuted one, which is named by the
+        # index of its first copy in the repeated list
+        runs = [3, 1, 2, 4, 1, 2, 3, 2]
+        u = random_unitary(rng, dim)
+        grams = [herm(a) @ a for a in (random_matrix(rng, dim) for _ in range(8))]
+        distinct = [(g, (2.0 if i == refuted else 1.0) * (u @ g @ herm(u)))
+                    for i, g in enumerate(grams)]
+        pairs = [pair for pair, run in zip(distinct, runs) for _ in range(run)]
+        calls = counting(monkeypatch, "eigvalsh")
+        found = sl.solve_joint_conjugator(pairs)
+        monkeypatch.undo()
+        if refuted is None:
+            assert found.unitary is not None
+            assert len(calls) == len(distinct)
+        else:
+            assert (found.certificate, found.pair_index) == ("spectrum-mismatch",
+                                                             sum(runs[:refuted]))
+            assert len(calls) == refuted + 1
+
 
 class TestNoStateBetweenCalls:
     def test_an_edited_weight_is_read_again(self, rng):
