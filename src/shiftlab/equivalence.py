@@ -521,14 +521,13 @@ def positive_form(s: BilateralShift, lo: int, hi: int) -> PositiveForm:
     return PositiveForm(shift, diagonal, float(res.max()))
 
 
-def _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=None):
+def _profile_mismatches(values, k_min, k_max, lo, hi, tol):
     """For each offset k in [k_min, k_max], the first row n of the window
     where ``S_{n+k}`` and ``T_n`` have different singular values, as
-    ``(n, kind, gap)``, or None.  ``columns`` limits the comparison to the
-    largest values, 1 to the operator norms; None compares them all.
+    ``(n, kind, gap)``, or None.
 
     A value differs when ``tol`` refutes its gap at the scale of the larger
-    top value of the row.  ``kind`` and ``gap`` come from the first column
+    top value of the row.  ``kind`` and ``gap`` come from the first value
     that differs: "norm-profile" for the top value, the operator norm, and
     "singular-values" for a lower one.  ``values`` is the ``(S, T)`` pair of
     ``SingularValues``; the rows are gathered in blocks of ``_BLOCK_ROWS``, so
@@ -538,8 +537,8 @@ def _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=None):
     out = [None] * (k_max - k_min + 1)
     for a in range(lo, hi + 1, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, hi + 1)
-        sv_s, has_s = values_s.gather(a + k_min, b - 1 + k_max, lambda x: x[:, :columns])
-        sv_t, has_t = values_t.gather(a, b - 1, lambda x: x[:, :columns])
+        sv_s, has_s = values_s.gather(a + k_min, b - 1 + k_max, lambda table: table)
+        sv_t, has_t = values_t.gather(a, b - 1, lambda table: table)
         # columns first, so a row's largest gap is a maximum across columns;
         # it decides the row, since no gap exceeds the row's scale
         sv_s, sv_t = np.ascontiguousarray(sv_s.T), np.ascontiguousarray(sv_t.T)
@@ -560,15 +559,14 @@ def _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=None):
 
 def norm_offset_screen(s: BilateralShift, t: BilateralShift, k_min: int,
                        k_max: int, lo: int, hi: int,
-                       tol: Tolerance = DEFAULT_TOL, *, _values=None) -> set:
+                       tol: Tolerance = DEFAULT_TOL) -> set:
     """Offsets k in [k_min, k_max] at which ``S_{n+k}`` and ``T_n`` have the
     same singular values on the window, the operator norm among them.
 
     An empty result certifies that no diagonal-form intertwiner with offset
-    in the range exists.  ``_values`` is the ``(S, T)`` pair of
-    ``singular_values()`` a caller has already read, or None to read it here.
+    in the range exists.
     """
-    values = _values or (s.weights.singular_values(), t.weights.singular_values())
+    values = (s.weights.singular_values(), t.weights.singular_values())
     mismatches = _profile_mismatches(values, k_min, k_max, lo, hi, tol)
     return {k for k, mism in enumerate(mismatches, k_min) if mism is None}
 
@@ -613,8 +611,8 @@ _WITNESS_UNITARY_TOL = 1e-8
 
 
 def diagonal_witness(s: BilateralShift, t: BilateralShift, m: int,
-                     u0: np.ndarray, lo: int, hi: int,
-                     tol: Tolerance = DEFAULT_TOL, *, _values=None) -> BandedOperator:
+                     u0: np.ndarray, lo: int, hi: int, *,
+                     _values=None) -> BandedOperator:
     """Single-band intertwiner at offset m built from the anchor unitary.
 
     The band holds the entries ``V_n`` for rows ``lo-1 .. hi`` of the
@@ -796,7 +794,7 @@ def decide_diagonal_equivalence(s: BilateralShift, t: BilateralShift, m: int,
     verify_tol = Tolerance(rel=max(tol.rel, _WITNESS_UNITARY_TOL),
                            abs=max(tol.abs, 1e-10))
     try:
-        witness = diagonal_witness(s, t, m, found.unitary, lo, hi, tol, _values=values)
+        witness = diagonal_witness(s, t, m, found.unitary, lo, hi, _values=values)
     except (PreconditionError, ConditioningError, WindowAccessError) as exc:
         return _inconclusive(m, f"witness construction failed: {exc}")
     wrep = verify_intertwining(witness, s, t, lo, hi, verify_tol)
@@ -846,20 +844,23 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
                                      window: tuple | None = None,
                                      tol: Tolerance = DEFAULT_TOL,
                                      seed: int = 0) -> EquivalenceVerdict:
-    """Scan offsets in [k_min, k_max], deciding those the singular-value
-    screen leaves on the window.
+    """Scan offsets in [k_min, k_max] in order of |m|, positive first on
+    ties, and return one of their decisions' verdicts, unchanged.
 
-    Returns the first Equivalent verdict (offsets ordered by |m|, positive
-    first on ties); otherwise Inconclusive if any offset was inconclusive;
-    otherwise NotEquivalent: the last decision's obstruction, or, when the
-    screen leaves no offset, a summary of kind "norm-profile" if the
-    operator norms alone refute every offset, else "singular-values".
+    One singular-value screen over every offset, on the offset-0 window
+    widened by the largest |m| (or the given window), filters the offsets;
+    those it leaves are decided in order, and when it leaves none the last
+    offset of the order is decided, which its own screen refutes at a row.
+    The verdict is the first Equivalent one; else the first Inconclusive
+    one; else the last decision's NotEquivalent one.
 
     Raises
     ------
     ValueError
         when ``k_min > k_max``: an empty range refutes nothing; or when a
         given window has ``hi < lo``.
+    ConditioningError
+        when weights fail the invertibility threshold, as ``decide`` does.
     """
     if k_min > k_max:
         raise ValueError(f"empty offset range [{k_min}, {k_max}]")
@@ -869,21 +870,14 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
         lo, hi = lo - spread, hi + spread
     # one singular-value reader per shift serves the screen and every decision
     values = (s.weights.singular_values(), t.weights.singular_values())
-    feasible = sorted(norm_offset_screen(s, t, k_min, k_max, lo, hi, tol, _values=values),
+    mismatches = _profile_mismatches(values, k_min, k_max, lo, hi, tol)
+    feasible = sorted((k for k, mism in enumerate(mismatches, k_min) if mism is None),
                       key=lambda k: (abs(k), -k))
-    if not feasible:
-        norms = _profile_mismatches(values, k_min, k_max, lo, hi, tol, columns=1)
-        return _not_equivalent(
-            0, "singular-values" if None in norms else "norm-profile", None, 0.0,
-            f"no offset in [{k_min}, {k_max}] matches the singular-value profile")
     verdicts = []
-    for m in feasible:
+    # with none left, the last offset of the order: max keeps k_min on a tie
+    for m in feasible or [max(k_min, k_max, key=abs)]:
         verdicts.append(decide_diagonal_equivalence(s, t, m, depth=depth, window=window,
                                                     tol=tol, seed=seed, _values=values))
         if verdicts[-1].is_equivalent:
             return verdicts[-1]
-    verdict = next((v for v in verdicts if v.is_inconclusive), verdicts[-1])
-    if verdict.is_not_equivalent:
-        verdict.obstruction.detail += (
-            f" (last of {len(feasible)} offsets the singular-value screen left)")
-    return verdict
+    return next((v for v in verdicts if v.is_inconclusive), verdicts[-1])

@@ -28,6 +28,31 @@ def const_band(mat):
     return sl.PeriodicWeights([mat])
 
 
+S2 = sl.BilateralShift(sl.PeriodicWeights([2.0 * I2]))
+S3 = sl.BilateralShift(sl.PeriodicWeights([2.0 * np.eye(3)]))
+SINGULAR2 = sl.BilateralShift(sl.PeriodicWeights([np.diag([1.0, 0.0])]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sl.BandedOperator({}), ValueError, "at least one band"),
+    (lambda: sl.BandedOperator({0.0: const_band(I2)}), TypeError, "not an integer"),
+    (lambda: sl.BandedOperator({0: I2}), TypeError, "not a WeightSequence"),
+    (lambda: sl.BandedOperator({0: const_band(I2), 1: const_band(np.eye(3))}),
+     sl.DimensionError, "band 1 has dim 3, expected 2"),
+    (lambda: sl.verify_intertwining(sl.BandedOperator({0: const_band(I2)}), S2, S3, 0, 2),
+     sl.DimensionError, "share the block dimension"),
+    (lambda: sl.conjugate_to_shift(sl.BandedOperator({0: const_band(I2)}), S3, 0, 2),
+     sl.DimensionError, "share the block dimension"),
+    (lambda: sl.check_diagonal_propagation(sl.BandedOperator({0: const_band(I2)}),
+                                           SINGULAR2, S2, 0, 2),
+     sl.PreconditionError, "quasi-invertible"),
+], ids=["no-bands", "float-offset", "bare-matrix-band", "unequal-dims",
+        "intertwining-dims", "conjugation-dims", "not-quasi-invertible"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestDiagonalForm:
     """F^k D on the dense section: F is the band at offset -1 filled with
     identities, and F^k D is the single band -k holding ``D_{i-k}`` at row i."""

@@ -28,6 +28,25 @@ from conftest import (
 I2 = np.eye(2, dtype=complex)
 
 
+S2 = sl.BilateralShift(sl.PeriodicWeights([2.0 * I2]))
+S3 = sl.BilateralShift(sl.PeriodicWeights([2.0 * np.eye(3)]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sl.gram_chains(S2, S3, 0, 2), sl.DimensionError, "share the block dimension"),
+    (lambda: sl.gram_chains(S2, S2, 0, 0), ValueError, "positive integer"),
+    (lambda: sl.decide_diagonal_equivalence(S2, S3, 0), sl.DimensionError,
+     "share the block dimension"),
+    (lambda: sl.positive_form(S2, 3, 2), ValueError, "hi must be >= lo"),
+    (lambda: sl.diagonal_witness(S2, S2, 0, np.eye(3), -2, 2), sl.DimensionError,
+     "wrong shape"),
+], ids=["gram-dims", "gram-depth-0", "decide-dims", "positive-form-reversed",
+        "witness-anchor-shape"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestPositiveForm:
     def test_identity_weights_fixed(self):
         s = sl.BilateralShift(sl.identity_weights(2))
@@ -1168,14 +1187,20 @@ class TestDecideScan:
 
     def test_empty_screen_names_a_lower_singular_value(self, rng):
         # at offset 1 the operator norms agree on every row: only a smallest
-        # singular value refutes it
+        # singular value refutes it; 1 is the last offset of [0, 1] in |m|
+        # order, so the scan returns the decision at 1
         s, t = lower_pair(rng, "eventually_identity", defects=1)
         assert sl.norm_offset_screen(s, t, -3, 3, -9, 9) == set()
-        verdict = sl.decide_diagonal_equivalence_scan(s, t, -3, 3)
-        assert verdict.is_not_equivalent
-        assert (verdict.obstruction.kind, verdict.obstruction.index) == ("singular-values", None)
-        assert verdict.obstruction.detail == ("no offset in [-3, 3] matches the "
-                                              "singular-value profile")
+        verdict = sl.decide_diagonal_equivalence_scan(s, t, 0, 1)
+        alone = sl.decide_diagonal_equivalence(s, t, 1)
+        assert verdict.is_not_equivalent and verdict.offset == 1
+        assert verdict.obstruction.kind == "singular-values"
+        # the row named is the defect: its smallest singular value is scaled
+        n = verdict.obstruction.index
+        sv_s, sv_t = (np.linalg.svd(w, compute_uv=False) for w in (s.weight(n + 1),
+                                                                   t.weight(n)))
+        np.testing.assert_allclose(sv_t, sv_s * [1.0, 1.0, 0.7])
+        assert verdict.obstruction == alone.obstruction
 
     def test_reversed_range_refutes_nothing(self, rng):
         # an empty offset range must not come back as a certified verdict
@@ -1590,3 +1615,88 @@ class TestBatchedReadersAgainstRowLoops:
         with pytest.raises(sl.WindowAccessError) as err:
             sl.positive_form(s, -3, 9)
         assert err.value.index == -3
+
+
+def conjugate_pair(rng, variant, m, dim=2):
+    """S of the given variant and T with ``T_n = V_n S_{n+m} V_{n-1}*`` for
+    unitaries V_n: of S's period 3 for periodic S, constant past the stored
+    rows for eventually-identity S, and on the rows -2-m..3-m, where S_{n+m}
+    is stored, for windowed S (rows -2..3)."""
+    if variant == "eventually_identity":
+        s = ei_shift(rng, dim, lo=-2, length=6)
+        return s, conjugated_shift(rng, s, m)[0]
+    mats = [random_invertible(rng, dim) for _ in range(6 if variant == "windowed" else 3)]
+    if variant == "periodic":
+        s = sl.BilateralShift(sl.PeriodicWeights(mats), "S")
+        v = [random_unitary(rng, dim) for _ in range(3)]
+        t_w = [v[n] @ s.weight(n + m) @ herm(v[n - 1]) for n in range(3)]
+        return s, sl.BilateralShift(sl.PeriodicWeights(t_w), "T")
+    s = sl.BilateralShift(sl.WindowedWeights(-2, mats), "S")
+    v = {n: random_unitary(rng, dim) for n in range(-3 - m, 4 - m)}
+    t_w = [v[n] @ s.weight(n + m) @ herm(v[n - 1]) for n in range(-2 - m, 4 - m)]
+    return s, sl.BilateralShift(sl.WindowedWeights(-2 - m, t_w), "T")
+
+
+def by_abs_offset(k_min, k_max):
+    return sorted(range(k_min, k_max + 1), key=lambda k: (abs(k), -k))
+
+
+def verdict_fields(verdict):
+    """Everything a verdict states but its witness: status, offset, the
+    obstruction in every field, and the reason."""
+    return verdict.status, verdict.offset, verdict.obstruction, verdict.reason
+
+
+class TestScanVerdictIsADecision:
+    """A scan returns one of its decisions' verdicts, unchanged."""
+
+    @pytest.mark.parametrize("window", [None, (-3, 4)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scan_invariants(self, rng, variant, window):
+        seen = {status: 0 for status in sl.VerdictStatus}
+        for _ in range(2):
+            pairs = [conjugate_pair(rng, variant, 1), lower_pair(rng, variant, 0, dim=2),
+                     lower_pair(rng, variant, 1, dim=2)]
+            for s, t in pairs:
+                for k_min, k_max in [(-3, 3), (0, 2), (1, 3), (-3, -1)]:
+                    verdict = sl.decide_diagonal_equivalence_scan(s, t, k_min, k_max,
+                                                                  window=window)
+                    seen[verdict.status] += 1
+                    # the verdict is the decision at an offset of the range
+                    assert k_min <= verdict.offset <= k_max
+                    alone = sl.decide_diagonal_equivalence(s, t, verdict.offset, None,
+                                                           window)
+                    assert verdict_fields(verdict) == verdict_fields(alone)
+                    if verdict.is_not_equivalent and verdict.obstruction.kind in (
+                            "norm-profile", "singular-values"):
+                        assert isinstance(verdict.obstruction.index, int)
+                    # the rule over every offset decided alone
+                    each = [sl.decide_diagonal_equivalence(s, t, k, window=window)
+                            for k in by_abs_offset(k_min, k_max)]
+                    first = next((v for v in each if v.is_equivalent), None)
+                    if first is not None:
+                        assert verdict.is_equivalent and verdict.offset == first.offset
+                    elif any(v.is_inconclusive for v in each):
+                        assert verdict.is_inconclusive
+                    else:
+                        assert verdict.is_not_equivalent
+        assert seen[sl.VerdictStatus.NOT_EQUIVALENT] > 0
+        if window is None:
+            assert seen[sl.VerdictStatus.EQUIVALENT] > 0
+
+    @pytest.mark.parametrize("singular", ["S", "T"])
+    @pytest.mark.parametrize("screen_leaves", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_singular_weights_raise(self, rng, variant, screen_leaves, singular):
+        # as ``decide`` does, whether or not the screen leaves an offset to decide
+        mats = [random_invertible(rng) for _ in range(3)]
+        mats[1] = np.diag([1.0, 0.0])
+        make = {"periodic": sl.PeriodicWeights,
+                "eventually_identity": functools.partial(sl.EventuallyIdentityWeights, 0),
+                "windowed": functools.partial(sl.WindowedWeights, 0)}[variant]
+        bad = sl.BilateralShift(make(mats))
+        other = sl.BilateralShift(make([w * (1.0 if screen_leaves else 3.0) for w in mats]))
+        s, t = (bad, other) if singular == "S" else (other, bad)
+        assert bool(sl.norm_offset_screen(s, t, -2, 2, -12, 12)) == screen_leaves
+        with pytest.raises(sl.ConditioningError):
+            sl.decide_diagonal_equivalence_scan(s, t, -2, 2)

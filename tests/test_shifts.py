@@ -21,6 +21,16 @@ def two_by_two(a, b, c, d):
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sl.weight_norm_profile(sl.BilateralShift(sl.PeriodicWeights([I2])), 3, 2),
+     ValueError, "hi must be >= lo"),
+    (lambda: sl.BilateralShift([I2]), TypeError, "must be a WeightSequence"),
+], ids=["norm-profile-reversed", "shift-of-a-list"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestWeightSequences:
     def test_periodic_negative_index(self):
         w0, w1 = np.diag([1.0, 2.0]), np.diag([3.0, 4.0])

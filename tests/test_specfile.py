@@ -380,6 +380,20 @@ class TestReaders:
         assert "\\ud800" in json.dumps(doc)
         assert sl.parse_shift_spec(json.dumps(doc)).tasks[0]["label"] == "\ud800"
 
+    def test_lone_surrogate_in_the_text_is_read_by_json(self):
+        # the code point itself, not its escape: the text has no UTF-8 form,
+        # so orjson cannot read it and the model is the one json reads
+        doc = minimal_doc()
+        doc["tasks"] = [{"op": "norms", "shift": "S", "label": "x\ud800"}]
+        text = json.dumps(doc, ensure_ascii=False)
+        assert "\ud800" in text and specfile._fast_model(text) is None
+        model = sl.parse_shift_spec(text)
+        expected = specfile._resolve(json.loads(text))
+        assert model.tasks == expected.tasks == doc["tasks"]
+        assert model.shifts.keys() == expected.shifts.keys()
+        for name, shift in model.shifts.items():
+            assert shift.weight(0).tobytes() == expected.shifts[name].weight(0).tobytes()
+
     def test_arrays_nested_300_deep_under_an_unknown_key_are_accepted(self):
         text = json.dumps(minimal_doc())[:-1] + ', "x": ' + "[" * 300 + "]" * 300 + "}"
         assert set(sl.parse_shift_spec(text).shifts) == {"S"}
