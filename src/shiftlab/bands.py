@@ -28,18 +28,14 @@ grow with the window.  A residual depends only on its row's matrices,
 never on the rows it is evaluated with, so the grouping gives the bits a
 row-by-row evaluation gives.
 
-A block holds every stack rows-last, as a (d, d, rows) array, so a product
-is computed for all rows of the block at once.  ``matmul`` over a stack
-pays a fixed cost per matrix, about 0.3 µs, which at block dims 2 to 4 is
-most of the product: at 512 rows a (512, d, d) ``matmul`` took 130-220 µs,
-and d broadcast multiply-adds over stacks contiguous along the rows took
-12-95 µs.  From d = 5 up the broadcast work (d^3 per row) overtakes BLAS,
-so above ``_BROADCAST_DIM`` the products run as ``matmul`` on (rows, d, d)
-views of the same arrays.  The kernel follows the block dim alone.  The
-broadcast sums run in another order than BLAS, so residuals differ from
-``matmul``'s in the last digits; pass/fail results do not.  A report keeps
-its checks and skips as columns (condition, row, residual, verdict), in row
-order or condition order, and builds a record only when one is read.
+Each block holds its stacks rows-first, as (rows, d, d) arrays, and every
+product is one ``matmul`` over the block.  Since each signature is
+evaluated once, the products of a periodic or eventually-identity
+operator are a few rows wide, too narrow for a second kernel tuned to
+wide stacks to pay; only windows of all-distinct rows at block dims up
+to 3 would run faster with one.  A report keeps its checks and skips
+as columns (condition, row, residual, verdict), in row order or condition
+order, and builds a record only when one is read.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .matrices import DEFAULT_TOL, Tolerance, frob_norms
+from .matrices import DEFAULT_TOL, Tolerance, frob_norms, herm
 from .shifts import (
     BilateralShift,
     WeightSequence,
@@ -66,16 +62,6 @@ from .shifts import (
 
 _OUTSIDE = "index outside a stored window"
 _BLOCK_ROWS = 512        # rows evaluated at once; keeps working memory flat
-# Largest block dim whose products are broadcast multiply-adds, not ``matmul``
-# (see ``_mul``).  Measured on 2 cores, numpy 2.4 with one OpenBLAS thread,
-# broadcast over matmul time, medians of 31 interleaved runs of
-# verify_unitary_banded plus verify_intertwining of a periodic three-band
-# operator on 100 to 1000 rows: 0.3-0.7 at d = 3, 0.55-1.1 at d = 4, 0.8-1.5
-# at d = 5, 1.0-2.3 at d = 6; on the d = 4 operations of the verify-window
-# benchmark (seed 1) 0.67.  Each broadcast product allocates d + 1 arrays
-# of a block's size, which from d = 5 on also cost page faults (at 512 rows
-# they pass the 128 KiB above which glibc maps memory afresh).
-_BROADCAST_DIM = 4
 
 
 @dataclass(slots=True)
@@ -307,33 +293,9 @@ class _Group(NamedTuple):
     within: int | None = None
 
 
-def _rows_last(w):
-    """An (M, d, d) stack as the (d, d, M) operand of ``_mul``: a contiguous
-    copy for the broadcast product, a view of the rows-first array for
-    ``matmul``."""
-    w = w.transpose(1, 2, 0)
-    return np.ascontiguousarray(w) if len(w) <= _BROADCAST_DIM else w
-
-
-def _take(table, at):
-    """The entries ``at`` of a (d, d, K) table from ``_rows_last``, as a new
-    (d, d, M) operand of ``_mul`` laid out as ``_rows_last`` lays it out."""
-    if len(table) <= _BROADCAST_DIM:
-        return table.take(at, axis=-1)
-    return table.transpose(2, 0, 1).take(at, axis=0).transpose(1, 2, 0)
-
-
 def _mul(a, b):
-    """Matrix products of two (d, d, M) stacks, row by row along the last axis.
-
-    Up to ``_BROADCAST_DIM`` the product is d broadcast multiply-adds over
-    whole rows; above it ``matmul`` (BLAS) runs on (M, d, d) views."""
-    if len(a) > _BROADCAST_DIM:
-        return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
-    out = a[:, 0, None] * b[None, 0]
-    for j in range(1, len(a)):
-        out += a[:, j, None] * b[None, j]
-    return out
+    """Matrix products of two (M, d, d) stacks, row by row."""
+    return np.matmul(a, b)
 
 
 def _signatures(columns, count: int):
@@ -365,7 +327,7 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
     availability (every factor stored) on rows lo..hi, and the (N, d, d)
     values of ``conds[keep].lhs`` when ``keep`` is given."""
     count = max(hi - lo + 1, 0)
-    eye = np.eye(dim, dtype=complex)[:, :, None]     # broadcast along the rows
+    eye = np.eye(dim, dtype=complex)
     pairs = dict.fromkeys((f.seq, f.shift) for cond in conds
                           for s in (cond.lhs, cond.rhs, *cond.scale) if isinstance(s, tuple)
                           for product in s for f in product)
@@ -378,15 +340,15 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
     tables = {}
     for seq, (first, last) in reach.items():
         table, index, present = seq._reached(lo + first, hi + last)
-        tables[seq] = first, _rows_last(table), index, present
+        tables[seq] = first, table, index, present
     # a row's values depend only on the table entries its factors read, so
     # the window is evaluated once per distinct tuple of them and scattered
     # back to every row
     columns = []
     for seq, shift in pairs:
         first, table, index, _ = tables[seq]
-        if table.shape[-1] > 1:
-            columns.append((index[shift - first:shift - first + count], table.shape[-1]))
+        if len(table) > 1:
+            columns.append((index[shift - first:shift - first + count], len(table)))
     rows, inverse = _signatures(columns, count)
     res = np.zeros((len(conds), len(rows)))
     passed = np.zeros((len(conds), len(rows)), dtype=bool)
@@ -398,12 +360,12 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         for seq, shift in pairs:
             first, table, index, present = tables[seq]
             at = rows[start:stop] + (shift - first)
-            stacks[seq, shift] = _take(table, index.take(at)), present.take(at)
+            stacks[seq, shift] = table.take(index.take(at), axis=0), present.take(at)
 
         def factor(f, mask):
             w, present = stacks[f.seq, f.shift]
             mask &= present
-            return w.conj().swapaxes(0, 1) if f.adjoint else w
+            return herm(w) if f.adjoint else w
 
         def total(terms, mask):
             return sum((functools.reduce(_mul, [factor(f, mask) for f in product] or [eye])
@@ -413,14 +375,13 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             mask = has[c, start:stop]
             # scale entries that repeat lhs or rhs read their sums from here
             sums = {cond.lhs: total(cond.lhs, mask), cond.rhs: total(cond.rhs, mask)}
-            res[c, start:stop] = frob_norms(np.moveaxis(sums[cond.lhs] - sums[cond.rhs], -1, 0))
+            res[c, start:stop] = frob_norms(sums[cond.lhs] - sums[cond.rhs])
             scale = functools.reduce(np.maximum, [
-                s if isinstance(s, float) else frob_norms(np.moveaxis(
-                    sums[s] if s in sums else total(s, mask), -1, 0))
+                s if isinstance(s, float) else frob_norms(sums[s] if s in sums else total(s, mask))
                 for s in cond.scale])
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
-                kept[start:stop] = np.moveaxis(sums[cond.lhs], -1, 0)
+                kept[start:stop] = sums[cond.lhs]
     res, passed, has = res[:, inverse], passed[:, inverse], has[:, inverse]
     kept = None if kept is None else kept[inverse]
     return res, passed, has, kept

@@ -847,35 +847,44 @@ def decide_diagonal_equivalence_scan(s: BilateralShift, t: BilateralShift,
     """Scan offsets in [k_min, k_max] in order of |m|, positive first on
     ties, and return one of their decisions' verdicts, unchanged.
 
-    One singular-value screen over every offset, on the offset-0 window
-    widened by the largest |m| (or the given window), filters the offsets;
-    those it leaves are decided in order, and when it leaves none the last
-    offset of the order is decided, which its own screen refutes at a row.
-    The verdict is the first Equivalent one; else the first Inconclusive
-    one; else the last decision's NotEquivalent one.
+    Only offsets with a usable decision window are decided: every offset
+    when a window is given, else those whose automatic window is not empty.
+    One singular-value screen over every such offset, on the hull of their
+    windows, filters them; those it leaves are decided in order, and when
+    it leaves none the last usable offset of the order is decided, which
+    its own screen refutes at a row.  The verdict is the first Equivalent
+    one; else the first Inconclusive one; else the last decision's
+    NotEquivalent one.
 
     Raises
     ------
     ValueError
         when ``k_min > k_max``: an empty range refutes nothing; or when a
         given window has ``hi < lo``.
+    PreconditionError
+        when no offset of the range has a usable decision window.
     ConditioningError
         when weights fail the invertibility threshold, as ``decide`` does.
     """
     if k_min > k_max:
         raise ValueError(f"empty offset range [{k_min}, {k_max}]")
-    lo, hi = _decision_scope(s, t, 0, window)[1]
-    if window is None:
-        spread = max(abs(k_min), abs(k_max))
-        lo, hi = lo - spread, hi + spread
+    windows = {}
+    for m in range(k_min, k_max + 1):
+        try:
+            windows[m] = _decision_scope(s, t, m, window)[1]
+        except PreconditionError:       # this offset's stored windows do not overlap
+            pass
+    if not windows:
+        raise PreconditionError("stored weight windows leave no usable decision "
+                                f"window at any offset in [{k_min}, {k_max}]")
+    lo, hi = min(a for a, _ in windows.values()), max(b for _, b in windows.values())
     # one singular-value reader per shift serves the screen and every decision
     values = (s.weights.singular_values(), t.weights.singular_values())
     mismatches = _profile_mismatches(values, k_min, k_max, lo, hi, tol)
-    feasible = sorted((k for k, mism in enumerate(mismatches, k_min) if mism is None),
-                      key=lambda k: (abs(k), -k))
+    order = sorted(windows, key=lambda k: (abs(k), -k))
     verdicts = []
-    # with none left, the last offset of the order: max keeps k_min on a tie
-    for m in feasible or [max(k_min, k_max, key=abs)]:
+    # with none left, the last usable offset of the order
+    for m in [k for k in order if mismatches[k - k_min] is None] or order[-1:]:
         verdicts.append(decide_diagonal_equivalence(s, t, m, depth=depth, window=window,
                                                     tol=tol, seed=seed, _values=values))
         if verdicts[-1].is_equivalent:

@@ -53,6 +53,29 @@ def test_argument_checks(call, error, message):
         call()
 
 
+def _checks():
+    return sl.verify_unitary_banded(sl.BandedOperator({0: const_band(I2)}), 0, 1).checks
+
+
+@pytest.mark.parametrize("value, expected", [
+    (lambda: repr(sl.BandedOperator({-1: const_band(I2), 1: const_band(I2)}, label="U")),
+     "BandedOperator 'U'(offsets=(-1, 1), dim=2)"),
+    (lambda: repr(sl.BandedOperator({0: const_band(I2)})), "BandedOperator(offsets=(0,), dim=2)"),
+    (lambda: repr(sl.BilateralShift(sl.PeriodicWeights([I2, 2 * I2]), label="S")),
+     "BilateralShift 'S'(PeriodicWeights(period=2, dim=2))"),
+    (lambda: repr(sl.BilateralShift(sl.WindowedWeights(3, [np.eye(3)]))),
+     "BilateralShift(WindowedWeights(lo=3, hi=3, dim=3))"),
+    (lambda: repr(sl.EventuallyIdentityWeights(-1, [I2] * 3)),
+     "EventuallyIdentityWeights(lo=-1, hi=1, dim=2)"),
+    # records compare equal to lists of records only; a tuple falls back to identity
+    (lambda: _checks().__eq__(tuple(_checks())), NotImplemented),
+    (lambda: (_checks() == tuple(_checks()), _checks() == list(_checks())), (False, True)),
+], ids=["operator-labelled", "operator", "periodic-shift", "windowed-shift",
+        "eventually-identity", "records-eq-tuple", "records-compare"])
+def test_reprs_and_record_comparisons(value, expected):
+    assert value() == expected
+
+
 class TestDiagonalForm:
     """F^k D on the dense section: F is the band at offset -1 filled with
     identities, and F^k D is the single band -k holding ``D_{i-k}`` at row i."""

@@ -1,12 +1,12 @@
-"""The windowed verifiers against a per-row numpy loop, on both product kernels.
+"""The windowed verifiers against a per-row numpy loop, at block dims 1 to 16.
 
-``bands._evaluate`` multiplies block stacks held rows-last: by broadcast
-multiply-adds up to ``_BROADCAST_DIM`` and by ``matmul`` above it.  Each
-public verifier is recomputed here one row at a time, with the factors its
-docstring names, ``@`` for every product and ``np.linalg.norm(lhs - rhs)``
-for every residual, at block dims on both sides of the cut-off.  Records,
-skips and pass flags must be equal; residuals must agree to 1e-12 relative
-to the size of the condition's sides.
+``bands._evaluate`` multiplies rows-first block stacks with ``matmul``.
+Each public verifier is recomputed here one row at a time, with the
+factors its docstring names, ``@`` for every product and
+``np.linalg.norm(lhs - rhs)`` for every residual, on windows shorter and
+longer than a block.  Records, skips and pass flags must be equal;
+residuals must agree to 1e-12 relative to the size of the condition's
+sides.
 """
 
 import functools
@@ -26,8 +26,6 @@ REL = 1e-12
 
 
 def test_the_cases_cover_both_kernels_the_cut_off_and_two_blocks():
-    assert bands._BROADCAST_DIM in DIMS
-    assert min(DIMS) <= bands._BROADCAST_DIM < max(DIMS)
     lo, hi = CASES["longer-than-a-block"][0]
     assert hi - lo + 1 > bands._BLOCK_ROWS
 

@@ -1700,3 +1700,42 @@ class TestScanVerdictIsADecision:
         assert bool(sl.norm_offset_screen(s, t, -2, 2, -12, 12)) == screen_leaves
         with pytest.raises(sl.ConditioningError):
             sl.decide_diagonal_equivalence_scan(s, t, -2, 2)
+
+
+class TestScanSkipsOffsetsWithoutAWindow:
+    """T stores rows -1..1 and S rows 2..4 with the same weights, so
+    ``S_{n+3} = T_n``; at offset m the stored windows overlap only for
+    1 <= m <= 5."""
+
+    S = sl.BilateralShift(sl.WindowedWeights(2, [c * np.eye(1) for c in (2.0, 3.0, 5.0)]))
+    T = sl.BilateralShift(sl.WindowedWeights(-1, [c * np.eye(1) for c in (2.0, 3.0, 5.0)]))
+
+    def test_a_one_offset_scan_is_the_decision(self):
+        verdict = sl.decide_diagonal_equivalence_scan(self.S, self.T, 3, 3)
+        alone = sl.decide_diagonal_equivalence(self.S, self.T, 3)
+        assert alone.is_equivalent
+        assert verdict_fields(verdict) == verdict_fields(alone)
+        assert verdict.witness_report.max_residual == alone.witness_report.max_residual
+
+    @pytest.mark.parametrize("k_min, k_max", [(-1, 3), (0, 3), (-5, 5), (3, 7)])
+    def test_offsets_without_a_window_are_passed_over(self, k_min, k_max):
+        verdict = sl.decide_diagonal_equivalence_scan(self.S, self.T, k_min, k_max)
+        assert verdict.is_equivalent and verdict.offset == 3
+
+    @pytest.mark.parametrize("k_min, k_max", [(1, 2), (4, 9), (-3, 2)])
+    def test_refuted_scans_name_an_offset_with_a_window(self, k_min, k_max):
+        verdict = sl.decide_diagonal_equivalence_scan(self.S, self.T, k_min, k_max)
+        assert verdict.is_not_equivalent and 1 <= verdict.offset <= 5
+        alone = sl.decide_diagonal_equivalence(self.S, self.T, verdict.offset)
+        assert verdict_fields(verdict) == verdict_fields(alone)
+
+    @pytest.mark.parametrize("k_min, k_max", [(-3, 0), (6, 8), (0, 0)])
+    def test_a_range_without_any_window_raises(self, k_min, k_max):
+        message = f"no usable decision window at any offset in \\[{k_min}, {k_max}\\]"
+        with pytest.raises(sl.PreconditionError, match=message):
+            sl.decide_diagonal_equivalence_scan(self.S, self.T, k_min, k_max)
+
+    def test_a_given_window_is_used_at_every_offset(self):
+        # with a window every offset is decided, as ``decide`` decides it
+        verdict = sl.decide_diagonal_equivalence_scan(self.S, self.T, -1, 3, window=(-1, 1))
+        assert verdict.is_equivalent and verdict.offset == 3
