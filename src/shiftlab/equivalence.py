@@ -36,12 +36,10 @@ certified against a correspondingly looser cutoff; where the reduced
 system can neither verify a unitary nor certify, the full system decides.
 When every pair is (nearly) scalar the identity is tried before the full
 system.  Each distinct constraint is solved once: a pair bitwise equal to
-the one before it (an eventually-identity chain repeats its last pair past
-the stored rows) is neither decomposed nor stacked, its predecessor's block
-weighted instead, and a pair of one multiple of I on both sides, which
-constrains nothing, leaves the system.  ``solve_joint_conjugator`` runs
-these stages on module functions: the spectrum screen fills one array of
-spectra, one row per run of repeats, and stops at the first refuted pair,
+the one before it, or of one multiple of I on both sides, adds no
+constraint and is neither decomposed nor stacked.  ``solve_joint_conjugator``
+runs these stages on module functions: the spectrum screen fills one array
+of spectra, one row per kept pair, and stops at the first refuted pair,
 ``_kept`` counts the kept entries of every remaining pair at once,
 ``_restricted_system`` builds the scaled system on a keep mask, and
 ``_unitary_in_span`` searches a null-space basis for a unitary.
@@ -278,16 +276,16 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     ``pairs`` is a list of pairs or the (P, 2, d, d) array of ``gram_chains``.
     The stages, in order:
 
-    1. **Spectrum screen.**  One bitwise comparison of every pair with the
-       one before it splits the pairs into runs of repeats.  One
-       ``eigvalsh`` per run, in order, fills an array of spectra; the first
-       pair whose spectra differ is certified ``spectrum-mismatch`` under
-       its index in ``pairs`` and no later pair is decomposed.  A repeat
-       has its predecessor's spectra, so it is never the first refuted
-       pair.  The first pair of each run stays, unless both its Grams are
-       one multiple of I; pair 0 always stays.
-    2. **Reducing pair.**  ``_kept`` counts, for every pair that stays,
-       the entries its spectra keep, and the pair is chosen from the counts.
+    1. **Spectrum screen.**  One keep mask drops every pair bitwise equal
+       to the one before it, and every pair whose two Grams are one
+       multiple of I; pair 0 is always kept.  One ``eigvalsh`` per kept
+       pair, in order, fills an array of spectra; the first pair whose
+       spectra differ is certified ``spectrum-mismatch`` under its index in
+       ``pairs`` and no later pair is decomposed.  A dropped pair has the
+       spectra of a kept one or equal spectra, so it is never the first
+       refuted pair.
+    2. **Reducing pair.**  ``_kept`` counts, for every kept pair, the
+       entries its spectra keep, and the pair is chosen from the counts.
     3. **Restricted system** (``_restricted_system``), scatter-filled, then
        reduced by Householder QR and the SVD of the k x k triangle
        (``_right_singular``).
@@ -296,13 +294,12 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     5. The full system, when the restricted one settles nothing.
 
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
-    ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system of every
-    pair A.  The system solved stacks only the pairs that stay, the block of
-    a pair heading a run of r repeats scaled by ``sqrt(r) / s_i``: then its
-    ``A* A``, and with it every singular value and the null space, is that
-    of A up to rounding, since a pair ``(cI, cI)`` adds a zero block.  The
-    scales, ``||A||`` and the cutoffs are taken over every pair.  A is
-    solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
+    ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system of the
+    kept pairs A.  A dropped pair repeats a block of A or adds a zero
+    block, so A has the null space of the stack of every pair and singular
+    values no larger: dropping pairs can lose a certificate, never make one.
+    The scales, ``||A||`` and the cutoffs are taken over the kept pairs.  A
+    is solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
     ``G_tc = Y_t L_t Y_t*``: with ``U = Y_t X Y_s*`` block i becomes
     ``(Y_t* G_t Y_t) X - X (Y_s* G_s Y_s)``, a unitary change of both the
     unknown and each block's output, so the singular values are unchanged.
@@ -320,8 +317,9 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     The span of singular values ``<= c`` is searched for a unitary element
     by projecting candidate combinations to their unitary polar factor; the
     polar factor of any nonsingular null element satisfies the constraints
-    again, and every returned unitary is checked against the pairs that
-    stay (a repeat has the residual of its predecessor).  Here
+    again, and every returned unitary is checked against the kept pairs (a
+    repeat has its predecessor's residual; ``(cI, cI)`` only U's drift from
+    unitary).  Here
     ``c = max(||A||, 1) * max(tol.rel, 1e-11)`` with ``||A||`` a cheap upper
     bound on the stacked norm, so c is at least the cutoff of an SVD of the
     full system.  Infeasibility is certified against the looser cutoff
@@ -351,36 +349,29 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
         raise DimensionError("constraint pairs must form a (P, 2, d, d) array, "
                              f"got shape {pairs.shape}")
     dim = pairs.shape[2]
-    # a pair bitwise equal to the one before it has that pair's spectra, block
-    # and residual, so each run of repeats is screened and solved once
-    flat = pairs.reshape(len(pairs), -1)
-    differs = (flat[1:] != flat[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    # a pair bitwise equal to the one before it repeats that constraint, and
+    # one of a single multiple of I on both sides constrains nothing: only
+    # the other pairs are kept; pair 0 always is
+    keep = ~(pairs == pairs[:, :1, :1, :1] * np.eye(dim)).all(axis=(1, 2, 3))
+    keep[1:] &= (pairs[1:] != pairs[:-1]).any(axis=(1, 2, 3))
+    keep[0] = True
+    pairs = pairs[keep]
     # pair by pair, so a refuted pair stops the screen before the next eigvalsh
-    spectra = np.empty((len(starts),) + pairs.shape[1:3])
-    for j, i in enumerate(starts.tolist()):
-        pair = pairs[i]
+    spectra = np.empty(pairs.shape[:3])
+    for j, pair in enumerate(pairs):
         spectra[j] = np.linalg.eigvalsh(0.5 * (pair + herm(pair)))
         gap = float(np.max(np.abs(spectra[j, 0] - spectra[j, 1])))
         if tol.refutes(gap, max(float(np.max(np.abs(spectra[j]))), 1.0)):
             return ConjugatorResult(None, certificate="spectrum-mismatch",
-                                    pair_index=i, residual=gap)
+                                    pair_index=int(np.flatnonzero(keep)[j]), residual=gap)
 
-    norm_s = np.linalg.norm(pairs[:, 0], axis=(1, 2))
-    norm_t = np.linalg.norm(pairs[:, 1], axis=(1, 2))
+    g_s, g_t = pairs[:, 0], pairs[:, 1]
+    norm_s = np.linalg.norm(g_s, axis=(1, 2))
+    norm_t = np.linalg.norm(g_t, axis=(1, 2))
     scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
     norm_bound = float(np.sqrt(np.sum(((norm_s + norm_t) / scales) ** 2)))
     rel = max(tol.rel, 1e-11)
     bound_cutoff = max(norm_bound, 1.0) * rel
-
-    # the first pair of each run stays, unless both its Grams are one multiple
-    # of I, which constrains nothing; pair 0 always stays
-    heads = pairs[starts]
-    stays = ~(heads == heads[:, :1, :1, :1] * np.eye(dim)).all(axis=(1, 2, 3))
-    stays[0] = True
-    runs = np.diff(starts, append=len(pairs))[stays]
-    pairs, spectra, scales = heads[stays], spectra[stays], scales[starts[stays]]
-    g_s, g_t = pairs[:, 0], pairs[:, 1]
 
     counts = _kept(spectra, scales, max(_TAU, 2.0 * bound_cutoff))
     c = 0 if counts[0] < dim * dim else int(np.argmin(counts))
@@ -405,14 +396,11 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
     delta = np.abs(diag_t[:, None] - diag_s[None, :]) / scale_c
     # tau stays at least twice the cutoff, so rho <= 1/2
     tau = max(_TAU, 2.0 * (bound_cutoff + leak))
-    # a run of r repeats stands as one block weighted by sqrt(r), so A* A, and
-    # with it every singular value, is that of the system with every repeat
-    weighted = scales / np.sqrt(runs)
     rng = np.random.default_rng(seed)
 
-    def attempt(keep):
-        """Solve on the entries X_ab with ``keep[a, b]``; None if unsettled."""
-        system, rows, cols = _restricted_system(h_s, h_t, weighted, keep)
+    def attempt(entries):
+        """Solve on the entries X_ab with ``entries[a, b]``; None if unsettled."""
+        system, rows, cols = _restricted_system(h_s, h_t, scales, entries)
         svals, vh = _right_singular(system)
         reduced = len(rows) < dim * dim
         if reduced:
@@ -680,12 +668,15 @@ def _decision_scope(s, t, m, window=None, depth=None):
     is the lcm of the periods, or None.  The automatic window covers the
     spans with a margin of 2 rows, widened to ``period + 1`` rows when a
     period exists (the periodic certificate needs that many rows past each
-    span), and [-period - 2, period + 2] for periodic weights.  The
-    automatic depth is the largest reach of a span from the anchor rows
-    0/-1, plus 4, plus twice the period for periodic weights:
-    eventually-identity products stabilize once the supports are exhausted,
-    periodic ones are sampled over two periods.  Windowed descriptions clip
-    the window and cap the depth at the rows they store.  A given window or
+    span), and [-period - 2, period + 2] for periodic weights.  Without a
+    periodic weight the automatic depth is ``max(b + 1, -a)`` over the
+    spans [a, b]: the forward chain then holds every row up to b and the
+    backward chain every row down to a, so every deeper pair repeats the
+    last one of its direction (each new factor is I), and this depth is
+    exact.  With one, it is the largest reach of a span from the anchor
+    rows 0/-1, plus 4, plus twice the period: periodic products are sampled
+    over two periods.  Windowed descriptions clip the window and cap the
+    depth at the rows they store.  A given window or
     depth is kept; a given window with ``hi < lo`` raises ``ValueError``, and
     an automatic window that comes out empty raises ``PreconditionError``.
     """
@@ -704,10 +695,11 @@ def _decision_scope(s, t, m, window=None, depth=None):
     margin = 2 if period is None else max(2, period + 1)
     lo = min((a for a, _ in spans), default=0) - margin
     hi = max((b for _, b in spans), default=0) + margin
-    reach = max((max(b, -a, 0) for a, b in spans), default=0) + 4
-    if period is not None:
+    if period is None:      # then both shifts have a span
+        reach = max(max(b + 1, -a) for a, b in spans)
+    else:
         lo, hi = min(lo, -period - 2), max(hi, period + 2)
-        reach += 2 * period
+        reach = max((max(b, -a, 0) for a, b in spans), default=0) + 4 + 2 * period
     for a, b in stored:
         lo, hi = max(lo, a), min(hi, b)
         reach = min(reach, b + 1, -a)

@@ -580,14 +580,14 @@ def _padded(rng, pairs):
 
 
 def _staying(labels):
-    """Positions of the padded pairs the solver stacks: the first of each run
+    """Positions of the padded pairs the solver keeps: the first of each run
     of equal pairs unless it is scalar, and position 0 always."""
     return [j for j, label in enumerate(labels)
             if j == 0 or (label != labels[j - 1] and label[0] == "pair")]
 
 
 def _norm_bound(pairs):
-    """``||A||`` of the solver's cutoffs, summed over every pair."""
+    """``||A||`` of the solver's cutoffs, summed over ``pairs``."""
     norms = np.array([(frob(gs), frob(gt)) for gs, gt in pairs])
     scales = np.maximum(norms.max(axis=1), 1.0)
     return float(np.sqrt(np.sum((norms.sum(axis=1) / scales) ** 2)))
@@ -708,6 +708,8 @@ class TestConjugatorOnPaddedPairs:
                     assert res.nullspace_dim == null_dim, kind
 
     def test_cutoffs_count_every_padded_pair(self, padded_corpus):
+        # the cutoffs rest on the pairs the solver keeps, each distinct pair
+        # once, unweighted
         rel = max(sl.DEFAULT_TOL.rel, 1e-11)
         checked = 0
         for kind, padded, labels, _, _, res, solved in padded_corpus:
@@ -717,9 +719,10 @@ class TestConjugatorOnPaddedPairs:
             checked += 1
             record = solved[-1]         # the system the result rests on
             assert diag["columns_kept"] == np.count_nonzero(record["keep"])
-            norm_bound = _norm_bound(padded)
+            kept = [padded[j] for j in _staying(labels)]
+            norm_bound = _norm_bound(kept)
             if diag["tau"] is None:     # the full system: ||A|| is its top value
-                top = np.linalg.svd(_stacked_system(padded), compute_uv=False)[0]
+                top = np.linalg.svd(_stacked_system(kept), compute_uv=False)[0]
                 assert diag["cutoff"] == diag["certify_cutoff"]
                 assert diag["cutoff"] == pytest.approx(max(top, 1.0) * rel, rel=1e-13)
                 continue
@@ -727,7 +730,7 @@ class TestConjugatorOnPaddedPairs:
             assert diag["cutoff"] == pytest.approx(cutoff, rel=1e-14), kind
             # the margin of the dropped entries, from the reducing pair's blocks
             _, _, c = _reducing_basis(padded, labels, record)
-            gs, gt = padded[_staying(labels)[c]]
+            gs, gt = kept[c]
             h_s, h_t = record["h_s"][c], record["h_t"][c]
             leak = ((frob(h_t - np.diag(h_t.diagonal())) + frob(h_s - np.diag(h_s.diagonal())))
                     / max(frob(gs), frob(gt), 1.0))
@@ -737,6 +740,29 @@ class TestConjugatorOnPaddedPairs:
             assert diag["certify_cutoff"] == pytest.approx(
                 (cutoff + norm_bound * rho) / math.sqrt(1.0 - rho * rho), rel=1e-12), kind
         assert checked > len(padded_corpus) // 2
+
+    def test_padding_after_the_first_pair_changes_no_bit(self, differential_corpus):
+        # with pair 0 first, the kept pairs are the unpadded list itself, so
+        # the solver runs the same arithmetic on it
+        padded_some = False
+        for i, (kind, pairs, _, unpadded) in enumerate(differential_corpus[:300]):
+            padded, labels = _padded(np.random.default_rng(i), pairs)
+            start = labels.index(("pair", 0))
+            padded, labels = padded[start:], labels[start:]
+            padded_some |= len(padded) > len(pairs)
+            res = sl.solve_joint_conjugator(padded, seed=i)
+            assert res.certificate == unpadded.certificate, kind
+            assert res.residual == unpadded.residual, kind
+            assert res.nullspace_dim == unpadded.nullspace_dim, kind
+            assert res.diagnostics == unpadded.diagnostics, kind
+            if unpadded.unitary is None:
+                assert res.unitary is None, kind
+            else:
+                assert np.array_equal(res.unitary, unpadded.unitary), kind
+            first = None if unpadded.pair_index is None else labels.index(
+                ("pair", unpadded.pair_index))
+            assert res.pair_index == first, kind
+        assert padded_some
 
 
 class TestConjugatorCertificates:
@@ -832,17 +858,19 @@ class TestRestrictedSystem:
             assert np.max(np.abs(svals - expected)) <= 1e-13 * expected[0]
             # orthonormal right vectors, so the null-space basis stays orthonormal
             assert np.allclose(vh @ herm(vh), np.eye(len(vh)), atol=1e-12)
-        # on the padded corpus, the system stacks one block per staying pair,
-        # and its singular values are those of every padded pair's block, moved
-        # into the same eigenbases and restricted to the same entries
+        # on the padded corpus, the system stacks one unweighted block per
+        # kept pair, and its singular values are those of the kept pairs'
+        # blocks, moved into the same eigenbases and restricted to the same
+        # entries
         checked = 0
         for _, padded, labels, _, _, _, solved in padded_corpus:
             dim = padded[0][0].shape[0]
+            kept = [padded[j] for j in _staying(labels)]
             for record in solved:
-                assert record["system"].shape == (len(_staying(labels)) * dim * dim,
+                assert record["system"].shape == (len(kept) * dim * dim,
                                                   np.count_nonzero(record["keep"]))
                 y_s, y_t, _ = _reducing_basis(padded, labels, record)
-                moved = [(herm(y_s) @ gs @ y_s, herm(y_t) @ gt @ y_t) for gs, gt in padded]
+                moved = [(herm(y_s) @ gs @ y_s, herm(y_t) @ gt @ y_t) for gs, gt in kept]
                 full = _stacked_system(moved)[:, record["keep"].ravel()]
                 expected = np.linalg.svd(full, compute_uv=False)
                 # each block is scaled to norm at most 2, so a system of pairs
@@ -1312,18 +1340,23 @@ def ref_auto_window(s, t, m):
 
 
 def ref_auto_depth(s, t, m):
-    """The depth rule as it stood in its own function, kept as reference."""
-    reaches = []
+    """The depth rule as a reference.  Without a periodic weight it is exact:
+    the forward chain reaches the last described row and the backward chain
+    the first, ``max(hi - base + 1, base - lo)`` over the described ranges.
+    With one, the largest reach from the base row plus 4 plus twice the
+    combined period.  Either is capped at the rows a windowed shift stores."""
+    reaches, exact = [], []
     for shift, base in ((s, m), (t, 0)):
         rng = shift.weights.described_range()
         if rng is not None:
             reaches.append(max(rng[1] - base, base - rng[0], 0))
+            exact.append(max(rng[1] - base + 1, base - rng[0]))
     periods = [x.weights.period for x in (s, t)
                if isinstance(x.weights, sl.PeriodicWeights)]
     if periods:
         desired = 2 * math.lcm(*periods) + 4 + (max(reaches) if reaches else 0)
     else:
-        desired = (max(reaches) if reaches else 0) + 4
+        desired = max(exact)
     caps = []
     for shift, base in ((s, m), (t, 0)):
         if isinstance(shift.weights, sl.WindowedWeights):
@@ -1375,6 +1408,107 @@ class TestDecisionScope:
         periods = [x.weights.period for x in (s, t) if x.weights.variant == "periodic"]
         assert period == (math.lcm(*periods) if periods else None)
         assert _decision_scope(s, t, m, window=(0, 0), depth=3)[2] == 3
+
+
+def _exactness_pair(seed, dim, lo, length, m, kind, windowed):
+    """An eventually-identity S on rows lo..lo+length-1 and a T built from
+    it: equivalent to S at offset m ("conjugate"), with the singular values
+    of S at offset m but independent unitary factors ("twisted"), or
+    conjugate with one singular value scaled ("defect").  ``windowed`` names
+    the shift ("s" or "t") stored instead as windowed on its span plus a
+    margin of identity rows, or is None."""
+    rng = np.random.default_rng(seed)
+    s = ei_shift(rng, dim, lo, length)
+    t, _ = conjugated_shift(rng, s, m)
+    if kind == "twisted":
+        t = sl.BilateralShift(sl.EventuallyIdentityWeights(t.weights.lo, [
+            random_unitary(rng, dim) @ w @ random_unitary(rng, dim)
+            for w in t.weights._weights]))
+    elif kind == "defect":
+        t = perturb_one_singular_value(rng, t)
+    if windowed is not None:
+        pad = int(rng.integers(0, 4))
+        x = s if windowed == "s" else t
+        eye = [np.eye(dim)] * pad
+        x = sl.BilateralShift(sl.WindowedWeights(x.weights.lo - pad,
+                                                 eye + list(x.weights._weights) + eye))
+        s, t = (x, t) if windowed == "s" else (s, x)
+    return s, t
+
+
+def _decide_recording(s, t, m, depth=None):
+    """The verdict of ``decide`` and the ``nullspace_dim`` of each
+    conjugator search it ran."""
+    solve, found = sl.equivalence.solve_joint_conjugator, []
+
+    def recorded(pairs, **kwargs):
+        found.append(solve(pairs, **kwargs))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sl.equivalence, "solve_joint_conjugator", recorded)
+        verdict = sl.decide_diagonal_equivalence(s, t, m, depth=depth)
+    return verdict, [res.nullspace_dim for res in found]
+
+
+def _verdict_fields(verdict):
+    ob = verdict.obstruction
+    return (verdict.status, verdict.offset, ob and ob.kind, ob and ob.index)
+
+
+EXACTNESS_PAIRS = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+                       lo=st.integers(-6, 6), length=st.integers(1, 4),
+                       m=st.integers(-3, 3),
+                       kind=st.sampled_from(["conjugate", "twisted", "defect"]))
+
+
+class TestExactDepth:
+    """Without a periodic weight the automatic depth is exact: past it every
+    Gram pair repeats the last one of its direction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**EXACTNESS_PAIRS)
+    def test_deeper_pairs_repeat_the_last_automatic_pair(self, seed, dim, lo, length, m,
+                                                         kind):
+        s, t = _exactness_pair(seed, dim, lo, length, m, kind, None)
+        depth = _decision_scope(s, t, m)[2]
+        chains = sl.gram_chains(s, t, m, depth)
+        deeper = sl.gram_chains(s, t, m, depth + 3)
+        for j in (0, 1):                # forward, then backward
+            assert np.array_equal(deeper[j * (depth + 3):][:depth],
+                                  chains[j * depth:][:depth])
+            for n in range(depth, depth + 3):
+                assert np.array_equal(deeper[j * (depth + 3) + n],
+                                      chains[j * depth + depth - 1])
+        verdict, nulls = _decide_recording(s, t, m)
+        again, nulls_again = _decide_recording(s, t, m, depth=depth + 5)
+        assert _verdict_fields(again) == _verdict_fields(verdict)
+        assert nulls_again == nulls
+        if kind == "conjugate":
+            assert verdict.is_equivalent
+        elif kind == "defect":
+            assert verdict.is_not_equivalent
+
+    @settings(max_examples=60, deadline=None)
+    @given(windowed=st.sampled_from(["s", "t"]), **EXACTNESS_PAIRS)
+    def test_a_windowed_shift_caps_it_at_its_stored_rows(self, seed, dim, lo, length, m,
+                                                         kind, windowed):
+        # no deeper pair exists: the chains one row past the cap need a row
+        # the stored window lacks, so a deeper decision is settled by the
+        # screen or is inconclusive
+        s, t = _exactness_pair(seed, dim, lo, length, m, kind, windowed)
+        spans, _, depth, _ = _decision_scope(s, t, m)
+        a, b = spans[0] if windowed == "s" else spans[1]
+        assert depth == max(min(max(max(y + 1, -x) for x, y in spans), b + 1, -a), 1)
+        with pytest.raises(sl.WindowAccessError):
+            sl.gram_chains(s, t, m, depth + 3)
+        verdict, _ = _decide_recording(s, t, m)
+        again, _ = _decide_recording(s, t, m, depth=depth + 5)
+        if verdict.is_not_equivalent and verdict.obstruction.kind in ("norm-profile",
+                                                                       "singular-values"):
+            assert _verdict_fields(again) == _verdict_fields(verdict)
+        else:
+            assert again.is_inconclusive and "stored windows lack" in again.reason
 
 
 # --- batched readers against per-row reference loops -------------------------
