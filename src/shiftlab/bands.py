@@ -19,10 +19,10 @@ each row's index into it (``WeightSequence._reached``); this module never
 maps an index to a stored matrix itself.  A condition at row n depends
 only on the table entries its factors read there, the row's signature, so
 every window is evaluated once per distinct signature, on one row that
-has it, and the residuals, verdicts and availability are copied to every
-row with that signature.  A periodic operator then costs one evaluation
-per row of its combined period whatever the window's length; a window of
-all-distinct rows costs what it did row by row.  Signatures are evaluated
+has it; the residuals, verdicts and availability are kept per signature,
+with each row's signature beside them.  A periodic operator then costs one
+evaluation per row of its combined period whatever the window's length; a
+window of all-distinct rows costs what it did row by row.  Signatures are evaluated
 in blocks of ``_BLOCK_ROWS``, so working memory for the products does not
 grow with the window.  A residual depends only on its row's matrices,
 never on the rows it is evaluated with, so the grouping gives the bits a
@@ -33,9 +33,14 @@ product is one ``matmul`` over the block.  Since each signature is
 evaluated once, the products of a periodic or eventually-identity
 operator are a few rows wide, too narrow for a second kernel tuned to
 wide stacks to pay; only windows of all-distinct rows at block dims up
-to 3 would run faster with one.  A report keeps its checks and skips
-as columns (condition, row, residual, verdict), in row order or condition
-order, and builds a record only when one is read.
+to 3 would run faster with one.
+
+A report keeps its checks and skips as they were evaluated: one residual
+and verdict per (condition, signature) and each row's signature, in row
+order or condition order.  Its counts, verdict, worst residual, first
+failure and summary cost the signatures, plus at most one pass over the
+rows' signatures; the row columns (condition, row, residual, verdict) are
+expanded once, when records are listed or read by position.
 """
 
 from __future__ import annotations
@@ -79,25 +84,90 @@ class SkippedCheck:
     reason: str = _OUTSIDE
 
 
-class _Records(Sequence):
-    """Read-only sequence of check records held as columns.
+class _Segment(NamedTuple):
+    """Records of the conditions ``names[base:base + C]`` on the N positions
+    of a window, stored per signature.
 
-    Each record is ``make(name, lo + row, *values)``: a name index into a
-    table of condition names, a row offset from the report's ``lo`` and one
-    array per further field.  Producers append whole columns with ``_add``;
-    a record is built only when it is read.
+    ``mask[c, s]`` holds where condition c has a record on the positions of
+    signature s, and ``values`` are (C, S) arrays of the further fields.
+    ``inverse`` gives each position's signature, and every signature has a
+    position; ``rows`` gives each position's row offset (None: the position
+    itself).  Records run position by position, conditions ascending within
+    one (``row_major``), or condition by condition.
+    """
+
+    base: int
+    mask: np.ndarray
+    values: tuple
+    inverse: np.ndarray
+    rows: np.ndarray | None
+    row_major: bool
+
+
+def _expand(seg: _Segment, mask):
+    """Columns (condition, row, *values) of the records of ``seg`` on the
+    entries ``mask`` keeps, in the segment's order."""
+    if seg.row_major:
+        pos, conds = np.nonzero(mask.T[seg.inverse])
+    else:
+        conds, pos = np.nonzero(mask[:, seg.inverse])
+    sigs = seg.inverse[pos]
+    return (conds + seg.base, pos if seg.rows is None else seg.rows[pos],
+            *(v[conds, sigs] for v in seg.values))
+
+
+class _Records(Sequence):
+    """Read-only sequence of check records, held as segments stored per
+    signature (``_Segment``).
+
+    Each record is ``make(name, lo + row, *values)``.  The count and the
+    first record a selection keeps are read from the segments; the row
+    columns (condition, row, *values) are expanded once, when a record is
+    read by position or all are listed, and kept.
     """
 
     def __init__(self, make, lo: int, dtypes: tuple):
-        self._make, self._lo, self._names = make, operator.index(lo), []
-        self._columns = tuple(np.empty(0, dtype) for dtype in (np.intp, np.intp, *dtypes))
+        self._make, self._lo, self._dtypes = make, operator.index(lo), dtypes
+        self._names, self._segments = [], []
+
+    def _append(self, names, mask, values, inverse, rows=None, row_major=True):
+        values = tuple(np.asarray(v, dtype) for v, dtype in zip(values, self._dtypes))
+        self._segments.append(_Segment(len(self._names), mask, values, inverse, rows, row_major))
+        self._names.extend(names)
+        vars(self).pop("_columns", None)
 
     def _add(self, names, conds, rows, *values):
-        """Append the records ``(names[conds[i]], lo + rows[i], *values[i])``."""
-        new = (np.asarray(conds) + len(self._names), rows, *values)
-        self._columns = tuple(np.concatenate([old, np.asarray(col, old.dtype)])
-                              for old, col in zip(self._columns, new))
-        self._names.extend(names)
+        """Append the records ``(names[conds[i]], lo + rows[i], *values[i])``,
+        each at a position of its own."""
+        at = np.arange(len(conds))
+        mask = np.zeros((len(names), len(at)), dtype=bool)
+        mask[conds, at] = True
+        # a value is read only where the mask holds, so one row serves every condition
+        self._append(names, mask, [np.broadcast_to(v, mask.shape) for v in values], at,
+                     np.asarray(rows, np.intp))
+
+    def _first(self, select):
+        """Fields (name, index, *values) of the first record on the entries
+        ``select(segment)`` keeps, or None."""
+        for seg in self._segments:
+            mask = select(seg)
+            if mask.any():
+                if seg.row_major:
+                    p = int(np.argmax(mask.any(axis=0)[seg.inverse]))
+                    c = int(np.argmax(mask[:, seg.inverse[p]]))
+                else:
+                    c = int(np.argmax(mask.any(axis=1)))
+                    p = int(np.argmax(mask[c][seg.inverse]))
+                row = p if seg.rows is None else int(seg.rows[p])
+                return (self._names[seg.base + c], self._lo + row,
+                        *(v[c, seg.inverse[p]].item() for v in seg.values))
+        return None
+
+    @functools.cached_property
+    def _columns(self):
+        empty = [np.empty(0, dtype) for dtype in (np.intp, np.intp, *self._dtypes)]
+        parts = [_expand(seg, seg.mask) for seg in self._segments]
+        return tuple(map(np.concatenate, zip(empty, *parts)))
 
     def _build(self, columns):
         conds, rows, *values = (col.tolist() for col in columns)
@@ -105,12 +175,14 @@ class _Records(Sequence):
                    map(self._lo.__add__, rows), *values)
 
     def __len__(self):
-        return len(self._columns[0])
+        # every signature has a position, so the counts run over all of them
+        return sum(int(seg.mask.sum(axis=0) @ np.bincount(seg.inverse))
+                   for seg in self._segments)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             return list(self._build(col[key] for col in self._columns))
-        i, n = operator.index(key), len(self)
+        i, n = operator.index(key), len(self._columns[0])
         if not -n <= i < n:
             raise IndexError("record index out of range")
         return next(self._build(col[i % n:i % n + 1] for col in self._columns))
@@ -132,13 +204,20 @@ class _Records(Sequence):
         return repr(list(self))
 
 
+def _failing(seg: _Segment):
+    """Entries of a check segment whose records fail."""
+    return seg.mask & ~seg.values[1]
+
+
 @dataclass
 class WindowReport:
     """Outcome of verifying a family of indexed conditions on [lo, hi].
 
     ``checks`` and ``skipped`` are read-only sequences of ``ConditionCheck``
-    and ``SkippedCheck`` records, held as columns; the verdict, the worst
-    residual and ``to_jsonable`` read the columns without building records.
+    and ``SkippedCheck`` records, stored per signature; the counts, the
+    verdict, the worst residual, the first failure and ``summary`` read
+    them without expanding rows, ``failures`` expands only the failing
+    entries.
     """
 
     lo: int
@@ -153,23 +232,24 @@ class WindowReport:
 
     @property
     def passed(self) -> bool:
-        *_, passed = self.checks._columns
-        return bool(passed.all())
+        return not any(_failing(seg).any() for seg in self.checks._segments)
 
     @property
     def max_residual(self) -> float:
-        _, _, res, _ = self.checks._columns
+        first = self.checks._first(operator.attrgetter("mask"))
+        if first is None:
+            return 0.0
+        res = np.concatenate([seg.values[0][seg.mask] for seg in self.checks._segments])
         # as Python's max over the records: a leading NaN wins, later NaNs are passed over
-        return max(float(res[0]), float(np.fmax.reduce(res))) if res.size else 0.0
+        return max(first[2], float(np.fmax.reduce(res)))
 
     def failures(self):
-        columns = self.checks._columns
-        return list(self.checks._build(col[~columns[-1]] for col in columns))
+        return [record for seg in self.checks._segments if (bad := _failing(seg)).any()
+                for record in self.checks._build(_expand(seg, bad))]
 
     def first_failure(self):
-        *_, passed = self.checks._columns
-        bad = np.flatnonzero(~passed)
-        return self.checks[bad[0]] if bad.size else None
+        fields = self.checks._first(_failing)
+        return None if fields is None else self.checks._make(*fields)
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -323,9 +403,10 @@ def _signatures(columns, count: int):
 @np.errstate(over="ignore", invalid="ignore")    # an overflowed residual fails
 def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
               keep: int | None = None):
-    """(C, N) arrays of residuals, their acceptance under ``tol`` and
-    availability (every factor stored) on rows lo..hi, and the (N, d, d)
-    values of ``conds[keep].lhs`` when ``keep`` is given."""
+    """Residuals, their acceptance under ``tol`` and availability (every
+    factor stored) of ``conds`` on rows lo..hi, once per signature: (C, S)
+    arrays, the (S, d, d) values of ``conds[keep].lhs`` when ``keep`` is
+    given, and the (N,) signature of each row."""
     count = max(hi - lo + 1, 0)
     eye = np.eye(dim, dtype=complex)
     pairs = dict.fromkeys((f.seq, f.shift) for cond in conds
@@ -342,8 +423,7 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
         table, index, present = seq._reached(lo + first, hi + last)
         tables[seq] = first, table, index, present
     # a row's values depend only on the table entries its factors read, so
-    # the window is evaluated once per distinct tuple of them and scattered
-    # back to every row
+    # the window is evaluated once per distinct tuple of them
     columns = []
     for seq, shift in pairs:
         first, table, index, _ = tables[seq]
@@ -382,20 +462,18 @@ def _evaluate(conds, lo: int, hi: int, dim: int, tol: Tolerance,
             passed[c, start:stop] = tol.accepts(res[c, start:stop], scale)
             if c == keep:
                 kept[start:stop] = sums[cond.lhs]
-    res, passed, has = res[:, inverse], passed[:, inverse], has[:, inverse]
-    kept = None if kept is None else kept[inverse]
-    return res, passed, has, kept
+    return res, passed, has, kept, inverse
 
 
-def _emit(out: _Records, names, mask, row_major: bool, *columns):
-    """Append to ``out`` a record for each entry of the (C, N) ``mask`` that
-    holds, naming condition c by ``names[c]`` and taking its values from
-    the (C, N) ``columns``, row by row or condition by condition."""
-    if row_major:
-        rows, conds = np.nonzero(mask.T)
-    else:
-        conds, rows = np.nonzero(mask)
-    out._add(names, conds, rows, *(col[conds, rows] for col in columns))
+def _emit(out: _Records, names, mask, row_major: bool, *columns, inverse=None):
+    """Append to ``out`` a record for each row n and condition c where the
+    (C, S) ``mask`` holds at the row's signature ``inverse[n]``, naming c by
+    ``names[c]`` and taking its values from the (C, S) ``columns``, row by
+    row or condition by condition.  Without ``inverse`` every row is a
+    signature of its own.  The records are stored per signature."""
+    if inverse is None:
+        inverse = np.arange(mask.shape[1])
+    out._append(names, mask, columns, inverse, row_major=row_major)
 
 
 def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
@@ -404,7 +482,7 @@ def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
     on the report's window and record them."""
     groups = [g if isinstance(g, _Group) else _Group(g.name, (g,)) for g in groups]
     conds = [c for g in groups for c in g.conds]
-    res, passed, has, _ = _evaluate(conds, rep.lo, rep.hi, dim, tol)
+    res, passed, has, _, inverse = _evaluate(conds, rep.lo, rep.hi, dim, tol)
     sizes = [len(g.conds) for g in groups]
     ran, missed = [], []
     for g, end in zip(groups, np.cumsum(sizes)):
@@ -413,8 +491,8 @@ def _verify(rep: WindowReport, groups, dim: int, tol: Tolerance,
         ran.append(ready & gate)
         missed.append(~ready & gate)
     _emit(rep.checks, [c.name for c in conds], np.repeat(np.array(ran), sizes, axis=0),
-          row_major, res, passed)
-    _emit(rep.skipped, [g.skip for g in groups], np.array(missed), row_major)
+          row_major, res, passed, inverse=inverse)
+    _emit(rep.skipped, [g.skip for g in groups], np.array(missed), row_major, inverse=inverse)
     return rep
 
 
@@ -571,18 +649,22 @@ def check_diagonal_propagation(a: BandedOperator,
         _require(verify_intertwining(a, s, t, lo, hi, tol),
                  "intertwining fails on the window")
     names = [f"support[{k:+d}]" for k in a.offsets]
-    norms, _, has, _ = _evaluate([_Cond(name, ((_At(a.band(k)),),))
-                                  for name, k in zip(names, a.offsets)], lo, hi, a.dim, tol)
+    norms, _, has, _, inverse = _evaluate([_Cond(name, ((_At(a.band(k)),),))
+                                           for name, k in zip(names, a.offsets)],
+                                          lo, hi, a.dim, tol)
     rep = WindowReport(lo, hi)
-    _emit(rep.skipped, names, ~has, False)
+    _emit(rep.skipped, names, ~has, False, inverse=inverse)
+    weight = np.bincount(inverse)       # rows per signature; each has one
     counts, rows, mixed = {}, [], []
     for k, norm, stored in zip(a.offsets, norms, has):
         nonzero = norm > tol.abs
-        classes = (np.flatnonzero(stored & nonzero), np.flatnonzero(stored & ~nonzero))
-        counts[k] = {"nonzero": len(classes[0]), "zero": len(classes[1])}
-        mixed.append(all(map(len, classes)))
+        classes = (stored & nonzero, stored & ~nonzero)
+        sizes = [int(weight[cls].sum()) for cls in classes]
+        counts[k] = {"nonzero": sizes[0], "zero": sizes[1]}
+        mixed.append(all(sizes))
         # name the first index of the minority class (nonzero on a tie)
-        rows.append(min(classes, key=len)[0] if mixed[-1] else 0)
+        minority = classes[sizes[1] < sizes[0]]
+        rows.append(int(np.argmax(minority[inverse])) if mixed[-1] else 0)
     rep.checks._add(names, range(len(names)), rows, np.zeros(len(names)), np.logical_not(mixed))
     rep.context["band_support"] = counts
     return rep
@@ -603,17 +685,18 @@ def check_band_count_bound(u: BandedOperator, bound: int, lo: int, hi: int,
     bands = [_At(u.band(k)) for k in offs]
     # rows 2j and 2j + 1: entry norms of band j, and their distance from
     # being partial isometries under ``tol.close``
-    res, passed, has, _ = _evaluate([cond for w in bands for cond in (
+    res, passed, has, _, inverse = _evaluate([cond for w in bands for cond in (
         _Cond("norm", ((w,),)),
         _Cond("partial_isometry", ((w, w.H, w),), ((w,),), scale=(((w, w.H, w),), ((w,),))))],
         lo, hi, u.dim, tol)
     nonzero = has[::2] & (res[::2] > tol.abs)
-    broken = np.argwhere(nonzero & ~passed[1::2])
-    if broken.size:
-        j, r = broken[0]
+    broken = nonzero & ~passed[1::2]
+    if broken.any():        # the first broken entry, band by band
+        j = int(np.argmax(broken.any(axis=1)))
+        r = int(np.argmax(broken[j][inverse]))
         raise PreconditionError(
             f"entry on band {offs[j]:+d} at n={lo + r} is not a partial isometry",
-            index=int(lo + r), residual=float(res[2 * j + 1, r]))
+            index=lo + r, residual=float(res[2 * j + 1, inverse[r]]))
     effective = [(k, w) for k, w, nz in zip(offs, bands, nonzero) if nz.any()]
     rep = _verify(WindowReport(lo, hi), [_Group("projection_sum", (
         _Cond("projection_sum", tuple((w, w.H) for _, w in effective), _ONE),
@@ -662,21 +745,21 @@ def conjugate_to_shift(u: BandedOperator, s: BilateralShift, lo: int, hi: int,
         (_At(u.band(k)), _At(s.weights, k), _At(u.band(k - 1 - d), d).H)
         for k in offs if k - 1 - d in offs)) for d in deltas]
     main = deltas.index(-1)
-    norms, _, has, values = _evaluate(conds, lo, hi, u.dim, tol, keep=main)
+    norms, _, has, values, inverse = _evaluate(conds, lo, hi, u.dim, tol, keep=main)
     rep = WindowReport(lo, hi)
-    _emit(rep.skipped, [f"conjugated[{d:+d}]" for d in deltas], ~has, True)
+    _emit(rep.skipped, [f"conjugated[{d:+d}]" for d in deltas], ~has, True, inverse=inverse)
     scale = norms[main][has[main]].max(initial=1.0)
     off_band = has & (np.arange(len(deltas)) != main)[:, None]
     _emit(rep.checks, [c.name for c in conds], off_band, False, norms,
-          tol.accepts(norms, scale))
+          tol.accepts(norms, scale), inverse=inverse)
     band = slice(main, main + 1)
     _emit(rep.checks, ["shift_weight_nonzero"], has[band], False, norms[band],
-          norms[band] > tol.abs)
-    rows = np.flatnonzero(has[main])
+          norms[band] > tol.abs, inverse=inverse)
+    rows = np.flatnonzero(has[main][inverse])
     rep.context["row_range"] = [int(rows[0]) + lo, int(rows[-1]) + lo] if rows.size else None
     shift = None
     if rep.passed and rows.size and rows[-1] - rows[0] + 1 == rows.size:
         shift = BilateralShift(
-            WindowedWeights(int(rows[0]) + lo, values[rows[0]:rows[-1] + 1]),
+            WindowedWeights(int(rows[0]) + lo, values[inverse[rows[0]:rows[-1] + 1]]),
             label=f"conj({s.label})" if s.label else "")
     return ConjugationResult(shift, rep)

@@ -226,7 +226,11 @@ def _restricted_system(h_s, h_t, scales, keep):
     system = np.zeros(h_s.shape + (len(rows),), dtype=complex)     # (P, d, d, k)
     system[:, :, cols, j] = h_t[:, :, rows]
     system[:, rows, :, j] -= h_s[:, cols, :].transpose(1, 0, 2)     # indexed as (k, P, d)
-    system /= scales[:, None, None, None]       # in place: no second array to fault in
+    # divided in place, as floats: numpy divides a + bi by a real s as by
+    # s + 0j, which multiplies (a + b*0, b - a*0) by 1 / s, so the product
+    # has the quotient's bits wherever neither part is -0.0
+    parts = system.view(float)
+    parts *= (1 / scales)[:, None, None, None]
     return system.reshape(-1, len(rows)), rows, cols
 
 

@@ -836,6 +836,23 @@ class TestRestrictedSystem:
         assert np.array_equal(system, _stacked_system(moved)[:, keep.ravel()])
         assert np.array_equal(rows * dim + cols, np.flatnonzero(keep))
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 12, 16])
+    def test_scaling_is_bitwise_the_complex_quotient(self, dim):
+        # the fill multiplies its float view by 1 / scales; on systems of the
+        # decide workloads' sizes that gives, bit for bit, numpy's complex
+        # division by the real scales
+        rng = np.random.default_rng(dim)
+        for count in (3, 8, 30):
+            moved, scales = _moved_pairs(rng, dim, count)
+            h_s = np.array([gs for gs, _ in moved])
+            h_t = np.array([gt for _, gt in moved])
+            for keep in (np.ones((dim, dim), bool), np.eye(dim, dtype=bool) | (
+                    rng.random((dim, dim)) < 0.3)):
+                raw, _, _ = sl.equivalence._restricted_system(h_s, h_t, np.ones(count), keep)
+                system, _, _ = sl.equivalence._restricted_system(h_s, h_t, scales, keep)
+                quotient = raw.reshape(count, dim, dim, -1) / scales[:, None, None, None]
+                assert system.tobytes() == quotient.tobytes()
+
     def test_singular_values_match_the_system_svd(self, differential_corpus, padded_corpus,
                                                   monkeypatch):
         # every system the solver reduces, on the differential corpus

@@ -277,3 +277,133 @@ class TestSequenceProtocol:
         assert not hasattr(rep.checks, "append") and not hasattr(rep.checks, "extend")
         with pytest.raises(TypeError):
             rep.checks[0] = rep.checks[1]
+
+
+# --- stored per signature, against the eager storage it replaces -------------
+
+
+class EagerRecords:
+    """Records stored row by row: each segment expanded to its (C, N) arrays,
+    its entries found with ``np.nonzero`` and appended as whole columns."""
+
+    def __init__(self, dtypes):
+        self.names = []
+        self.columns = [np.empty(0, dtype) for dtype in (np.intp, np.intp, *dtypes)]
+
+    def add(self, names, conds, rows, *values):
+        new = (np.asarray(conds) + len(self.names), rows, *values)
+        self.columns = [np.concatenate([old, np.asarray(col, old.dtype)])
+                        for old, col in zip(self.columns, new)]
+        self.names.extend(names)
+
+    def emit(self, names, mask, row_major, *values):
+        if row_major:
+            rows, conds = np.nonzero(mask.T)
+        else:
+            conds, rows = np.nonzero(mask)
+        self.add(names, conds, rows, *(v[conds, rows] for v in values))
+
+    def records(self, make, lo):
+        conds, rows, *values = (col.tolist() for col in self.columns)
+        return [make(self.names[c], lo + r, *v) for c, r, *v in zip(conds, rows, *values)]
+
+
+def random_signatures(rng, count):
+    """An inverse over ``count`` rows in which each of S signatures has a row."""
+    sigs = int(rng.integers(1, count + 1)) if count else 0
+    inverse = np.concatenate([np.arange(sigs), rng.integers(0, sigs, count - sigs)])
+    rng.shuffle(inverse)
+    return sigs, inverse.astype(np.intp)
+
+
+def random_checks(rng, conds, sigs):
+    """A (C, S) mask, residuals with NaN and infinities, and verdicts."""
+    mask = rng.random((conds, sigs)) < rng.choice([0.2, 0.7, 1.0])
+    res = rng.random((conds, sigs))
+    for special in (np.nan, np.inf, -np.inf):
+        res[rng.random((conds, sigs)) < 0.05] = special
+    passed = rng.random((conds, sigs)) < rng.choice([0.9, 1.0])
+    return mask, res, passed
+
+
+def both_storages(rng, count, row_major):
+    """One random report in the signature form and the same records stored
+    eagerly: two check segments in opposite orders, then one explicit-row
+    record (as ``check_band_count_bound`` appends ``band_count``), and the
+    skips."""
+    lo = int(rng.integers(-50, 50))
+    rep = sl.WindowReport(lo, lo + count - 1)
+    checks, skipped = EagerRecords((float, bool)), EagerRecords(())
+    sigs, inverse = random_signatures(rng, count)
+    for order in (row_major, not row_major):
+        conds = int(rng.integers(1, 5))
+        names = [f"c{c}" for c in range(conds)]
+        mask, res, passed = random_checks(rng, conds, sigs)
+        _emit(rep.checks, names, mask, order, res, passed, inverse=inverse)
+        checks.emit(names, mask[:, inverse], order, res[:, inverse], passed[:, inverse])
+        _emit(rep.skipped, names, ~mask, order, inverse=inverse)
+        skipped.emit(names, ~mask[:, inverse], order)
+    value, ok = float(rng.choice([0.0, 2.0, np.nan])), bool(rng.random() < 0.5)
+    rep.checks._add(["band_count"], [0], [0], [value], [ok])
+    checks.add(["band_count"], [0], [0], [value], [ok])
+    return rep, checks, skipped
+
+
+@pytest.mark.parametrize("row_major", [True, False])
+def test_signature_form_reads_as_the_eager_storage(rng, row_major):
+    for count in (0, 1, 2, 7, 40, bands._BLOCK_ROWS + 5):
+        for _ in range(6):
+            rep, checks, skipped = both_storages(rng, count, row_major)
+            lo = rep.lo
+            records = checks.records(sl.ConditionCheck, lo)
+            eager = PlainReport(rep)
+            eager.checks, eager.skipped = records, skipped.records(sl.SkippedCheck, lo)
+            # the aggregates first: none of them expands a row
+            assert len(rep.checks) == len(records)
+            assert len(rep.skipped) == len(eager.skipped)
+            assert rep.passed == bool(checks.columns[3].all())
+            res = checks.columns[2]
+            assert same(rep.max_residual, max(float(res[0]), float(np.fmax.reduce(res))))
+            assert same(rep.first_failure(), eager.first_failure())
+            assert same(rep.failures(), eager.failures())
+            assert rep.summary() == eager.summary()
+            assert same(rep.to_jsonable(), eager.to_jsonable())
+            assert same(list(rep.checks), records)
+            assert same(list(rep.skipped), eager.skipped)
+            for ours, theirs in ((rep.checks, checks), (rep.skipped, skipped)):
+                assert ours._names == theirs.names
+                assert [col.dtype for col in ours._columns] == [
+                    col.dtype for col in theirs.columns]
+                assert [col.tobytes() for col in ours._columns] == [
+                    col.tobytes() for col in theirs.columns]
+
+
+def test_counts_verdict_and_summary_expand_no_row(rng, monkeypatch):
+    calls = []
+    expand = bands._expand
+
+    def counted(seg, mask):
+        calls.append(mask.shape)
+        return expand(seg, mask)
+
+    monkeypatch.setattr(bands, "_expand", counted)
+    u = sl.single_band(0, sl.PeriodicWeights([np.eye(1, dtype=complex)]))
+    wide = sl.verify_unitary_banded(u, -10**5, 10**5)
+    truncated = sl.verify_unitary_two_band(
+        two_band_unitary(rng, dim=2, k1=-1, k2=1, span=(-40, 40)), -60, 60)
+    counts = []
+    for rep in (wide, truncated):
+        counts.append((len(rep.checks), len(rep.skipped)))
+        assert rep.passed and rep.max_residual < 1e-12
+        assert rep.summary().startswith(f"[pass] window [{rep.lo}, {rep.hi}]: "
+                                        f"{counts[-1][0]} checks, {counts[-1][1]} skipped")
+    assert counts[0] == (400_002, 0)
+    assert counts[1][1] > 0
+    assert calls == []
+    # a record read by position expands the row columns once, and keeps them
+    assert wide.checks[-1] == sl.ConditionCheck("U*U[+0]", 10**5, 0.0, True)
+    assert wide.checks[0].index == -10**5 and len(calls) == 1
+    out = truncated.to_jsonable()
+    truncated.to_jsonable()
+    assert len(calls) == 3
+    assert (len(out["checks"]), len(out["skipped"])) == counts[1]
