@@ -37,12 +37,17 @@ system can neither verify a unitary nor certify, the full system decides.
 When every pair is (nearly) scalar the identity is tried before the full
 system.  Each distinct constraint is solved once: a pair bitwise equal to
 the one before it, or of one multiple of I on both sides, adds no
-constraint and is neither decomposed nor stacked.  ``solve_joint_conjugator``
-runs these stages on module functions: the spectrum screen fills one array
-of spectra, one row per kept pair, and stops at the first refuted pair,
-``_kept`` counts the kept entries of every remaining pair at once,
-``_restricted_system`` builds the scaled system on a keep mask, and
-``_unitary_in_span`` searches a null-space basis for a unitary.
+constraint and is neither decomposed nor stacked.  Two generic pairs
+already pin the conjugator up to a phase, so the system of the first two
+kept pairs, the head, is solved first; its unitary is returned only if it
+passes every kept pair, and otherwise every kept pair is solved as if the
+head had not run.  ``solve_joint_conjugator`` runs these stages on module
+functions: the spectrum screen fills one array of spectra, one row per
+kept pair, and stops at the first refuted pair, ``_solve`` runs the
+stages past the screen on the head or on every kept pair, ``_kept`` counts
+the kept entries of every pair of a system at once, ``_restricted_system``
+builds the scaled system on a keep mask, and ``_unitary_in_span`` searches
+a null-space basis for a unitary.
 """
 
 from __future__ import annotations
@@ -249,15 +254,18 @@ def _unitary_in_span(basis, pairs, scales, tol, rng):
     span of the (k, d, d) ``basis``.
 
     Tries the basis elements, then ``_RESTARTS`` random complex
-    combinations drawn from ``rng``.  Each candidate is decomposed once: its
+    combinations drawn from ``rng``.  A span of one dimension draws none:
+    every combination is a multiple of its element, whose polar factor it
+    has up to a phase.  Each candidate is decomposed once: its
     SVD gives both its conditioning, so singular candidates are skipped, and
     its unitary polar factor.  A factor is accepted when ``tol.accepts`` its
     worst pair residual scaled by ``scales``.  Returns
     ``(unitary or None, best residual, saw a nonsingular candidate)``.
     """
     k = len(basis)
-    draws = (np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k),
-                          basis, axes=1) for _ in range(_RESTARTS))
+    draws = () if k == 1 else (
+        np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), basis, axes=1)
+        for _ in range(_RESTARTS))
     saw_nonsingular, best = False, math.inf
     for x in itertools.chain(basis, draws):
         left, values, yh = np.linalg.svd(x)
@@ -288,21 +296,39 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
        ``pairs`` and no later pair is decomposed.  A dropped pair has the
        spectra of a kept one or equal spectra, so it is never the first
        refuted pair.
-    2. **Reducing pair.**  ``_kept`` counts, for every kept pair, the
-       entries its spectra keep, and the pair is chosen from the counts.
-    3. **Restricted system** (``_restricted_system``), scatter-filled, then
+    2. **Head.**  With three kept pairs or more, stages 3 to 5 first run on
+       the system of the first two kept pairs alone, the head, and only on
+       its restricted entries.  When that system's null space has one
+       dimension, the polar factor of its element is checked with
+       ``tol.accepts`` against every kept pair, each at its own scale, and
+       returned if it passes, with ``nullspace_dim`` 1 and the head
+       system's diagnostics.  In every other case (an empty or larger null
+       space, a singular element or a factor that fails some pair, a head
+       that keeps all d^2 entries, fewer than three kept pairs) the head
+       settles nothing, and stages 3 to 6 run on every kept pair with a
+       fresh generator, as without the head.  Two pairs, because two
+       generic Hermitian matrices generate all of M_d (Burnside), so their
+       common conjugator is unique up to a phase; one pair leaves its
+       commutant, of dimension d at least.  The head is sound: a returned
+       unitary passes the acceptance that a unitary of the full system must
+       pass, and every certificate still comes from stages 1 and 3 to 6 on
+       every kept pair.
+    3. **Reducing pair.**  ``_kept`` counts, for every pair of the system,
+       the entries its spectra keep, and the pair is chosen from the counts.
+    4. **Restricted system** (``_restricted_system``), scatter-filled, then
        reduced by Householder QR and the SVD of the k x k triangle
        (``_right_singular``).
-    4. **Span search** (``_unitary_in_span``) in the singular vectors below
+    5. **Span search** (``_unitary_in_span``) in the singular vectors below
        the cutoff.
-    5. The full system, when the restricted one settles nothing.
+    6. The full system, when the restricted one settles nothing.
 
     Each constraint is linear, ``G_t U - U G_s = 0``, block i scaled by
     ``s_i = max(||G_s||_F, ||G_t||_F, 1)``; call the stacked system of the
     kept pairs A.  A dropped pair repeats a block of A or adds a zero
     block, so A has the null space of the stack of every pair and singular
     values no larger: dropping pairs can lose a certificate, never make one.
-    The scales, ``||A||`` and the cutoffs are taken over the kept pairs.  A
+    The scales, ``||A||`` and the cutoffs are taken over the pairs of the
+    system: every kept pair, or the head's two.  A
     is solved in the eigenbases of one pair c, ``G_sc = Y_s L_s Y_s*`` and
     ``G_tc = Y_t L_t Y_t*``: with ``U = Y_t X Y_s*`` block i becomes
     ``(Y_t* G_t Y_t) X - X (Y_s* G_s Y_s)``, a unitary change of both the
@@ -369,17 +395,40 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
             return ConjugatorResult(None, certificate="spectrum-mismatch",
                                     pair_index=int(np.flatnonzero(keep)[j]), residual=gap)
 
-    g_s, g_t = pairs[:, 0], pairs[:, 1]
-    norm_s = np.linalg.norm(g_s, axis=(1, 2))
-    norm_t = np.linalg.norm(g_t, axis=(1, 2))
+    norm_s = np.linalg.norm(pairs[:, 0], axis=(1, 2))
+    norm_t = np.linalg.norm(pairs[:, 1], axis=(1, 2))
     scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
-    norm_bound = float(np.sqrt(np.sum(((norm_s + norm_t) / scales) ** 2)))
+    block_bounds = ((norm_s + norm_t) / scales) ** 2
+    if len(pairs) > 2:
+        found = _solve(pairs, spectra, scales, block_bounds, tol, seed, head=True)
+        if found is not None:
+            return found
+    return _solve(pairs, spectra, scales, block_bounds, tol, seed)
+
+
+def _solve(pairs, spectra, scales, block_bounds, tol, seed, head=False):
+    """Stages 3 to 6 of ``solve_joint_conjugator`` on the (P, 2, d, d) kept
+    ``pairs``, with their (P, 2, d) spectra, scales ``s_i`` and
+    ``((||G_s,i||_F + ||G_t,i||_F) / s_i)^2``; a unitary is checked against
+    every pair.
+
+    With ``head`` (stage 2), the system is built from the first two pairs
+    only, and the result is None unless that system keeps fewer than d^2
+    entries, its null space has one dimension and the polar factor of its
+    element passes every pair: the head certifies nothing.
+    """
+    dim = pairs.shape[2]
+    count = 2 if head else len(pairs)
+    g_s, g_t = pairs[:count, 0], pairs[:count, 1]
+    norm_bound = float(np.sqrt(np.sum(block_bounds[:count])))
     rel = max(tol.rel, 1e-11)
     bound_cutoff = max(norm_bound, 1.0) * rel
 
-    counts = _kept(spectra, scales, max(_TAU, 2.0 * bound_cutoff))
+    counts = _kept(spectra[:count], scales[:count], max(_TAU, 2.0 * bound_cutoff))
     c = 0 if counts[0] < dim * dim else int(np.argmin(counts))
     if counts[c] == dim * dim:
+        if head:
+            return None
         worst = float(np.max(np.linalg.norm(g_t - g_s, axis=(1, 2)) / scales))
         if tol.accepts(worst, 1.0):
             # no system is solved: block i has the singular values
@@ -404,7 +453,7 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
 
     def attempt(entries):
         """Solve on the entries X_ab with ``entries[a, b]``; None if unsettled."""
-        system, rows, cols = _restricted_system(h_s, h_t, scales, entries)
+        system, rows, cols = _restricted_system(h_s, h_t, scales[:count], entries)
         svals, vh = _right_singular(system)
         reduced = len(rows) < dim * dim
         if reduced:
@@ -416,11 +465,13 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
             cutoff = certify_cutoff = max(float(svals[0]), 1.0) * rel
         diagnostics = {"cutoff": cutoff, "certify_cutoff": certify_cutoff,
                        "columns_kept": len(rows), "tau": tau if reduced else None}
+        null = np.flatnonzero(svals <= cutoff)
+        if head and len(null) != 1:
+            return None
         smallest = float(svals[-1])
         if smallest > certify_cutoff:
             return ConjugatorResult(None, certificate="empty-nullspace",
                                     residual=smallest, diagnostics=diagnostics)
-        null = np.flatnonzero(svals <= cutoff)
         x_basis = np.zeros((len(null), dim, dim), dtype=complex)
         x_basis[:, rows, cols] = vh[null].conj()
         w, best, saw_nonsingular = _unitary_in_span(y_t @ x_basis @ herm(y_s), pairs,
@@ -439,7 +490,11 @@ def solve_joint_conjugator(pairs, tol: Tolerance = DEFAULT_TOL,
                                              "note": "nonsingular null elements "
                                                      "found but none verified"})
 
-    found = attempt(delta <= tau)
+    entries = delta <= tau
+    if head:
+        # the head solves no system of every entry
+        return None if entries.all() else attempt(entries)
+    found = attempt(entries)
     return found if found is not None else attempt(np.ones_like(delta, dtype=bool))
 
 

@@ -629,11 +629,21 @@ def padded_corpus(differential_corpus):
     return cases
 
 
-def _reducing_basis(padded, labels, record):
+def _built_from(labels, record, first):
+    """Positions of the padded pairs that the system ``record`` stacks: every
+    kept pair, or the first two for the head, which is the ``first`` system
+    the solver solves."""
+    kept = _staying(labels)
+    built = kept[:len(record["h_s"])]
+    assert built == kept or (len(built) == 2 and first)
+    return built
+
+
+def _reducing_basis(padded, built, record):
     """The eigenbases ``(y_s, y_t)`` of the pair the solver reduced by, and
-    that pair's position among the stacked ones: the pair whose eigenbases
-    move the stacked pairs onto the blocks ``record`` holds."""
-    stack = np.array([padded[j] for j in _staying(labels)], dtype=complex)
+    that pair's position among the stacked ones ``built``: the pair whose
+    eigenbases move the stacked pairs onto the blocks ``record`` holds."""
+    stack = np.array([padded[j] for j in built], dtype=complex)
     best = None
     for c, (gs, gt) in enumerate(stack):
         y_s = np.linalg.eigh(0.5 * (gs + herm(gs)))[1]
@@ -645,6 +655,20 @@ def _reducing_basis(padded, labels, record):
     miss, y_s, y_t, c = best
     assert miss <= 1e-12 * max(1.0, float(np.max(np.abs(stack))))
     return y_s, y_t, c
+
+
+def _recording_systems(monkeypatch):
+    """Patch ``_restricted_system`` to record the number of blocks of each
+    system the solver builds, in the returned list."""
+    blocks = []
+    restricted = sl.equivalence._restricted_system
+
+    def recorded(h_s, h_t, scales, keep):
+        blocks.append(len(h_s))
+        return restricted(h_s, h_t, scales, keep)
+
+    monkeypatch.setattr(sl.equivalence, "_restricted_system", recorded)
+    return blocks
 
 
 class TestConjugatorOnPaddedPairs:
@@ -660,7 +684,9 @@ class TestConjugatorOnPaddedPairs:
 
     def test_only_exact_scalar_pairs_leave(self, rng, monkeypatch):
         # (G, G) still constrains U to commute with G, and V (cI) V* differs
-        # from cI in its last bits: both stay; (cI, cI) and repeats leave
+        # from cI in its last bits: both stay; (cI, cI) and repeats leave.
+        # The head, the first two kept pairs, admits no unitary, so every
+        # system after it stacks all three kept pairs
         g1, g2 = _gram(rng, 3), _gram(rng, 3)
         u, v = random_unitary(rng, 3), random_unitary(rng, 3)
         scalar = 2.5 * np.eye(3)
@@ -668,16 +694,9 @@ class TestConjugatorOnPaddedPairs:
         assert not np.array_equal(rounded, scalar)
         pairs = [(g1, u @ g1 @ herm(u)), (g2, g2), (g2, g2), (scalar, scalar),
                  (scalar, rounded)]
-        blocks = []
-        restricted = sl.equivalence._restricted_system
-
-        def recorded(h_s, h_t, scales, keep):
-            blocks.append(len(h_s))
-            return restricted(h_s, h_t, scales, keep)
-
-        monkeypatch.setattr(sl.equivalence, "_restricted_system", recorded)
+        blocks = _recording_systems(monkeypatch)
         sl.solve_joint_conjugator(pairs)
-        assert blocks and set(blocks) == {3}
+        assert blocks[0] == 2 and len(blocks) > 1 and set(blocks[1:]) == {3}
 
     def test_outcomes_match(self, padded_corpus):
         # as on the unpadded corpus: a near-threshold reference find may be
@@ -708,8 +727,9 @@ class TestConjugatorOnPaddedPairs:
                     assert res.nullspace_dim == null_dim, kind
 
     def test_cutoffs_count_every_padded_pair(self, padded_corpus):
-        # the cutoffs rest on the pairs the solver keeps, each distinct pair
-        # once, unweighted
+        # the cutoffs rest on the pairs the system was built from, each
+        # distinct pair once, unweighted: every kept pair, or the head when
+        # its unitary passes them all
         rel = max(sl.DEFAULT_TOL.rel, 1e-11)
         checked = 0
         for kind, padded, labels, _, _, res, solved in padded_corpus:
@@ -719,7 +739,10 @@ class TestConjugatorOnPaddedPairs:
             checked += 1
             record = solved[-1]         # the system the result rests on
             assert diag["columns_kept"] == np.count_nonzero(record["keep"])
-            kept = [padded[j] for j in _staying(labels)]
+            built = _built_from(labels, record, len(solved) == 1)
+            if len(built) < len(_staying(labels)):
+                assert res.unitary is not None and res.nullspace_dim == 1, kind
+            kept = [padded[j] for j in built]
             norm_bound = _norm_bound(kept)
             if diag["tau"] is None:     # the full system: ||A|| is its top value
                 top = np.linalg.svd(_stacked_system(kept), compute_uv=False)[0]
@@ -729,7 +752,7 @@ class TestConjugatorOnPaddedPairs:
             cutoff = max(norm_bound, 1.0) * rel
             assert diag["cutoff"] == pytest.approx(cutoff, rel=1e-14), kind
             # the margin of the dropped entries, from the reducing pair's blocks
-            _, _, c = _reducing_basis(padded, labels, record)
+            _, _, c = _reducing_basis(padded, built, record)
             gs, gt = kept[c]
             h_s, h_t = record["h_s"][c], record["h_t"][c]
             leak = ((frob(h_t - np.diag(h_t.diagonal())) + frob(h_s - np.diag(h_s.diagonal())))
@@ -876,17 +899,18 @@ class TestRestrictedSystem:
             # orthonormal right vectors, so the null-space basis stays orthonormal
             assert np.allclose(vh @ herm(vh), np.eye(len(vh)), atol=1e-12)
         # on the padded corpus, the system stacks one unweighted block per
-        # kept pair, and its singular values are those of the kept pairs'
-        # blocks, moved into the same eigenbases and restricted to the same
-        # entries
+        # pair it was built from, every kept pair or the head, and its
+        # singular values are those of these pairs' blocks, moved into the
+        # same eigenbases and restricted to the same entries
         checked = 0
         for _, padded, labels, _, _, _, solved in padded_corpus:
             dim = padded[0][0].shape[0]
-            kept = [padded[j] for j in _staying(labels)]
-            for record in solved:
+            for i, record in enumerate(solved):
+                built = _built_from(labels, record, i == 0)
+                kept = [padded[j] for j in built]
                 assert record["system"].shape == (len(kept) * dim * dim,
                                                   np.count_nonzero(record["keep"]))
-                y_s, y_t, _ = _reducing_basis(padded, labels, record)
+                y_s, y_t, _ = _reducing_basis(padded, built, record)
                 moved = [(herm(y_s) @ gs @ y_s, herm(y_t) @ gt @ y_t) for gs, gt in kept]
                 full = _stacked_system(moved)[:, record["keep"].ravel()]
                 expected = np.linalg.svd(full, compute_uv=False)
@@ -913,6 +937,91 @@ class TestConjugatorScale:
         # the conjugator is unique up to a phase
         phase = np.vdot(u, res.unitary) / dim
         assert frob(res.unitary - phase * u) < 1e-8
+
+
+def _solved_on_every_pair(pairs, seed=0, tol=sl.DEFAULT_TOL):
+    """The solver's stages past the screen on all of ``pairs``, which must
+    all be kept, with spectra, scales and norm weights computed here as the
+    solver computes them."""
+    pairs = np.asarray(pairs, dtype=complex)
+    spectra = np.array([np.linalg.eigvalsh(0.5 * (p + herm(p))) for p in pairs])
+    norm_s, norm_t = (np.linalg.norm(pairs[:, i], axis=(1, 2)) for i in (0, 1))
+    scales = np.maximum(np.maximum(norm_s, norm_t), 1.0)
+    weights = ((norm_s + norm_t) / scales) ** 2
+    return sl.equivalence._solve(pairs, spectra, scales, weights, tol, seed)
+
+
+class TestConjugatorHead:
+    """The head, the first two kept pairs, solved before the rest."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_a_generic_family_is_solved_on_its_head(self, rng, monkeypatch, dim):
+        u = random_unitary(rng, dim)
+        pairs = [(g, u @ g @ herm(u)) for g in (_gram(rng, dim) for _ in range(6))]
+        blocks = _recording_systems(monkeypatch)
+        res = sl.solve_joint_conjugator(pairs)
+        monkeypatch.undo()
+        assert blocks == [2]
+        assert res.unitary is not None and res.nullspace_dim == 1
+        assert res.residual == _constraint_residual(res.unitary, pairs)
+        assert res.residual <= sl.DEFAULT_TOL.bound(1.0)
+        # the head system's cutoff, from the norms of its two pairs
+        rel = max(sl.DEFAULT_TOL.rel, 1e-11)
+        assert res.diagnostics["cutoff"] == pytest.approx(
+            max(_norm_bound(pairs[:2]), 1.0) * rel, rel=1e-14)
+        assert res.diagnostics["columns_kept"] < dim * dim
+        phase = np.vdot(u, res.unitary) / dim
+        assert frob(res.unitary - phase * u) < 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_a_later_pair_the_head_unitary_fails_is_solved_with_every_pair(
+            self, rng, monkeypatch, dim):
+        # pair 2 has the spectra of its conjugate by u but another conjugator:
+        # the head's unitary fails it, and the system of all four pairs
+        # certifies that no unitary exists, as if the head had not run
+        u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+        grams = [_gram(rng, dim) for _ in range(4)]
+        pairs = [(g, (v if i == 2 else u) @ g @ herm(v if i == 2 else u))
+                 for i, g in enumerate(grams)]
+        blocks = _recording_systems(monkeypatch)
+        res = sl.solve_joint_conjugator(pairs)
+        monkeypatch.undo()
+        assert blocks == [2, 4]
+        assert res.certificate == "empty-nullspace"
+        diag = res.diagnostics
+        rel = max(sl.DEFAULT_TOL.rel, 1e-11)
+        assert diag["cutoff"] == pytest.approx(max(_norm_bound(pairs), 1.0) * rel, rel=1e-14)
+        # recompute: the stacked system of every pair in the first pair's
+        # eigenbasis, restricted to the kept entries X_ab
+        gs1, gt1 = pairs[0]
+        ls, ys = np.linalg.eigh(gs1)
+        lt, yt = np.linalg.eigh(gt1)
+        moved = [(herm(ys) @ gs @ ys, herm(yt) @ gt @ yt) for gs, gt in pairs]
+        gap = np.abs(lt[:, None] - ls[None, :]).ravel() / max(frob(gs1), frob(gt1), 1.0)
+        kept = _stacked_system(moved)[:, gap <= diag["tau"]]
+        assert kept.shape[1] == diag["columns_kept"]
+        smallest = np.linalg.svd(kept, compute_uv=False)[-1]
+        assert abs(smallest - res.residual) <= 1e-12 * max(1.0, smallest)
+        assert diag["cutoff"] < diag["certify_cutoff"] < res.residual
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_a_commuting_head_leaves_the_unitary_of_every_pair(self, rng, monkeypatch, dim):
+        # the head's Grams commute, so its null space holds every U D with D
+        # diagonal in their common eigenbasis: the head settles nothing, and
+        # the unitary is the one solved on every pair with a fresh generator
+        u, q = random_unitary(rng, dim), random_unitary(rng, dim)
+        head = [q @ np.diag(rng.uniform(1.0, 3.0, dim)) @ herm(q) for _ in range(2)]
+        grams = head + [_gram(rng, dim) for _ in range(3)]
+        pairs = [(g, u @ g @ herm(u)) for g in grams]
+        blocks = _recording_systems(monkeypatch)
+        res = sl.solve_joint_conjugator(pairs, seed=7)
+        monkeypatch.undo()
+        assert blocks[0] == 2 and len(blocks) > 1 and set(blocks[1:]) == {5}
+        reference = _solved_on_every_pair(pairs, seed=7)
+        assert res.unitary is not None
+        assert np.array_equal(res.unitary, reference.unitary)
+        assert (res.residual, res.nullspace_dim, res.diagnostics) == (
+            reference.residual, reference.nullspace_dim, reference.diagnostics)
 
 
 class TestConstructDiagonalIntertwiner:
