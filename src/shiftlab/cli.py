@@ -28,11 +28,12 @@ from .corpus import EXAMPLE_NAMES, run_example
 from .errors import ShiftLabError, SpecFormatError
 from .matrices import Tolerance
 from .reports import RunReport
-from .specfile import load_spec_file, run_spec
+from .specfile import collector_paused, load_spec_file, run_spec
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+_WRITE_SLICE = 1 << 16     # characters of report text per write
 
 
 @functools.cache      # one parser per process; parsing does not change it
@@ -102,8 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: RunReport, args) -> int:
     if args.json:
+        text = report.to_json()
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            # a text file encodes each write whole: in slices, a long
+            # report is never held twice, as text and as its UTF-8 bytes
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
             fh.write("\n")
     if not args.quiet:
         for line in report.human_lines():
@@ -112,6 +117,21 @@ def _emit(report: RunReport, args) -> int:
 
 
 def cli_main(argv) -> int:
+    """Run one command line and return its exit code.
+
+    The whole command (argument parsing, reading the spec, running its tasks
+    and writing the report) runs with the cyclic garbage collector paused
+    (``collector_paused``), which is left as it was found, however the
+    command ends: a report and the objects it is built from are acyclic
+    trees, freed by reference counting, which collections would only walk.
+    The command's objects are freed before the collector resumes, so its
+    first collection does not walk them either.
+    """
+    with collector_paused():
+        return _run_command(argv)
+
+
+def _run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

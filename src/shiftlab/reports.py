@@ -96,7 +96,8 @@ class RunReport:
         ``1e+16``), and text as UTF-8, not ``\\u`` escapes.  Keys follow the
         order in which the report built them, not sorted order: the same
         report always builds them in the same order, so the text is
-        deterministic.
+        deterministic.  The text is written in one pass (``_orjson_text``),
+        and is that of ``orjson.dumps(self.to_jsonable())``.
 
         A non-finite float (an overflowed residual, say) is written as the
         string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``.  A report that
@@ -106,35 +107,48 @@ class RunReport:
         a tree (one witness may sit in it twice, which is no cycle), so
         ``json`` skips its check for circular references.
         """
-        import orjson     # here, not at the top: commands that write no report never load it
         data = self.to_jsonable()
-        try:
-            text = orjson.dumps(data)
-        except orjson.JSONEncodeError:
-            pass
-        else:
-            if b"null" not in text or not _holds_non_finite(data):
-                return text.decode()
-        return json.dumps(_finite(data), separators=(",", ":"), allow_nan=False,
-                          check_circular=False)
+        text = _orjson_text(data)
+        if text is None:
+            text = json.dumps(_finite(data), separators=(",", ":"), allow_nan=False,
+                              check_circular=False)
+        return text
 
 
-def _holds_non_finite(data: dict) -> bool:
-    """Whether ``data``, a report orjson writes, holds a non-finite float.
+def _orjson_text(data: dict) -> str | None:
+    """The text of ``orjson.dumps(data)`` for a report's tree, or None where
+    it holds a non-finite float or a value orjson refuses.
 
-    orjson writes one as ``null``, as it writes None.  So each value of
-    ``data``, and each element of a list value (a check, say), is written
-    alone, and one whose text holds ``null`` is read back and compared with
-    itself.  Read back a piece at a time, the report's tree is never held
-    twice in memory.
+    orjson writes a non-finite float as ``null``, as it writes None.  So
+    each value of ``data``, and each element of a list value (a check, say),
+    is written alone and once; a piece whose text holds ``null`` is read
+    back and compared with itself.  Read back a piece at a time, the
+    report's tree is never held twice in memory.  Each piece is decoded as
+    soon as it is written, so orjson's bytes are freed at once, and the
+    pieces are joined in one copy.  The keys of ``data`` are the plain
+    names ``to_jsonable`` gives, which JSON spells as they are.
     """
-    import orjson
-    for value in data.values():
-        for item in value if isinstance(value, list) else [value]:
-            text = orjson.dumps(item)
+    import orjson     # here, not at the top: commands that write no report never load it
+    pieces = []
+    for key, value in data.items():
+        pieces.append('%s"%s":' % ("," if pieces else "{", key))
+        listed = isinstance(value, list)
+        if listed:
+            pieces.append("[")
+        for i, item in enumerate(value if listed else [value]):
+            try:
+                text = orjson.dumps(item)
+            except orjson.JSONEncodeError:
+                return None
             if b"null" in text and orjson.loads(text) != item:
-                return True
-    return False
+                return None
+            if i:
+                pieces.append(",")
+            pieces.append(text.decode())
+        if listed:
+            pieces.append("]")
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def _finite(obj):

@@ -35,6 +35,7 @@ import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from types import SimpleNamespace
@@ -546,6 +547,26 @@ def _resolve(doc) -> SpecModel:
     return model
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, and leave it as it
+    was found after, however the block ends.
+
+    The objects a spec read or a CLI command builds (parsed lists, decoded
+    weights, report check dicts and witness lists) form acyclic trees that
+    stay alive until the block ends; young collections would only walk and
+    promote them again and again, and reference counting frees them all the
+    same.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_shift_spec(text: str) -> SpecModel:
     """Parse a specification document into resolved objects.
 
@@ -558,14 +579,11 @@ def parse_shift_spec(text: str) -> SpecModel:
     from the document as ``json`` read it, so the accepted documents, their
     models and each refusal's message are those of ``json`` alone.
 
-    The cyclic garbage collector is paused while the document is parsed and
-    decoded, and left as it was found after: the parse builds tens of
-    thousands of lists, none in a cycle and all alive until decoding ends,
-    which young collections would otherwise walk and promote again and again.
+    The parse runs with the cyclic garbage collector paused
+    (``collector_paused``): it builds tens of thousands of lists, none in a
+    cycle and all alive until decoding ends.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         model = _fast_model(text)
         if model is not None:
             return model
@@ -577,9 +595,6 @@ def parse_shift_spec(text: str) -> SpecModel:
         except (ValueError, RecursionError) as exc:     # an over-long integer; nesting too deep
             raise SpecFormatError(f"invalid JSON: {exc}") from None
         return _resolve(doc)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def serialize_model(model: SpecModel, indent: int = 2) -> str:

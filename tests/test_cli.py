@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reports."""
 
+import gc
 import json
 import math
 import os
@@ -560,6 +561,118 @@ class TestReportEncoding:
                          "--quiet"]) == 0
         report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject)
         assert report["checks"][0]["name"] == "\ud800"
+
+
+class TestOnePassWriter:
+    """``to_json`` writes each value of the report, and each check, once with
+    orjson, and its text is that of one ``orjson.dumps`` of the whole."""
+
+    @staticmethod
+    def every_op_report():
+        """A ``verify`` report of every task op; its screen and its verdicts
+        hold ``passed: None``."""
+        report = sl.run_spec(every_op_model(), "verify", "every-op.json")
+        kinds = {c.kind for c in report.checks if c.passed is None}
+        assert kinds == {"screen", "verdict"}
+        return report
+
+    @pytest.mark.parametrize("name", [*sl.EXAMPLE_NAMES, "every-op"])
+    def test_text_is_one_dump(self, name):
+        report = self.every_op_report() if name == "every-op" else sl.run_example(name)
+        assert report.to_json() == orjson.dumps(report.to_jsonable()).decode()
+
+    def test_each_piece_is_dumped_once(self, monkeypatch):
+        report = self.every_op_report()
+        data = report.to_jsonable()
+        assert b"null" in orjson.dumps(data)
+        calls = []
+
+        def dumps(obj, *args, _dumps=orjson.dumps, **kwargs):
+            calls.append(obj)
+            return _dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(orjson, "dumps", dumps)
+        report.to_json()
+        *head, witnesses = [value for value in data.values() if not isinstance(value, list)]
+        assert list(data)[-2:] == ["checks", "witnesses"]
+        assert calls == [*head, *data["checks"], witnesses]
+
+    @pytest.mark.parametrize("residual, token", [(math.nan, "NaN"), (math.inf, "Infinity")])
+    def test_non_finite_residual_is_written_by_json(self, monkeypatch, residual, token):
+        report = self.every_op_report()
+        report.checks[0].details["max_residual"] = residual
+        calls = []
+
+        def dumps(obj, *args, _dumps=json.dumps, **kwargs):
+            calls.append(obj)
+            return _dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        text = report.to_json()
+        assert len(calls) == 1
+        assert f'"max_residual":"{token}"' in text
+        assert json.loads(text, parse_constant=_reject)["checks"][1:] == \
+            json.loads(orjson.dumps(report.to_jsonable()))["checks"][1:]
+
+
+class TestCollectorPause:
+    """``cli_main`` runs each command with the cyclic garbage collector
+    paused, and leaves it as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["from-enabled", "from-disabled"])
+    def start(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def near_singular_spec(tmp_path):
+        s = sl.BilateralShift(sl.PeriodicWeights([np.diag([1.0, 1e-12]).astype(complex)]))
+        return write_spec(tmp_path, sl.SpecModel(dim=2, shifts={"S": s}))
+
+    @staticmethod
+    def dim_true_spec(tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(malformed_spec("dim-true")[0]), encoding="utf-8")
+        return str(spec)
+
+    # argv and the exit code of each way a command ends
+    COMMANDS = {
+        "exit-0": (lambda tmp_path: ["example", "ex31"], 0),
+        "exit-1": (lambda tmp_path: ["example", "five-entry-block"], 1),
+        "exit-3": (lambda tmp_path: ["decide", TestExitCodeAgreement.scalar_spec(
+            tmp_path, A=2.0 + 0j, B=2.0 * np.exp(0.7j)), "--s", "A", "--t", "B", "--m", "0"], 3),
+        "usage-error": (lambda tmp_path: ["decide"], 2),
+        "spec-format-error": (lambda tmp_path: ["verify", TestCollectorPause.dim_true_spec(
+            tmp_path)], 2),
+        "shiftlab-error": (lambda tmp_path: ["decide", TestCollectorPause.near_singular_spec(
+            tmp_path), "--s", "S", "--t", "S", "--m", "0"], 1),
+    }
+
+    @pytest.mark.parametrize("case", COMMANDS)
+    def test_state_is_restored(self, tmp_path, monkeypatch, capsys, start, case):
+        argv, code = self.COMMANDS[case]
+        argv = argv(tmp_path)
+        during = []
+
+        def build(_build=cli._build_parser):
+            during.append(gc.isenabled())
+            return _build()
+
+        monkeypatch.setattr(cli, "_build_parser", build)
+        assert cli_main(argv) == code
+        assert during == [False]
+        assert gc.isenabled() is start
+
+    def test_state_is_restored_when_an_exception_escapes(self, pair_spec, monkeypatch, start):
+        def run_spec(*args, **kwargs):
+            raise RuntimeError(f"collector enabled: {gc.isenabled()}")
+
+        monkeypatch.setattr(cli, "run_spec", run_spec)
+        with pytest.raises(RuntimeError, match="collector enabled: False"):
+            cli_main(["verify", pair_spec, "--quiet"])
+        assert gc.isenabled() is start
 
 
 class TestSeedHandling:

@@ -24,6 +24,7 @@ from conftest import (
     random_unitary,
     s_val,
 )
+from d1_oracle import EQUIVALENT, oracle_decide, oracle_rows
 
 I2 = np.eye(2, dtype=complex)
 
@@ -1999,3 +2000,70 @@ class TestScanSkipsOffsetsWithoutAWindow:
         # with a window every offset is decided, as ``decide`` decides it
         verdict = sl.decide_diagonal_equivalence_scan(self.S, self.T, -1, 3, window=(-1, 1))
         assert verdict.is_equivalent and verdict.offset == 3
+
+
+# Moduli of the dim-1 pairs: a few of order one, and a few near the
+# invertibility threshold, each at least a factor 1.5 from the next.
+D1_MODULI = (0.5, 1.0, 2.0, 3.0,
+             *(k * sl.INVERTIBILITY_THRESHOLD for k in (0.5, 1.0, 2.0)))
+
+
+def _d1_shift(variant, lo, moduli, phases):
+    weights = [np.array([[r * cmath.exp(1j * phi)]]) for r, phi in zip(moduli, phases)]
+    if variant == "periodic":
+        return sl.BilateralShift(sl.PeriodicWeights(weights))
+    if variant == "eventually_identity":
+        return sl.BilateralShift(sl.EventuallyIdentityWeights(lo, weights))
+    return sl.BilateralShift(sl.WindowedWeights(lo, weights))
+
+
+@st.composite
+def d1_pairs(draw):
+    """(S, T, m): T drawn on its own, or with the moduli of S_{n+m} at its
+    rows n (equivalent), maybe with one modulus redrawn (a near miss)."""
+    moduli = st.lists(st.sampled_from(D1_MODULI), min_size=1, max_size=4)
+    m, lo = draw(st.integers(-2, 2)), draw(st.integers(-4, 2))
+    variant, mod_s = draw(st.sampled_from(VARIANTS)), draw(moduli)
+    if draw(st.booleans()):
+        variant_t, lo_t = variant, lo - m
+        mod_t = [mod_s[(n + m) % len(mod_s)] for n in range(len(mod_s))] \
+            if variant == "periodic" else list(mod_s)
+        if draw(st.booleans()):
+            mod_t[draw(st.integers(0, len(mod_t) - 1))] = draw(st.sampled_from(D1_MODULI))
+    else:
+        variant_t, lo_t, mod_t = (draw(st.sampled_from(VARIANTS)), draw(st.integers(-4, 2)),
+                                  draw(moduli))
+    phases = st.floats(0.0, 2 * math.pi)
+    s = _d1_shift(variant, lo, mod_s, [draw(phases) for _ in mod_s])
+    t = _d1_shift(variant_t, lo_t, mod_t, [draw(phases) for _ in mod_t])
+    return s, t, m
+
+
+class TestD1Oracle:
+    """dim-1 decisions against Shields' criterion (``d1_oracle``):
+    ``|S_{n+m}| = |T_n|`` for every n, or every n of the window."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(d1_pairs())
+    def test_no_certificate_contradicts_the_oracle(self, pair):
+        s, t, m = pair
+        rows = oracle_rows(s, t, m)
+        if not rows:
+            with pytest.raises(sl.PreconditionError, match="no usable decision window"):
+                sl.decide_diagonal_equivalence(s, t, m)
+            return
+        verdict = sl.decide_diagonal_equivalence(s, t, m)
+        truth = oracle_decide(s, t, m)
+        if not verdict.is_inconclusive:
+            assert verdict.status.value == truth
+            return
+        # The two known gaps.  ROADMAP item 14: an equivalent pair with a
+        # periodic shift, whose witness need not repeat with the period.
+        # Item 4: a windowed pair whose stored windows lack row 0 or -1,
+        # where the Gram chains are anchored.
+        kinds = {type(x.weights) for x in (s, t)}
+        periodic_gap = (truth == EQUIVALENT and sl.PeriodicWeights in kinds
+                        and "periodic horizon" in verdict.reason)
+        anchor_gap = (sl.WindowedWeights in kinds and not (-1 in rows and 0 in rows)
+                      and "anchored at row 0" in verdict.reason)
+        assert periodic_gap or anchor_gap, (truth, verdict.reason)

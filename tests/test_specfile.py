@@ -1,5 +1,7 @@
 """Specification-document parsing, resolution, and round-tripping."""
 
+import contextlib
+import gc
 import json
 import math
 import os
@@ -251,6 +253,30 @@ class TestParse:
         model = sl.parse_shift_spec(json.dumps(doc))
         assert model.operators["U"].offsets == (-1, 2)
 
+
+    @pytest.mark.parametrize("start", [True, False], ids=["from-enabled", "from-disabled"])
+    @pytest.mark.parametrize("text, refused", [(json.dumps(minimal_doc()), False),
+                                               ('{"dim": 0}', True), ('{"dim": 1', True)],
+                             ids=["accepted", "refused", "not-json"])
+    def test_collector_is_paused_and_restored(self, monkeypatch, start, text, refused):
+        # called on its own, not only under cli_main's pause
+        during = []
+
+        def fast_model(text, _fast=specfile._fast_model):
+            during.append(gc.isenabled())
+            return _fast(text)
+
+        monkeypatch.setattr(specfile, "_fast_model", fast_model)
+        was = gc.isenabled()
+        (gc.enable if start else gc.disable)()
+        try:
+            with pytest.raises(sl.SpecFormatError) if refused else contextlib.nullcontext():
+                sl.parse_shift_spec(text)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+        assert after is start
 
 class TestMalformed:
     @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
